@@ -16,6 +16,7 @@ are assembled in fixed block order.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,7 +106,7 @@ class Scenario:
     jumps: JumpSpec | None = None
     certificate: GdcCertificate | None = None
     flags: ScenarioFlags = field(default_factory=ScenarioFlags)
-    fused: "callable | None" = None          # (X, xi) -> (drift_rows, noise_rows)
+    fused: "callable | None" = None          # (X, xi, Workspace) -> (drift_rows, noise_rows)
     scenario_id: str = "scenario"
 
     @property
@@ -162,8 +163,29 @@ class Scenario:
 # stepping kernel
 
 
+class Workspace:
+    """Scratch arrays for one thread's steps, reused from step to step.
+
+    A fused coefficient hook takes its arrays from here and returns drift
+    and noise rows that live in them; the step overwrites both.
+    """
+
+    def __init__(self):
+        self._arrays = []
+
+    def arrays(self, count: int, shape: tuple) -> list:
+        """``count`` float arrays of ``shape`` with undefined contents."""
+        rows, tail = shape[0], tuple(shape[1:])
+        for i in range(count):
+            if (i == len(self._arrays) or self._arrays[i].shape[1:] != tail
+                    or self._arrays[i].shape[0] < rows):
+                self._arrays[i:i + 1] = [np.empty((rows, *tail))]
+        return [a[:rows] for a in self._arrays[:count]]
+
+
 class _Runtime:
-    """Per-(scenario, dt) plan: precomputed propagator and coefficient hooks."""
+    """Per-(scenario, dt) plan: precomputed propagator and coefficient hooks,
+    plus one step workspace per thread, freed with the plan."""
 
     def __init__(self, sc: Scenario, dt: float):
         if dt <= 0:
@@ -174,18 +196,29 @@ class _Runtime:
         self.sigma = sc.sigma
         self.fused = sc.fused
         self.jumps = sc.jumps if (sc.jumps is not None and sc.jumps.total_rate > 0) else None
-        if sc.op.semigroup_mode == MATRIX_EXP:
-            et = sc.op.semigroup_matrix(self.dt).T.copy()
-            self.propagate = lambda U: U @ et
-        else:
-            op = sc.op
-            self.propagate = lambda U: op.apply_semigroup_rows(self.dt, U)
+        self._et = sc.op.semigroup_matrix(self.dt).T.copy() \
+            if sc.op.semigroup_mode == MATRIX_EXP else None
+        self._local = threading.local()
+
+    def propagate(self, U, out=None):
+        if self._et is not None:
+            return np.matmul(U, self._et, out=out)
+        return self.sc.op.apply_semigroup_rows(self.dt, U, out=out)
+
+    def workspace(self) -> Workspace:
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = Workspace()
+        return ws
 
     def advance(self, X, xi, jrows, jmarks, step_index, traj_ids, check: bool = True):
+        """One step of the block ``X``; the fused path overwrites ``X`` with
+        the result, so callers pass a state array they own."""
         dt = self.dt
         if self.fused is not None:
-            dr, nz = self.fused(X, xi)
-            upd = X + dt * dr
+            dr, nz = self.fused(X, xi, self.workspace())
+            upd = np.multiply(dr, dt, out=dr)
+            np.add(X, upd, out=upd)
             upd += nz
         else:
             upd = X
@@ -199,7 +232,7 @@ class _Runtime:
             upd = upd - comp if upd is X else np.subtract(upd, comp, out=upd)
             if jrows is not None and len(jrows):
                 np.add.at(upd, jrows, self.jumps.gamma(X[jrows], jmarks))
-        out = self.propagate(upd)
+        out = self.propagate(upd, out=X if self.fused is not None else None)
         if check:
             self.assert_finite(out, step_index, traj_ids)
         return out
@@ -790,10 +823,3 @@ def obs_projected_norm2(space: HilbertSpace, P: Projection, center=None):
         return lambda X: space.norm2_rows(X @ m)
     c = np.asarray(center, dtype=float)
     return lambda X: space.norm2_rows((X - c) @ m)
-
-def obs_inner(space: HilbertSpace, v):
-    v = np.asarray(v, dtype=float)
-    if space.kind == "euclidean":
-        w = v if space.weight is None else v * space.weight
-        return lambda X: X @ w
-    return lambda X: space.inner_rows(X, np.broadcast_to(v, X.shape))

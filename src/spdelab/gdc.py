@@ -29,6 +29,8 @@ from .hilbert import EUCLIDEAN, HilbertSpace, OperatorModel, Projection, euclide
 
 AUDIT_SEED = 40_127
 AUDIT_SLACK = 1e-8
+ROUNDOFF_FLOOR = 1e-12     # relative round-off of semigroup residuals
+REFINE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,14 @@ class ConvergenceFit:
 
 
 def fit_convergence(op: OperatorModel, P: Projection, t_grid, probes) -> ConvergenceFit:
-    """Fit ``sup_x ||S(t)x - Px|| / ||x||`` to an exponential decay."""
+    """Fit ``sup_x ||S(t)x - Px|| / ||x||`` to an exponential decay.
+
+    Residuals at or below ``ROUNDOFF_FLOOR * max(1, t ||A||)`` are round-off
+    of the semigroup, not decay, and are left out. When fewer than 4 points
+    remain, the fit moves to a grid of the same size on ``(0, t]``, with ``t``
+    the first time at the floor, until 4 remain or ``REFINE_ROUNDS`` grids
+    are spent.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 4 or np.any(np.diff(t_grid) <= 0):
         raise ContractViolation("t_grid must be increasing with at least 4 points")
@@ -174,18 +183,28 @@ def fit_convergence(op: OperatorModel, P: Projection, t_grid, probes) -> Converg
     norms = [space.norm(p) for p in probes]
     if any(n == 0.0 for n in norms):
         raise ContractViolation("probe vectors must be nonzero")
-    resid = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        worst = 0.0
-        for p, n in zip(probes, norms):
-            r = space.norm(op.apply_semigroup(t, p) - P.apply(p)) / n
-            worst = max(worst, r)
-        resid[i] = worst
+
+    a_norm = 0.0 if op.generator is None else float(np.linalg.norm(op.generator, 2))
+
+    def residuals(ts):
+        r = np.array([max(space.norm(op.apply_semigroup(t, p) - P.apply(p)) / n
+                          for p, n in zip(probes, norms)) for t in ts])
+        return r, r > ROUNDOFF_FLOOR * np.maximum(1.0, ts * a_norm)
+
+    t_fit = t_grid
+    resid, keep = residuals(t_fit)
+    for _ in range(REFINE_ROUNDS):
+        if keep.sum() >= 4:
+            break
+        t_fit = np.linspace(0.0, t_fit[np.argmin(keep)], len(t_grid) + 1)[1:]
+        resid, keep = residuals(t_fit)
     if np.all(resid < 1e-14):
         return ConvergenceFit(prefactor=0.0, rate=math.inf, residual=0.0,
                               n_points=len(t_grid))
-    keep = resid > 1e-290
-    t_fit, y_fit = t_grid[keep], np.log(resid[keep])
+    if keep.sum() < 4:
+        raise ContractViolation("the semigroup residuals reach round-off before "
+                                "4 points could be fitted")
+    t_fit, y_fit = t_fit[keep], np.log(resid[keep])
     slope, intercept = np.polyfit(t_fit, y_fit, 1)
     rms = float(np.sqrt(np.mean((slope * t_fit + intercept - y_fit) ** 2)))
     return ConvergenceFit(prefactor=float(np.exp(intercept)), rate=float(-slope),

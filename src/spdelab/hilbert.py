@@ -258,20 +258,30 @@ class OperatorModel:
         k = min(k, self.space.dim)
         return k, w
 
-    def apply_semigroup_rows(self, t: float, X: np.ndarray) -> np.ndarray:
-        """Evaluate ``S(t)`` on a batch of vectors (one per row)."""
+    def apply_semigroup_rows(self, t: float, X: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate ``S(t)`` on a batch of vectors (one per row), into ``out``
+        when given; ``out`` may be ``X`` itself."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if t < 0:
             raise ContractViolation("semigroup time must be nonnegative")
         if X.shape[1] != self.space.dim:
             raise ContractViolation("vector length does not match the operator's space")
+        if out is not None and out.shape != X.shape:
+            raise ContractViolation("output rows do not match the input rows")
         if t == 0.0:
-            return X.copy()
+            if out is None:
+                return X.copy()
+            out[...] = X
+            return out
         if self.semigroup_mode == MATRIX_EXP:
-            return X @ self.semigroup_matrix(t).T
+            return np.matmul(X, self.semigroup_matrix(t).T, out=out)
         k, w = self.shift_plan(t)
         n = self.space.dim
-        out = np.empty_like(X)
+        if out is None:
+            out = np.empty_like(X)
+        # each branch reads the terminal column only after writing the columns
+        # before it, so out may be X
         if w == 0.0:
             if k < n:
                 out[:, :n - k] = X[:, k:]

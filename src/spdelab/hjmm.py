@@ -7,10 +7,20 @@ Grid conventions: curves live on a uniform grid over [0, x_max]; the long
 rate is the terminal grid value; curve-valued coefficients are clamped to
 zero at the terminal node so the long rate is conserved exactly in floating
 point (their analytic values there are below double resolution anyway).
+
+Buffers: ``example_volatility_rows``, ``cumtrapz_rows`` and
+``hjmm_drift_rows`` accept ``out=`` (and the volatility a ``work=`` scratch
+array) and then compute in place; without them each returns a fresh array
+the caller owns. The engine's step reuses one workspace per thread for the
+whole run: one array per volatility factor (the factor value, then its noise
+term) and one array that is the volatility's scratch, then the drift, then
+the Euler update. The grid shift writes the next state back into the state
+array, so a step allocates no curve-sized array.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -58,10 +68,6 @@ class ForwardCurve:
         return self.space.norm(self.values)
 
 
-def curve_from_callable(space: HilbertSpace, fn) -> ForwardCurve:
-    return ForwardCurve(space, np.asarray([fn(x) for x in space.grid], dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteMarkMeasure:
     """Finite measure mu = rate * law(marks) driving the jump part."""
@@ -75,11 +81,18 @@ class FiniteMarkMeasure:
         return self.rate, w, nodes
 
 
-def cumtrapz_rows(F: np.ndarray, dx: float) -> np.ndarray:
-    """Row-wise cumulative trapezoid integral starting at zero."""
-    out = np.empty_like(F)
+def cumtrapz_rows(F: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise cumulative trapezoid integral starting at zero; ``out`` (not
+    overlapping ``F``) receives it when given."""
+    if out is None:
+        out = np.empty_like(F)
+    # the scaling passes run over whole rows (contiguous, several times
+    # faster than the column slice), which keep column 0 at zero
     out[:, 0] = 0.0
-    np.cumsum(0.5 * (F[:, 1:] + F[:, :-1]) * dx, axis=1, out=out[:, 1:])
+    np.add(F[:, 1:], F[:, :-1], out=out[:, 1:])
+    np.multiply(out, 0.5, out=out)
+    np.multiply(out, dx, out=out)
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
 
@@ -109,28 +122,42 @@ def contraction_margin(beta: float, L_F: float, L_sigma: float, L_gamma: float) 
     return beta - 2.0 * math.sqrt(L_F) - L_sigma - L_gamma
 
 
-def example_volatility_rows(space: HilbertSpace, X: np.ndarray) -> np.ndarray:
+def example_volatility_rows(space: HilbertSpace, X: np.ndarray, out: np.ndarray | None = None,
+                            work: np.ndarray | None = None) -> np.ndarray:
     """Single-factor volatility sigma(h)(x) = int_x^inf min(e^{-beta y}, |h'(y)|) dy.
 
     The derivative magnitude is taken by forward differences (terminal value
     copied), the tail integral by reverse cumulative trapezoid, and the piece
     beyond the grid in closed form with |h'| continued at its terminal value.
     The terminal node is clamped to zero (exact zero-long-rate range).
+    ``out`` receives the result and ``work`` is scratch; both have X's shape
+    and must not overlap X or each other.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     beta, g, dx = space.beta, space.grid, space.dx
-    D = np.abs(np.diff(X, axis=1)) / dx
-    Dn = np.concatenate([D, D[:, -1:]], axis=1)
-    f = np.minimum(np.exp(-beta * g)[None, :], Dn)
-    seg = 0.5 * (f[:, :-1] + f[:, 1:]) * dx
-    rev = np.zeros_like(X)
-    rev[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-    c = Dn[:, -1]
+    if out is None:
+        out = np.empty_like(X)
+    if work is None:
+        work = np.empty_like(X)
+    # elementwise passes run over whole rows where the spare column is
+    # harmless: contiguous passes are several times faster than column slices
+    np.subtract(X[:, 1:], X[:, :-1], out=work[:, :-1])
+    work[:, -1] = work[:, -2]
+    np.abs(work, out=work)
+    np.divide(work, dx, out=work)
+    c = work[:, -1].copy()
+    f = np.minimum(np.exp(-beta * g), work, out=work)
+    np.add(f[:, :-1], f[:, 1:], out=out[:, :-1])
+    out[:, -1] = 0.0
+    np.multiply(out, 0.5, out=out)
+    np.multiply(out, dx, out=out)
+    rev = out[:, -2::-1]
+    np.cumsum(rev, axis=1, out=rev)
     edge = math.exp(-beta * g[-1])
     ystar = -np.log(np.maximum(c, 1e-300)) / beta
     tail = np.where(c >= edge, edge / beta,
                     np.where(c > 0, c * (ystar - g[-1]) + c / beta, 0.0))
-    out = rev + tail[:, None]
+    out += tail[:, None]
     out[:, -1] = 0.0
     return out
 
@@ -144,7 +171,10 @@ class HjmmVolatility:
     """Volatility factors with their declared bounds.
 
     ``sigma_factors`` are rowwise maps curve -> curve valued in the
-    zero-long-rate subspace; ``gamma(X, marks)`` likewise (or None).
+    zero-long-rate subspace; ``gamma(X, marks)`` likewise (or None). A factor
+    that also takes keyword arrays ``out`` and ``work`` (X's shape) writes
+    its value into ``out`` with ``work`` as scratch, which lets the engine
+    step without allocating; a plain ``f(X)`` factor is copied into ``out``.
     ``M`` bounds the squared factor norm sum; ``phi(marks)`` dominates the
     jump exponent.
     """
@@ -166,8 +196,8 @@ class HjmmVolatility:
 def hjmm_example_volatility(space: HilbertSpace,
                             beta_prime: float = math.inf) -> HjmmVolatility:
     """The worked single-factor model: M = 1/beta, L_sigma = 1, no jumps."""
-    def factor(X, _sp=space):
-        return example_volatility_rows(_sp, X)
+    def factor(X, out=None, work=None, _sp=space):
+        return example_volatility_rows(_sp, X, out=out, work=work)
 
     return HjmmVolatility(sigma_factors=(factor,), M=1.0 / space.beta, L_sigma=1.0,
                           L_gamma=0.0, beta_prime=beta_prime,
@@ -176,21 +206,30 @@ def hjmm_example_volatility(space: HilbertSpace,
 
 def hjmm_drift_rows(vol: HjmmVolatility, mu: FiniteMarkMeasure | None,
                     space: HilbertSpace, X: np.ndarray,
-                    factors: list | None = None) -> np.ndarray:
+                    factors: list | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Arbitrage-free drift
 
         F(h) = sum_j sigma_j(h) Sigma_j(h) - int gamma(h,nu)(e^{Gamma(h,nu)}-1) mu(dnu)
 
     with Sigma_j the running integral of sigma_j and Gamma the negative
-    running integral of gamma.
+    running integral of gamma. ``out`` (X's shape, not overlapping X or the
+    factor values) receives the drift when given.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dx = space.dx
     if factors is None:
         factors = [f(X) for f in vol.sigma_factors]
-    out = np.zeros_like(X)
-    for s in factors:
-        out += s * cumtrapz_rows(s, dx)
+    if out is None:
+        out = np.empty_like(X)
+    if factors:
+        s = factors[0]
+        np.multiply(s, cumtrapz_rows(s, dx, out=out), out=out)
+        out += 0.0      # a sum started at zero turns a -0.0 product into +0.0
+        for s in factors[1:]:
+            out += s * cumtrapz_rows(s, dx)
+    else:
+        out.fill(0.0)
     quad = mu.quadrature() if mu is not None else None
     if quad is not None and vol.gamma is not None:
         rate, w, nodes = quad
@@ -217,6 +256,23 @@ def hjmm_drift(vol: HjmmVolatility, mu: FiniteMarkMeasure | None,
     return rows[0], float(abs(rows[0][-1]))
 
 
+def _buffered_factor(f):
+    """The factor as ``(X, out, work) -> out``, whatever its own signature."""
+    try:
+        params = inspect.signature(f).parameters
+    except (TypeError, ValueError):
+        params = {}
+    takes_buffers = "out" in params and "work" in params
+
+    def factor(X, out, work):
+        v = f(X, out=out, work=work) if takes_buffers else f(X)
+        if v is not out:
+            np.copyto(out, v)
+        return out
+
+    return factor
+
+
 class HjmmModel:
     """Engine coefficients: evaluates the factors once per step and reuses
     them for both the drift and the diffusion contribution."""
@@ -226,26 +282,24 @@ class HjmmModel:
         self.space = space
         self.vol = vol
         self.mu = mu
+        self._factors = [_buffered_factor(f) for f in vol.sigma_factors]
 
-    def fused(self, X, xi):
-        factors = [f(X) for f in self.vol.sigma_factors]
-        drift = hjmm_drift_rows(self.vol, self.mu, self.space, X, factors=factors)
+    def fused(self, X, xi, work):
+        """Drift and noise rows of one step, both in arrays of ``work``."""
+        n = len(self._factors)
+        *vals, scratch = work.arrays(n + 1, X.shape)
+        factors = [f(X, v, scratch) for f, v in zip(self._factors, vals)]
+        drift = hjmm_drift_rows(self.vol, self.mu, self.space, X, factors=factors,
+                                out=scratch)
         if xi is None:
             return drift, 0.0
-        noise = factors[0] * xi[:, :1]
-        for j in range(1, len(factors)):
-            noise += factors[j] * xi[:, j:j + 1]
+        noise = np.multiply(factors[0], xi[:, :1], out=factors[0])
+        for j in range(1, n):
+            noise += np.multiply(factors[j], xi[:, j:j + 1], out=factors[j])
         return drift, noise
 
     def drift_rows(self, X):
         return hjmm_drift_rows(self.vol, self.mu, self.space, X)
-
-    def apply(self, X, xi):
-        out = None
-        for j, f in enumerate(self.vol.sigma_factors):
-            term = f(X) * xi[:, j:j + 1]
-            out = term if out is None else out + term
-        return out
 
     def columns(self, x):
         X = np.asarray(x, dtype=float)[None, :]

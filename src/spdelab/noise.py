@@ -142,10 +142,6 @@ class QWienerSpec:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def mode_columns(self) -> np.ndarray:
-        """State-independent diffusion columns, shape (dim_H, n_modes)."""
-        return self.embedding @ self.eigenvectors
-
     def increment_std(self, dt: float) -> np.ndarray:
         return np.sqrt(self.eigenvalues * dt)
 

@@ -201,12 +201,19 @@ def _tail_constants(sc: OuScenario) -> tuple[float, float]:
 
 def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
                 quad_step: float = 0.01) -> CfValue:
-    """Quadrature evaluation of the limiting characteristic function at u."""
+    """Quadrature evaluation of the limiting characteristic function at u.
+
+    Needs a positive fitted convergence rate; ``+inf`` (residuals that vanish
+    identically) makes the tail exactly zero.
+    """
     sc.audit_hypotheses()
     space = sc.space
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
     rate = sc.conv.rate
+    if not rate > 0:
+        raise ContractViolation(f"the fitted semigroup convergence rate {rate:.4g} "
+                                "is not positive")
     if t_cut is None:
         t_cut = 1.0 if not math.isfinite(rate) else 40.0 / rate
     n = max(4, int(math.ceil(t_cut / quad_step)))

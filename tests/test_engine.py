@@ -1,9 +1,13 @@
+import gc
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import PlainSigma
 from spdelab import engine as eng
 from spdelab import hilbert as hb
+from spdelab import hjmm
 from spdelab.errors import HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
 from spdelab.noise import (MarkSampler, POINT_MASS, additive_jumps, diagonal_qwiener,
@@ -289,3 +293,39 @@ def test_chunked_noise_equals_one_shot_stream():
     g2 = substream(12, 3, 0)
     b = g2.standard_normal((1024, 2))
     assert np.array_equal(a, b)
+
+
+def _small_hjmm():
+    sp = hjmm.forward_space(3.0, n=256)
+    sc, _ = hjmm.hjmm_scenario(sp, hjmm.hjmm_example_volatility(sp, beta_prime=1000.0))
+    return sp, sc, 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
+
+
+def test_grid_shift_ensemble_leaves_no_reference_cycles():
+    sp, sc, h0 = _small_hjmm()
+    gc.collect()
+    gc.disable()
+    try:
+        eng.simulate_ensemble(sc, h0, sp.dx, 30, 4, 5, [30 * sp.dx])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_hjmm_concurrent_blocks_match_single_thread(monkeypatch):
+    sp, sc, h0 = _small_hjmm()
+    n_steps, n_traj = 60, 24
+    times = [20 * sp.dx, n_steps * sp.dx]
+    whole = eng.simulate_ensemble(sc, h0, sp.dx, n_steps, n_traj, 31, times)
+    # blocks of 5 trajectories: 5 blocks, up to three of them in flight at once
+    monkeypatch.setattr(eng, "_BLOCK_CAP_BYTES", 5 * 8 * (2 * eng._CHUNK_STEPS + 6 * sp.dim))
+    assert eng._block_size(n_traj, sc.n_modes, sc.dim, 1) == 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 3):
+            ens = eng.simulate_ensemble(sc, h0, sp.dx, n_steps, n_traj, 31, times,
+                                        threads=threads)
+            assert ens.states.tobytes() == whole.states.tobytes()
+    finally:
+        sys.setswitchinterval(interval)

@@ -141,3 +141,26 @@ def test_weighted_space_inner_and_adjoint():
     m = np.array([[0.0, 1.0], [2.0, -1.0]])
     ms = sp.adjoint(m)
     assert sp.inner(m @ x, y) == pytest.approx(sp.inner(x, ms @ y))
+
+
+@pytest.mark.parametrize("cells,zero_weight", [(1.0, True), (3.0, True), (1.5, False),
+                                               (7.25, False), (300.0, True)])
+def test_grid_shift_in_place_matches_out_of_place(cells, zero_weight):
+    sp = hb.hbeta_grid_space(2.0, 10.0, 257)
+    op = hb.shift_operator(sp)
+    t = cells * sp.dx
+    k, w = op.shift_plan(t)
+    assert k >= 1 and (w == 0.0) == zero_weight
+    X = np.random.Generator(np.random.Philox(4)).standard_normal((6, sp.dim))
+    want = op.apply_semigroup_rows(t, X)
+    Y = X.copy()
+    got = op.apply_semigroup_rows(t, Y, out=Y)
+    assert got is Y and np.array_equal(got, want)
+
+
+def test_matrix_semigroup_in_place_matches_out_of_place(paper2x2):
+    X = np.random.Generator(np.random.Philox(5)).standard_normal((7, 2))
+    want = paper2x2.op.apply_semigroup_rows(0.3, X)
+    Y = X.copy()
+    assert paper2x2.op.apply_semigroup_rows(0.3, Y, out=Y) is Y
+    assert np.array_equal(Y, want)

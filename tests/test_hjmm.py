@@ -6,7 +6,7 @@ import pytest
 from spdelab import engine as eng
 from spdelab import hjmm
 from spdelab.errors import ContractViolation, HypothesisViolated
-from spdelab.noise import MarkSampler, POINT_MASS
+from spdelab.noise import MarkSampler, POINT_MASS, sample_path
 
 
 def test_lf_bound_example_values():
@@ -213,3 +213,137 @@ def test_forward_curve_decomposition_is_exact():
     assert np.array_equal(recomposed, vals)
     assert curve.long_rate == vals[-1]
     assert np.isfinite(curve.norm())
+
+
+# The kernels as first written (fresh arrays throughout); the buffered kernels
+# must reproduce them bit for bit.
+
+def _ref_cumtrapz_rows(F, dx):
+    out = np.empty_like(F)
+    out[:, 0] = 0.0
+    np.cumsum(0.5 * (F[:, 1:] + F[:, :-1]) * dx, axis=1, out=out[:, 1:])
+    return out
+
+
+def _ref_example_volatility_rows(space, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    beta, g, dx = space.beta, space.grid, space.dx
+    D = np.abs(np.diff(X, axis=1)) / dx
+    Dn = np.concatenate([D, D[:, -1:]], axis=1)
+    f = np.minimum(np.exp(-beta * g)[None, :], Dn)
+    seg = 0.5 * (f[:, :-1] + f[:, 1:]) * dx
+    rev = np.zeros_like(X)
+    rev[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+    c = Dn[:, -1]
+    edge = math.exp(-beta * g[-1])
+    ystar = -np.log(np.maximum(c, 1e-300)) / beta
+    tail = np.where(c >= edge, edge / beta,
+                    np.where(c > 0, c * (ystar - g[-1]) + c / beta, 0.0))
+    out = rev + tail[:, None]
+    out[:, -1] = 0.0
+    return out
+
+
+def _ref_sigma_drift_rows(factors, dx):
+    out = np.zeros_like(factors[0])
+    for s in factors:
+        out += s * _ref_cumtrapz_rows(s, dx)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _kernel_curves(sp, n_random=13, seed=2026):
+    """Random curves plus rows that reach each branch of the volatility tail:
+    saturated (|h'| >= e^{-beta x} at the end), flat (c = 0) and the
+    intermediate closed form."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    g = sp.grid
+    rows = [0.05 + gen.standard_normal() * 0.03 * np.exp(-gen.uniform(0.5, 4.0) * g)
+            + 1e-4 * gen.standard_normal(sp.dim) for _ in range(n_random)]
+    rows.append(-2.0 * g)                                    # saturated everywhere
+    rows.append(np.full(sp.dim, 0.031))                      # flat: c = 0
+    tail = 0.02 * np.exp(-2.0 * g)
+    tail[-2] = 0.0
+    tail[-1] = 0.5 * math.exp(-sp.beta * g[-1]) * sp.dx      # 0 < c < e^{-beta x_max}
+    rows.append(tail)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("beta,n", [(3.0, 2048), (1.0, 257), (5.0, 64)])
+def test_example_volatility_rows_bit_identical_to_reference(beta, n):
+    sp = hjmm.forward_space(beta, n=n)
+    X = _kernel_curves(sp)
+    want = _ref_example_volatility_rows(sp, X)
+    c = np.abs(X[:, -1] - X[:, -2]) / sp.dx
+    edge = math.exp(-beta * sp.grid[-1])
+    assert np.any(c >= edge) and np.any(c == 0.0) and np.any((c > 0) & (c < edge))
+    assert _same_bits(hjmm.example_volatility_rows(sp, X), want)
+    out, work = np.full_like(X, np.nan), np.full_like(X, np.nan)
+    got = hjmm.example_volatility_rows(sp, X, out=out, work=work)
+    assert got is out and _same_bits(got, want)
+    assert np.all(got[:, -1] == 0.0)
+    assert _same_bits(hjmm.example_volatility(sp, X[3]), want[3])
+
+
+def test_cumtrapz_rows_bit_identical_to_reference():
+    gen = np.random.Generator(np.random.Philox(8))
+    F = gen.standard_normal((9, 300)) * np.exp(-gen.random((9, 1)) * np.arange(300))
+    want = _ref_cumtrapz_rows(F, 0.013)
+    assert _same_bits(hjmm.cumtrapz_rows(F, 0.013), want)
+    out = np.full_like(F, np.nan)
+    assert hjmm.cumtrapz_rows(F, 0.013, out=out) is out and _same_bits(out, want)
+
+
+def test_drift_rows_bit_identical_to_reference():
+    sp = hjmm.forward_space(3.0, n=512)
+    X = _kernel_curves(sp)
+    vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
+    s = _ref_example_volatility_rows(sp, X)
+    want = _ref_sigma_drift_rows([s], sp.dx)
+    assert _same_bits(hjmm.hjmm_drift_rows(vol, None, sp, X), want)
+    out = np.full_like(X, np.nan)
+    got = hjmm.hjmm_drift_rows(vol, None, sp, X, factors=[s], out=out)
+    assert got is out and _same_bits(got, want)
+    # two factors, one of them negative (its products at x = 0 are -0.0)
+    bump = -np.exp(-2.0 * sp.grid)
+    bump[-1] = 0.0
+    two = hjmm.HjmmVolatility(sigma_factors=(vol.sigma_factors[0],
+                                             lambda Y: np.broadcast_to(bump, Y.shape)))
+    want2 = _ref_sigma_drift_rows([s, np.broadcast_to(bump, X.shape)], sp.dx)
+    assert _same_bits(hjmm.hjmm_drift_rows(two, None, sp, X), want2)
+
+
+@pytest.mark.parametrize("extra_factor", [False, True])
+def test_engine_step_bit_identical_to_reference_step(extra_factor):
+    sp = hjmm.forward_space(3.0, n=512)
+    vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
+    bump = 0.1 * np.exp(-3.0 * sp.grid) * np.sin(sp.grid)
+    bump[-1] = 0.0
+    if extra_factor:    # a plain f(X) factor rides next to the buffered one
+        vol = hjmm.HjmmVolatility(
+            sigma_factors=vol.sigma_factors + (lambda Y: np.broadcast_to(bump, Y.shape),),
+            M=vol.M, L_sigma=1.0, beta_prime=1000.0)
+    sc, _ = hjmm.hjmm_scenario(sp, vol)
+    h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
+    n_steps = 40
+    path = sample_path(sc.qwiener, None, sp.dx, n_steps, 17)
+    got = eng.simulate_trajectory(sc, h0, path)
+    X = h0[None, :].copy()
+    for k in range(n_steps):
+        fac = [_ref_example_volatility_rows(sp, X)]
+        if extra_factor:
+            fac.append(np.broadcast_to(bump, X.shape))
+        xi = path.gaussian[k][None, :]
+        upd = X + sp.dx * _ref_sigma_drift_rows(fac, sp.dx)
+        noise = fac[0] * xi[:, :1]
+        for j in range(1, len(fac)):
+            noise += fac[j] * xi[:, j:j + 1]
+        upd += noise
+        X = np.empty_like(upd)
+        X[:, :-1] = upd[:, 1:]          # dt = dx: a shift by exactly one cell
+        X[:, -1:] = upd[:, -1:]
+        assert _same_bits(got[k + 1], X[0])
+    assert got[-1][-1] == h0[-1]

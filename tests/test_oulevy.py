@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from spdelab import engine as eng
 from spdelab import hilbert as hb
 from spdelab import oulevy as ou
 from spdelab.errors import ContractViolation, HypothesisViolated
+from spdelab.gdc import ConvergenceFit
 from spdelab.noise import MarkSampler, POINT_MASS
 
 
@@ -186,3 +189,38 @@ def test_multiple_limits_differ_by_projected_shift():
     from spdelab.wasserstein import w2_1d
     sep = w2_1d(ex.states[-1][:, 1], ey.states[-1][:, 1])
     assert sep == pytest.approx(4.0, abs=0.02)
+
+
+def _reversible_chain(n, seed, gap):
+    """Random reversible generator in L^2(eta) rescaled to a given spectral gap."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    eta = gen.uniform(0.5, 1.5, n)
+    eta /= eta.sum()
+    flux = gen.uniform(0.0, 1.0, (n, n))
+    flux = 0.5 * (flux + flux.T)
+    np.fill_diagonal(flux, 0.0)
+    q = flux / eta[:, None]
+    np.fill_diagonal(q, -q.sum(axis=1))
+    own_gap = -np.sort(np.linalg.eigvals(q).real)[-2]
+    return q * (gap / own_gap), eta
+
+
+@pytest.mark.parametrize("n,gap", [(4, 22.4), (16, 822.0)])
+def test_fast_chain_rate_fit_ignores_roundoff(n, gap):
+    q, eta = _reversible_chain(n, n, gap)
+    trip = ou.LevyTriplet(drift=np.zeros(n), cov=np.zeros((n, n)))
+    sc = ou.kolmogorov_instance(q, eta, trip)
+    assert abs(sc.conv.rate - gap) <= 0.05 * gap
+    assert sc.conv.n_points >= 4
+    cf = ou.limiting_cf(sc, np.ones(n), np.full(n, 0.3))
+    assert cf.t_cut > 0 and np.isfinite(cf.value) and np.isfinite(cf.quad_error)
+
+
+@pytest.mark.parametrize("rate", [-0.14, 0.0, math.nan])
+def test_limiting_cf_rejects_a_non_positive_rate(rate):
+    q, eta = _reversible_chain(4, 4, 2.0)
+    trip = ou.LevyTriplet(drift=np.zeros(4), cov=np.zeros((4, 4)))
+    sc = ou.kolmogorov_instance(q, eta, trip)
+    sc.conv = ConvergenceFit(prefactor=1.0, rate=rate, residual=0.0, n_points=16)
+    with pytest.raises(ContractViolation):
+        ou.limiting_cf(sc, np.ones(4), np.full(4, 0.3))
