@@ -22,11 +22,11 @@ import numpy as np
 from . import __version__, engine, hjmm, lab
 from .errors import (BudgetExceeded, CertificationFailed, ContractViolation,
                      HypothesisViolated, SchemaError, SpdelabError)
-from .gdc import make_certificate
 from .oulevy import empirical_cf, limiting_cf, ou_engine_scenario
 from .scenarios import (build_hjmm_volatility, build_operator, build_ou_scenario,
                         build_projection, build_scenario, build_space,
-                        experiment_section, load_document, _number, _vector, _integer)
+                        experiment_section, load_document, _certificate_section,
+                        _number, _vector, _integer)
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
 EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_VERDICT = 0, 1, 2, 3
@@ -115,20 +115,7 @@ def cmd_certify(args) -> int:
     doc = load_document(args.scenario)
     space = build_space(doc["space"])
     op = build_operator(doc["operator"], space)
-    p1 = build_projection(doc["projection"], space)
-    lip = doc.get("lipschitz", {})
-    gdc_doc = doc.get("gdc", {})
-    cert = make_certificate(
-        op.generator if op.semigroup_mode == "matrix-exponential" else None,
-        p1,
-        _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0),
-        L_F=_number(lip.get("L_F", 0.0), "lipschitz.L_F", 0.0),
-        L_sigma=_number(lip.get("L_sigma", 0.0), "lipschitz.L_sigma", 0.0),
-        L_gamma=_number(lip.get("L_gamma", 0.0), "lipschitz.L_gamma", 0.0),
-        tol=_number(gdc_doc.get("tol", 1e-9), "gdc.tol", 1e-15),
-        space=space,
-        lambda0=_number(gdc_doc["lambda0"], "gdc.lambda0") if "lambda0" in gdc_doc
-        else (space.beta / 2.0 if op.semigroup_mode == "grid-shift" else None))
+    cert = _certificate_section(doc, space, op, build_projection(doc["projection"], space))
     out = _out_dir(args, doc["id"])
     record = {
         "lambda0": cert.lambda0, "lambda1": cert.lambda1, "alpha": cert.alpha,

@@ -4,8 +4,20 @@
                       + sum_{jumps in step k} gamma(X_k, mark) ]
 
 with all integrands frozen at the left endpoint and propagated by the
-full-step semigroup, plus ensemble drivers for independent runs, common-noise
-pairs, and the shifted-noise coupling of one trajectory with its own future.
+full-step semigroup.
+
+Every ensemble runs on one lockstep core: systems that share each
+trajectory's noise, each started at a given grid step. An independent run is
+one system, a common-noise pair two started together, and the shifted
+coupling of a trajectory with its own future two started tau steps apart.
+The core steps one step at a time, except for a single system with
+state-independent coefficients, no jumps, a dense propagator, dim <= 8,
+n_traj > 1 and n_steps > 0: there the steps between two stops (snapshots and
+chunk ends) collapse into one contraction against precomputed propagator
+powers. The collapse regroups the floating-point sums, so a one-trajectory
+run keeps stepping and stays bit-equal to manual stepping. Every state that
+is recorded or reduced, and every state that ends a noise chunk of
+_CHUNK_STEPS steps, is first checked against BLOWUP_NORM.
 
 Determinism: every trajectory owns Philox substreams keyed by
 ``(master_seed, trajectory_index, stream)``; blocks and threads only change
@@ -211,9 +223,10 @@ class _Runtime:
             ws = self._local.ws = Workspace()
         return ws
 
-    def advance(self, X, xi, jrows, jmarks, step_index, traj_ids, check: bool = True):
+    def advance(self, X, xi, jrows, jmarks):
         """One step of the block ``X``; the fused path overwrites ``X`` with
-        the result, so callers pass a state array they own."""
+        the result, so callers pass a state array they own. The result is
+        not checked: callers check it with ``assert_finite``."""
         dt = self.dt
         if self.fused is not None:
             dr, nz = self.fused(X, xi, self.workspace())
@@ -232,10 +245,7 @@ class _Runtime:
             upd = upd - comp if upd is X else np.subtract(upd, comp, out=upd)
             if jrows is not None and len(jrows):
                 np.add.at(upd, jrows, self.jumps.gamma(X[jrows], jmarks))
-        out = self.propagate(upd, out=X if self.fused is not None else None)
-        if check:
-            self.assert_finite(out, step_index, traj_ids)
-        return out
+        return self.propagate(upd, out=X if self.fused is not None else None)
 
     @staticmethod
     def assert_finite(out, step_index, traj_ids):
@@ -270,7 +280,9 @@ def step(sc: Scenario, x, dt: float, gaussian_inc=None, jump_marks=None) -> np.n
         jrows = np.zeros(len(jm), dtype=np.int64)
     else:
         jm, jrows = None, None
-    return rt.advance(X, xi, jrows, jm, 0, None)[0]
+    out = rt.advance(X, xi, jrows, jm)
+    rt.assert_finite(out, 0, None)
+    return out[0]
 
 
 def simulate_trajectory(sc: Scenario, x, path: NoisePath, record_path: bool = True):
@@ -300,14 +312,15 @@ def simulate_trajectory(sc: Scenario, x, path: NoisePath, record_path: bool = Tr
         else:
             jrows, jm = zero_rows, None
         ptr = hi
-        X = rt.advance(X, xi, jrows if len(jrows) else None, jm, k, None)
+        X = rt.advance(X, xi, jrows if len(jrows) else None, jm)
+        rt.assert_finite(X, k, None)
         if record_path:
             hist[k + 1] = X[0]
     return hist if record_path else X[0]
 
 
 # ---------------------------------------------------------------------------
-# block infrastructure
+# lockstep core
 
 
 def _block_size(n_traj: int, n_modes: int, dim: int, n_systems: int) -> int:
@@ -317,56 +330,49 @@ def _block_size(n_traj: int, n_modes: int, dim: int, n_systems: int) -> int:
 
 
 class _BlockNoise:
-    """Noise for a block of trajectories, delivered in time-major chunks.
+    """Noise for a block of trajectories, delivered in chunks.
 
     Gaussian values are drawn per trajectory from its own substream in
     chunk-sized pieces; chunked draws concatenate to exactly the stream a
     one-shot ``sample_path`` would produce. Jump events are materialized up
-    front (finite activity keeps them sparse).
+    front (finite activity keeps them sparse), ordered by step, then by
+    trajectory, then by draw.
     """
 
     def __init__(self, sc: Scenario, dt: float, n_steps: int, master_seed: int,
                  traj_ids: np.ndarray):
-        self.n_steps = n_steps
-        self.B = len(traj_ids)
         qw = sc.qwiener
         self.m = qw.n_modes if qw is not None else 0
         if self.m:
             self._gens = [substream(master_seed, ti, STREAM_GAUSS) for ti in traj_ids]
             self._std = qw.increment_std(dt)
         js = sc.jumps
+        self.joffsets = None
         if js is not None and js.total_rate > 0:
             rows, steps, marks = [], [], []
             for b, ti in enumerate(traj_ids):
                 gen = substream(master_seed, ti, STREAM_JUMP)
                 k = int(gen.poisson(js.total_rate * dt * n_steps))
-                pos = np.floor(gen.random(k) * n_steps).astype(np.int64)
-                mk = js.marks.sample(gen, k)
-                order = np.argsort(pos, kind="stable")
+                steps.append(np.floor(gen.random(k) * n_steps).astype(np.int64))
+                marks.append(js.marks.sample(gen, k))
                 rows.append(np.full(k, b, dtype=np.int64))
-                steps.append(pos[order])
-                marks.append(mk[order])
-            rows = np.concatenate(rows)
             steps = np.concatenate(steps)
-            marks = np.concatenate(marks) if len(marks) else np.zeros((0, js.marks.dim))
             order = np.argsort(steps, kind="stable")
-            self.jrows, self.jsteps, self.jmarks = rows[order], steps[order], marks[order]
-            self.joffsets = np.searchsorted(self.jsteps, np.arange(n_steps + 1))
-        else:
-            self.joffsets = None
+            self.jrows, self.jmarks = np.concatenate(rows)[order], np.concatenate(marks)[order]
+            self.joffsets = np.searchsorted(steps[order], np.arange(n_steps + 1))
 
-    def gauss_chunk(self, k0: int, k1: int, time_major: bool = True,
-                    scaled: bool = True):
+    def gauss_chunk(self, k0: int, k1: int, raw: bool = False):
+        """Increments of steps ``k0:k1``, time-major and scaled; with ``raw``,
+        the trajectory-major standard normals they are made from."""
         if not self.m:
             return None
-        buf = np.empty((self.B, k1 - k0, self.m))
+        buf = np.empty((len(self._gens), k1 - k0, self.m))
         for b, gen in enumerate(self._gens):
             buf[b] = gen.standard_normal((k1 - k0, self.m))
-        if scaled:
-            buf *= self._std
-        if time_major:
-            return np.ascontiguousarray(buf.transpose(1, 0, 2))
-        return buf
+        if raw:
+            return buf
+        buf *= self._std
+        return np.ascontiguousarray(buf.transpose(1, 0, 2))
 
     def jumps_at(self, k: int):
         if self.joffsets is None:
@@ -377,32 +383,141 @@ class _BlockNoise:
         return self.jrows[a:b], self.jmarks[a:b]
 
 
-def _snapshot_steps(snapshot_times, dt: float, n_steps: int) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(snapshot_times, dtype=float))
-    steps = np.rint(t / dt).astype(np.int64)
-    if np.any(np.abs(steps * dt - t) > 1e-9 * np.maximum(1.0, np.abs(t))):
-        raise ContractViolation("snapshot times must lie on the step grid")
-    if np.any(steps < 0) or np.any(steps > n_steps):
-        raise ContractViolation("snapshot times outside the simulated horizon")
-    if np.any(np.diff(steps) <= 0):
-        raise ContractViolation("snapshot times must be strictly increasing")
-    return steps
+class _Lockstep:
+    """Systems driven by one noise stream per trajectory, stepped together in
+    blocks of trajectories.
 
+    ``systems`` lists ``(initial, start_step)`` pairs: system ``s`` starts
+    from ``initial`` (one state, or one per trajectory) at grid step
+    ``start_s`` and takes every later grid step up to ``n_steps + max(start)``.
+    ``n_steps`` and the snapshot times count on the clock of the last-started
+    system, and so do the stops at which ``run`` reduces the states: the
+    snapshots or, with ``every_step``, every step.
+    """
 
-def _run_blocked(n_traj: int, block: int, threads: int, worker) -> None:
-    ranges = [(lo, min(lo + block, n_traj)) for lo in range(0, n_traj, block)]
-    if threads <= 1 or len(ranges) == 1:
-        for lo, hi in ranges:
-            worker(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        for f in futures:
-            f.result()
+    def __init__(self, sc: Scenario, dt: float, systems, n_steps: int, n_traj: int,
+                 master_seed: int, snapshot_times, every_step: bool = False):
+        self.n_steps, self.n_traj = n_steps, n_traj = int(n_steps), int(n_traj)
+        self.starts = [int(k) for _, k in systems]
+        if n_traj < 1:
+            raise ContractViolation("n_traj must be >= 1")
+        if n_steps < 0:
+            raise ContractViolation("n_steps must be >= 0")
+        if min(self.starts) < 0:
+            raise ContractViolation("tau_steps must be >= 0")
+        t = np.atleast_1d(np.asarray(snapshot_times, dtype=float))
+        self.snap_steps = snaps = np.rint(t / dt).astype(np.int64)
+        if np.any(np.abs(snaps * dt - t) > 1e-9 * np.maximum(1.0, np.abs(t))):
+            raise ContractViolation("snapshot times must lie on the step grid")
+        if np.any(snaps < 0) or np.any(snaps > n_steps):
+            raise ContractViolation("snapshot times outside the simulated horizon")
+        if np.any(np.diff(snaps) <= 0):
+            raise ContractViolation("snapshot times must be strictly increasing")
+        self.initial = [np.asarray(x, dtype=float) for x, _ in systems]
+        if any(x.shape not in ((sc.dim,), (n_traj, sc.dim)) for x in self.initial):
+            raise ContractViolation("initial states must be (dim,) or (n_traj, dim) "
+                                    "in the scenario dimension")
+        self.sc, self.master_seed = sc, int(master_seed)
+        self.rt = rt = _Runtime(sc, dt)
+        self.t0 = t0 = max(self.starts)         # grid step = that clock's step + t0
+        self.lookup = {int(s) + t0: i for i, s in enumerate(snaps)}
+        self.stops = set(range(t0, t0 + n_steps + 1)) if every_step else set(self.lookup)
+        self.block = _block_size(n_traj, sc.n_modes, sc.dim, len(systems))
+        # the linear-additive collapse (see the module docstring)
+        self.fast = (len(systems) == 1 and rt.linear_additive and sc.dim <= 8
+                     and n_traj > 1 and n_steps > 0)
+        self.weights = {}
+        self.chunks = []
+        for k0 in range(0, t0 + n_steps, _CHUNK_STEPS):
+            k1 = min(k0 + _CHUNK_STEPS, t0 + n_steps)
+            if not self.fast:
+                self.chunks.append((k0, k1, range(k0 + 1, k1 + 1)))
+                continue
+            ends = sorted({s for s in self.stops if k0 < s < k1} | {k1})
+            for a, b in zip([k0, *ends], ends):
+                if b - a not in self.weights:
+                    self.weights[b - a] = self._collapse_weights(b - a)
+            self.chunks.append((k0, k1, ends))
+
+    def _collapse_weights(self, L: int):
+        """Propagator power, raw-noise weights and drift term of ``L`` steps."""
+        sc, rt = self.sc, self.rt
+        q = np.empty((L, sc.dim, sc.dim))
+        q[L - 1] = rt._et
+        for j in range(L - 2, -1, -1):
+            q[j] = q[j + 1] @ rt._et
+        dterm = rt.dt * (rt.drift.value @ q.sum(axis=0)) if rt.drift is not None else None
+        w = None
+        if sc.sigma is not None:
+            # raw-noise weights: mode scaling folded in up front
+            ct, std = sc.sigma.matrix.T.copy(), sc.qwiener.increment_std(rt.dt)
+            w = (np.matmul(ct, q) * std[None, :, None]).reshape(L * ct.shape[0], sc.dim)
+        return q[0].copy(), w, dterm
+
+    def _collapse(self, X, chunk, a: int, b: int):
+        """``X`` advanced over the steps at offsets ``a:b`` of a raw chunk."""
+        q0, w, dterm = self.weights[b - a]
+        xn = X @ q0
+        if chunk is not None and w is not None:
+            xn += chunk[:, a:b, :].reshape(len(X), -1) @ w
+        if dterm is not None:
+            xn += dterm
+        return xn
+
+    def run(self, reduce, threads: int, keep_terminal: bool = False):
+        """Step every block, calling ``reduce(k, i, lo, hi, states)`` at each
+        stop ``k`` with ``i`` its snapshot index or None and ``states`` the
+        states of trajectories ``lo:hi`` in system order. Every state that is
+        reduced or ends a noise chunk is first checked against BLOWUP_NORM.
+        Returns the final states ``(n_systems, n_traj, dim)`` if asked."""
+        sc, rt, fast, starts = self.sc, self.rt, self.fast, self.starts
+        t0, stops, lookup = self.t0, self.stops, self.lookup
+        terminal = np.empty((len(starts), self.n_traj, sc.dim)) if keep_terminal else None
+
+        def worker(lo, hi):
+            ids = np.arange(lo, hi, dtype=np.int64)
+            states = [np.empty((hi - lo, sc.dim)) for _ in self.initial]
+            for X, x in zip(states, self.initial):
+                X[:] = x if x.ndim == 1 else x[lo:hi]
+            noise = _BlockNoise(sc, rt.dt, t0 + self.n_steps, self.master_seed, ids)
+            if t0 == 0 and 0 in stops:
+                reduce(0, lookup.get(0), lo, hi, states)
+            for k0, k1, ends in self.chunks:
+                chunk = noise.gauss_chunk(k0, k1, raw=fast)
+                a = k0
+                for b in ends:
+                    if fast:
+                        states[0] = self._collapse(states[0], chunk, a - k0, b - k0)
+                    else:
+                        xi = chunk[a - k0] if chunk is not None else None
+                        jr, jm = noise.jumps_at(a)
+                        for s, start in enumerate(starts):
+                            if a >= start:
+                                states[s] = rt.advance(states[s], xi, jr, jm)
+                    a = b
+                    if b in stops or b == k1:
+                        for s, start in enumerate(starts):
+                            if b > start:
+                                rt.assert_finite(states[s], b - 1 - start, ids)
+                        if b in stops:
+                            reduce(b - t0, lookup.get(b), lo, hi, states)
+            if keep_terminal:
+                terminal[:, lo:hi] = states
+
+        ranges = [(lo, min(lo + self.block, self.n_traj))
+                  for lo in range(0, self.n_traj, self.block)]
+        if threads <= 1 or len(ranges) == 1:
+            for lo, hi in ranges:
+                worker(lo, hi)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for f in [pool.submit(worker, lo, hi) for lo, hi in ranges]:
+                    f.result()
+        return terminal
 
 
 # ---------------------------------------------------------------------------
-# ensemble drivers
+# ensemble drivers: each builds its systems and a reduction for the core
 
 
 @dataclass(eq=False)
@@ -425,14 +540,6 @@ class Ensemble:
         """Per-trajectory substream keys (master seed, trajectory index)."""
         return [(self.master_seed, int(i)) for i in self.traj_indices]
 
-    def snapshot(self, time: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.snapshot_times - time)))
-        if abs(self.snapshot_times[i] - time) > 1e-9 * max(1.0, abs(time)):
-            raise ContractViolation(f"no snapshot recorded at t = {time}")
-        if self.states is None:
-            raise ContractViolation("ensemble recorded observables, not states")
-        return self.states[i]
-
 
 def simulate_ensemble(sc: Scenario, initial, dt: float, n_steps: int, n_traj: int,
                       master_seed: int, snapshot_times, observables: dict | None = None,
@@ -442,109 +549,21 @@ def simulate_ensemble(sc: Scenario, initial, dt: float, n_steps: int, n_traj: in
     ``observables`` maps names to rowwise functions ``X -> (B,)``; when given,
     only those reductions are stored per snapshot instead of full states.
     """
-    n_steps, n_traj = int(n_steps), int(n_traj)
-    snap_steps = _snapshot_steps(snapshot_times, dt, n_steps)
-    x0 = np.asarray(initial, dtype=float)
-    if x0.ndim == 1:
-        if x0.shape != (sc.dim,):
-            raise ContractViolation("initial state does not match the scenario dimension")
-    elif x0.shape != (n_traj, sc.dim):
-        raise ContractViolation("per-trajectory initial states must be (n_traj, dim)")
-    n_snap = len(snap_steps)
-    if observables is None:
-        states = np.empty((n_snap, n_traj, sc.dim))
-        obs_out = {}
-    else:
-        states = None
-        obs_out = {name: np.empty((n_snap, n_traj)) for name in observables}
-    rt = _Runtime(sc, dt)
-    block = _block_size(n_traj, sc.n_modes, sc.dim, 1)
-    snap_lookup = {int(s): i for i, s in enumerate(snap_steps)}
+    ls = _Lockstep(sc, dt, [(initial, 0)], n_steps, n_traj, master_seed, snapshot_times)
+    n_snap, n_traj = len(ls.snap_steps), ls.n_traj
+    states = np.empty((n_snap, n_traj, sc.dim)) if observables is None else None
+    obs_out = {name: np.empty((n_snap, n_traj)) for name in observables or {}}
 
-    def record(i, lo, hi, X):
+    def record(k, i, lo, hi, xs):
         if states is not None:
-            states[i, lo:hi] = X
-        else:
-            for name, fn in observables.items():
-                obs_out[name][i, lo:hi] = fn(X)
+            states[i, lo:hi] = xs[0]
+        for name, fn in (observables or {}).items():
+            obs_out[name][i, lo:hi] = fn(xs[0])
 
-    chunk_plan = []
-    for k0 in range(0, n_steps, _CHUNK_STEPS):
-        k1 = min(k0 + _CHUNK_STEPS, n_steps)
-        ends = sorted({s for s in snap_lookup if k0 < s < k1} | {k1})
-        chunk_plan.append((k0, k1, ends))
-
-    # State-independent coefficients let a whole segment collapse into one
-    # contraction against precomputed propagator powers; same scheme, done as
-    # a handful of large array operations instead of a per-step loop.
-    fast = rt.linear_additive and sc.dim <= 8 and n_traj > 1 and n_steps > 0
-    if fast:
-        et = sc.op.semigroup_matrix(dt).T.copy()
-        ct = sc.sigma.matrix.T.copy() if sc.sigma is not None else None
-        std = sc.qwiener.increment_std(dt) if sc.qwiener is not None else None
-        dc = rt.drift.value if isinstance(rt.drift, ConstantDrift) else None
-        qcache = {}
-        for k0, k1, ends in chunk_plan:
-            a = k0
-            for b in ends:
-                if b - a and (b - a) not in qcache:
-                    L = b - a
-                    q = np.empty((L, sc.dim, sc.dim))
-                    q[L - 1] = et
-                    for j in range(L - 2, -1, -1):
-                        q[j] = q[j + 1] @ et
-                    dterm = dt * (dc @ q.sum(axis=0)) if dc is not None else None
-                    w = None
-                    if ct is not None:
-                        # raw-noise weights: mode scaling folded in up front
-                        w = (np.matmul(ct, q) * std[None, :, None]).reshape(L * ct.shape[0], sc.dim)
-                    qcache[L] = (q[0].copy(), w, dterm)
-                a = b
-
-    def worker(lo, hi):
-        ids = np.arange(lo, hi, dtype=np.int64)
-        X = np.ascontiguousarray(np.broadcast_to(x0 if x0.ndim == 1 else x0[lo:hi],
-                                                 (hi - lo, sc.dim)).astype(float))
-        noise = _BlockNoise(sc, dt, n_steps, master_seed, ids)
-        if 0 in snap_lookup:
-            record(snap_lookup[0], lo, hi, X)
-        for k0, k1, ends in chunk_plan:
-            if fast:
-                chunk = noise.gauss_chunk(k0, k1, time_major=False, scaled=False)
-                a = k0
-                for b in ends:
-                    L = b - a
-                    if L:
-                        q0, w, dterm = qcache[L]
-                        xn = X @ q0
-                        if chunk is not None and w is not None:
-                            m = chunk.shape[2]
-                            piece = chunk[:, a - k0:b - k0, :].reshape(hi - lo, L * m)
-                            xn += piece @ w
-                        if dterm is not None:
-                            xn += dterm
-                        X = xn
-                    a = b
-                    i = snap_lookup.get(b)
-                    if i is not None:
-                        rt.assert_finite(X, b - 1, ids)
-                        record(i, lo, hi, X)
-                rt.assert_finite(X, k1 - 1, ids)
-                continue
-            chunk = noise.gauss_chunk(k0, k1)
-            for k in range(k0, k1):
-                xi = chunk[k - k0] if chunk is not None else None
-                jr, jm = noise.jumps_at(k)
-                i = snap_lookup.get(k + 1)
-                X = rt.advance(X, xi, jr, jm, k, ids,
-                               check=(i is not None or k + 1 == k1))
-                if i is not None:
-                    record(i, lo, hi, X)
-
-    _run_blocked(n_traj, block, threads, worker)
-    return Ensemble(scenario_id=sc.scenario_id, dt=float(dt), n_steps=n_steps,
+    ls.run(record, threads)
+    return Ensemble(scenario_id=sc.scenario_id, dt=float(dt), n_steps=ls.n_steps,
                     n_traj=n_traj, master_seed=int(master_seed),
-                    snapshot_times=snap_steps * float(dt), snapshot_steps=snap_steps,
+                    snapshot_times=ls.snap_steps * float(dt), snapshot_steps=ls.snap_steps,
                     states=states, observables=obs_out,
                     traj_indices=np.arange(n_traj, dtype=np.int64))
 
@@ -569,60 +588,32 @@ def simulate_pair_ensemble(sc: Scenario, x, y, dt: float, n_steps: int, n_traj: 
                            master_seed: int, snapshot_times, keep_terminal: bool = False,
                            threads: int = 1) -> PairEnsembleResult:
     """Drive two initial conditions with identical noise, in lockstep."""
-    n_steps, n_traj = int(n_steps), int(n_traj)
-    snap_steps = _snapshot_steps(snapshot_times, dt, n_steps)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    space, P1 = sc.space, sc.P1
-    rt = _Runtime(sc, dt)
-    n_snap = len(snap_steps)
-    gap2 = np.empty((n_snap, n_traj))
-    xt = np.empty((n_traj, sc.dim)) if keep_terminal else None
-    yt = np.empty((n_traj, sc.dim)) if keep_terminal else None
-    block = _block_size(n_traj, sc.n_modes, sc.dim, 2)
-    n_blocks = math.ceil(n_traj / block)
-    psum = np.zeros((n_blocks, n_steps + 1))
-    psq = np.zeros((n_blocks, n_steps + 1))
-    snap_lookup = {int(s): i for i, s in enumerate(snap_steps)}
-    p1m = P1.matrix.T.copy()
+    ls = _Lockstep(sc, dt, [(x, 0), (y, 0)], n_steps, n_traj, master_seed, snapshot_times,
+                   every_step=True)
+    n_steps, n_traj, space = ls.n_steps, ls.n_traj, sc.space
+    gap2 = np.empty((len(ls.snap_steps), n_traj))
+    # per-block sums of ||P1 (X - Y)||^2 and of its square, added in block order
+    psum = np.zeros((math.ceil(n_traj / ls.block), n_steps + 1))
+    psq = np.zeros_like(psum)
+    p1m = sc.P1.matrix.T.copy()
 
-    def worker(lo, hi):
-        bi = lo // block
-        ids = np.arange(lo, hi, dtype=np.int64)
-        Xa = np.tile(x, (hi - lo, 1))
-        Xb = np.tile(y, (hi - lo, 1))
-        noise = _BlockNoise(sc, dt, n_steps, master_seed, ids)
+    def reduce(k, i, lo, hi, xs):
+        X, Y = xs
+        v = space.norm2_rows((X - Y) @ p1m)
+        psum[lo // ls.block, k] = v.sum()
+        psq[lo // ls.block, k] = (v * v).sum()
+        if i is not None:
+            gap2[i, lo:hi] = space.norm2_rows(X - Y)
 
-        def reduce_step(k, A, B_):
-            v = space.norm2_rows((A - B_) @ p1m)
-            psum[bi, k] = v.sum()
-            psq[bi, k] = (v * v).sum()
-            i = snap_lookup.get(k)
-            if i is not None:
-                gap2[i, lo:hi] = space.norm2_rows(A - B_)
-
-        reduce_step(0, Xa, Xb)
-        for k0 in range(0, n_steps, _CHUNK_STEPS):
-            k1 = min(k0 + _CHUNK_STEPS, n_steps)
-            chunk = noise.gauss_chunk(k0, k1)
-            for k in range(k0, k1):
-                xi = chunk[k - k0] if chunk is not None else None
-                jr, jm = noise.jumps_at(k)
-                Xa = rt.advance(Xa, xi, jr, jm, k, ids)
-                Xb = rt.advance(Xb, xi, jr, jm, k, ids)
-                reduce_step(k + 1, Xa, Xb)
-        if keep_terminal:
-            xt[lo:hi] = Xa
-            yt[lo:hi] = Xb
-
-    _run_blocked(n_traj, block, threads, worker)
+    terminal = ls.run(reduce, threads, keep_terminal)
+    xt, yt = terminal if keep_terminal else (None, None)
     mean = psum.sum(axis=0) / n_traj
     var = np.maximum(psq.sum(axis=0) / n_traj - mean**2, 0.0)
     se = np.sqrt(var / n_traj)
     return PairEnsembleResult(dt=float(dt), n_steps=n_steps, n_traj=n_traj,
                               step_times=np.arange(n_steps + 1) * float(dt),
                               p1gap2_mean=mean, p1gap2_se=se,
-                              snapshot_times=snap_steps * float(dt), gap2=gap2,
+                              snapshot_times=ls.snap_steps * float(dt), gap2=gap2,
                               x_terminal=xt, y_terminal=yt)
 
 
@@ -645,63 +636,22 @@ def simulate_coupled_ensemble(sc: Scenario, x, tau_steps: int, dt: float, n_step
                               keep_terminal: bool = False, threads: int = 1) -> CoupledEnsembleResult:
     """Drive X on [0, T+tau] and Y on [0, T] with the tau-shifted noise view.
 
-    At lockstep index j both systems consume the parent increment tau+j, so
-    ``Y_j`` sees exactly the stream a shifted view would replay.
+    Y starts at grid step tau, so at its step j both systems consume the
+    parent increment tau+j and ``Y_j`` sees what a shifted view would replay.
     """
-    tau_steps, n_steps, n_traj = int(tau_steps), int(n_steps), int(n_traj)
-    if tau_steps < 0:
-        raise ContractViolation("tau must be nonnegative")
-    snap_steps = _snapshot_steps(snapshot_times, dt, n_steps)
-    x = np.asarray(x, dtype=float)
-    space = sc.space
-    rt = _Runtime(sc, dt)
-    n_snap = len(snap_steps)
-    gap2 = np.empty((n_snap, n_traj))
-    yt = np.empty((n_traj, sc.dim)) if keep_terminal else None
-    xt = np.empty((n_traj, sc.dim)) if keep_terminal else None
-    total_steps = n_steps + tau_steps
-    block = _block_size(n_traj, sc.n_modes, sc.dim, 2)
-    snap_lookup = {int(s): i for i, s in enumerate(snap_steps)}
+    tau_steps = int(tau_steps)
+    ls = _Lockstep(sc, dt, [(x, 0), (x, tau_steps)], n_steps, n_traj, master_seed,
+                   snapshot_times)
+    n_steps, n_traj = ls.n_steps, ls.n_traj
+    gap2 = np.empty((len(ls.snap_steps), n_traj))
 
-    def worker(lo, hi):
-        ids = np.arange(lo, hi, dtype=np.int64)
-        X = np.tile(x, (hi - lo, 1))
-        noise = _BlockNoise(sc, dt, total_steps, master_seed, ids)
-        chunk, c0 = None, -1
+    def reduce(k, i, lo, hi, xs):
+        gap2[i, lo:hi] = sc.space.norm2_rows(xs[1] - xs[0])
 
-        def xi_at(k):
-            nonlocal chunk, c0
-            if sc.n_modes == 0:
-                return None
-            base = (k // _CHUNK_STEPS) * _CHUNK_STEPS
-            if base != c0:
-                chunk = noise.gauss_chunk(base, min(base + _CHUNK_STEPS, total_steps))
-                c0 = base
-            return chunk[k - c0]
-
-        for k in range(tau_steps):
-            jr, jm = noise.jumps_at(k)
-            X = rt.advance(X, xi_at(k), jr, jm, k, ids)
-        Y = np.tile(x, (hi - lo, 1))
-        i = snap_lookup.get(0)
-        if i is not None:
-            gap2[i, lo:hi] = space.norm2_rows(Y - X)
-        for j in range(n_steps):
-            k = tau_steps + j
-            xi = xi_at(k)
-            jr, jm = noise.jumps_at(k)
-            X = rt.advance(X, xi, jr, jm, k, ids)
-            Y = rt.advance(Y, xi, jr, jm, j, ids)
-            i = snap_lookup.get(j + 1)
-            if i is not None:
-                gap2[i, lo:hi] = space.norm2_rows(Y - X)
-        if keep_terminal:
-            yt[lo:hi] = Y
-            xt[lo:hi] = X
-
-    _run_blocked(n_traj, block, threads, worker)
+    terminal = ls.run(reduce, threads, keep_terminal)
+    xt, yt = terminal if keep_terminal else (None, None)
     return CoupledEnsembleResult(dt=float(dt), tau_steps=tau_steps, n_steps=n_steps,
-                                 n_traj=n_traj, snapshot_times=snap_steps * float(dt),
+                                 n_traj=n_traj, snapshot_times=ls.snap_steps * float(dt),
                                  coupling_gap2=gap2, y_terminal=yt, x_terminal=xt)
 
 

@@ -28,13 +28,14 @@ class HypothesisViolated(SpdelabError):
     """A hypothesis an experiment relies on was audited and found false.
 
     ``hypothesis`` names the violated condition so the CLI diagnostics can
-    point at it directly.
+    point at it directly; the message is that name and the detail, and the
+    CLI prefixes it with ``hypothesis violated:``.
     """
 
     def __init__(self, hypothesis: str, detail: str = ""):
         self.hypothesis = hypothesis
         self.detail = detail
-        msg = f"hypothesis violated: {hypothesis}"
+        msg = hypothesis
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

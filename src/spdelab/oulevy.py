@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import ConstantSigma, Scenario, ScenarioFlags
+from .engine import ConstantDrift, ConstantSigma, Scenario, ScenarioFlags
 from .errors import ContractViolation, HypothesisViolated
 from .gdc import ConvergenceFit, fit_convergence, make_certificate
 from .hilbert import (HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
@@ -276,13 +276,7 @@ def ou_engine_scenario(sc: OuScenario, scenario_id: str | None = None) -> Scenar
     qw = QWienerSpec(eigenvalues=lam, eigenvectors=np.eye(int(keep.sum())),
                      embedding=cols) if keep.any() else None
     sigma = ConstantSigma(cols) if keep.any() else None
-    drift = None
-    if np.any(b_eff != 0.0):
-        const = b_eff
-
-        def drift(X, _c=const):
-            return np.broadcast_to(_c, X.shape)
-
+    drift = ConstantDrift(b_eff) if np.any(b_eff != 0.0) else None
     cert = make_certificate(sc.op.generator, sc.P, lambda1=0.0, space=space)
     return Scenario(op=sc.op, P1=sc.P, qwiener=qw, drift=drift, sigma=sigma,
                     jumps=jumps, certificate=cert,

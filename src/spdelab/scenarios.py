@@ -291,6 +291,25 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
     raise SchemaError(f"{path}.volatility: unknown volatility {kind!r}")
 
 
+def _certificate_section(doc, space, op, p1):
+    """Certify the operator with the document's ``lipschitz`` and ``gdc``
+    sections; a grid-shift operator without ``gdc.lambda0`` gets beta / 2."""
+    lip = doc.get("lipschitz", {})
+    _check_keys(lip, "lipschitz", [], ["L_F", "L_sigma", "L_gamma"])
+    gdc_doc = doc.get("gdc", {})
+    _check_keys(gdc_doc, "gdc", [], ["lambda0", "lambda1", "tol"])
+    lambda0 = _number(gdc_doc["lambda0"], "gdc.lambda0", 0.0) if "lambda0" in gdc_doc else None
+    gen = op.generator if op.semigroup_mode == "matrix-exponential" else None
+    if gen is None and lambda0 is None:
+        lambda0 = space.beta / 2.0
+    return make_certificate(gen, p1, _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0),
+                            L_F=_number(lip.get("L_F", 0.0), "lipschitz.L_F", 0.0),
+                            L_sigma=_number(lip.get("L_sigma", 0.0), "lipschitz.L_sigma", 0.0),
+                            L_gamma=_number(lip.get("L_gamma", 0.0), "lipschitz.L_gamma", 0.0),
+                            tol=_number(gdc_doc.get("tol", 1e-9), "gdc.tol", 1e-15),
+                            space=space, lambda0=lambda0)
+
+
 def load_document(path_or_text) -> dict:
     text = path_or_text
     if not str(path_or_text).lstrip().startswith("{"):
@@ -318,16 +337,6 @@ def build_scenario(doc) -> engine.Scenario:
         vol = build_hjmm_volatility(doc["hjmm"], space)
         sc, _ = hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
         return sc
-    lip = doc.get("lipschitz", {})
-    _check_keys(lip, "lipschitz", [], ["L_F", "L_sigma", "L_gamma"])
-    l_f = _number(lip.get("L_F", 0.0), "lipschitz.L_F", 0.0)
-    l_s = _number(lip.get("L_sigma", 0.0), "lipschitz.L_sigma", 0.0)
-    l_g = _number(lip.get("L_gamma", 0.0), "lipschitz.L_gamma", 0.0)
-    gdc_doc = doc.get("gdc", {})
-    _check_keys(gdc_doc, "gdc", [], ["lambda0", "lambda1", "tol"])
-    lambda1 = _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0)
-    tol = _number(gdc_doc.get("tol", 1e-9), "gdc.tol", 1e-15)
-    lambda0 = _number(gdc_doc["lambda0"], "gdc.lambda0", 0.0) if "lambda0" in gdc_doc else None
     coeff = doc.get("coefficients", {})
     _check_keys(coeff, "coefficients", [], ["F", "sigma", "gamma"])
     drift = build_drift(coeff["F"], space) if "F" in coeff else None
@@ -338,13 +347,9 @@ def build_scenario(doc) -> engine.Scenario:
     flags = engine.ScenarioFlags(
         vanishing_on_H1=bool(flags_doc.get("vanishing_on_H1", False)),
         deterministic_P1=bool(flags_doc.get("deterministic_P1", False)))
-    gen = op.generator if op.semigroup_mode == "matrix-exponential" else None
-    if gen is None and lambda0 is None:
-        lambda0 = space.beta / 2.0
-    cert = make_certificate(gen, p1, lambda1, L_F=l_f, L_sigma=l_s, L_gamma=l_g,
-                            tol=tol, space=space, lambda0=lambda0)
     return engine.Scenario(op=op, P1=p1, qwiener=qw, drift=drift, sigma=sigma,
-                           jumps=jumps, certificate=cert, flags=flags,
+                           jumps=jumps, certificate=_certificate_section(doc, space, op, p1),
+                           flags=flags,
                            scenario_id=doc["id"])
 
 

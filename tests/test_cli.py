@@ -156,3 +156,54 @@ def test_report_lists_verdicts(tmp_path, capsys):
     assert run_cli(["report", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "lab_verdicts.csv" in out
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys):
+    rc = run_cli(["simulate", os.path.join(SCEN, "ou-decoupled-2d.json"),
+                  "--traj", "0", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "Traceback" not in err
+
+
+def test_unmet_hypothesis_prints_its_prefix_once(tmp_path, capsys):
+    with open(os.path.join(SCEN, "counterexample-kernel-noise.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["experiment"] = {"kind": "limit-existence", "T": 1, "dt": 0.01, "traj": 8}
+    f = tmp_path / "kernel-noise.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("hypothesis violated: deterministic-p1")
+    assert err.count("hypothesis violated") == 1
+
+
+def test_certification_failure_prints_its_prefix_once(tmp_path, capsys):
+    doc = {"id": "expanding", "space": {"kind": "euclidean", "dim": 1},
+           "operator": {"mode": "matrix-exponential", "generator": [[1.0]]},
+           "projection": {"builder": "zero"}}
+    f = tmp_path / "exp.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli(["certify", str(f), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("hypothesis violated") == 1
+
+
+@pytest.mark.parametrize("gdc", [{"lamda1": 1.5}, {"lambda1": 1.5, "lambda0": -0.5}])
+def test_certify_checks_the_certificate_section(tmp_path, capsys, gdc):
+    with open(os.path.join(SCEN, "gdc-example-2x2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["gdc"] = gdc
+    f = tmp_path / "bad-gdc.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "gdc.lam" in err

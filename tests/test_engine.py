@@ -8,10 +8,10 @@ from conftest import PlainSigma
 from spdelab import engine as eng
 from spdelab import hilbert as hb
 from spdelab import hjmm
-from spdelab.errors import HypothesisViolated, NumericalBlowup
+from spdelab.errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
-from spdelab.noise import (MarkSampler, POINT_MASS, additive_jumps, diagonal_qwiener,
-                           sample_path)
+from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, additive_jumps,
+                           diagonal_qwiener, sample_path)
 from spdelab.wasserstein import ks_critical_value, ks_statistic
 
 
@@ -327,5 +327,98 @@ def test_hjmm_concurrent_blocks_match_single_thread(monkeypatch):
             ens = eng.simulate_ensemble(sc, h0, sp.dx, n_steps, n_traj, 31, times,
                                         threads=threads)
             assert ens.states.tobytes() == whole.states.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# The three ensemble drivers share one noise stream per trajectory: a pair or a
+# coupling must reproduce independent runs bit for bit. 2,500 steps cross the
+# 2,048-step noise chunk boundary.
+N_PINNED = 2500
+
+
+def _jump_ou():
+    """diag(-1, 0) with Gaussian noise and Gaussian-mark jumps on coordinate 0."""
+    a = np.diag([-1.0, 0.0])
+    js = additive_jumps(2.0, MarkSampler(GAUSSIAN_MARK, mean=np.zeros(2),
+                                         cov_diag=np.array([0.25, 0.0])))
+    return eng.Scenario(op=hb.matrix_operator(hb.euclidean_space(2), a),
+                        P1=hb.coordinate_projection(2, [1]), qwiener=diagonal_qwiener([1.0]),
+                        sigma=eng.ConstantSigma(np.array([[1.0], [0.0]])), jumps=js,
+                        scenario_id="jump-ou")
+
+
+@pytest.fixture(params=["block2x2", "jump-ou"])
+def pinned(request, paper2x2, monkeypatch):
+    # blocks of 2-5 trajectories, so two threads run blocks concurrently
+    monkeypatch.setattr(eng, "_BLOCK_CAP_BYTES", 3 * 8 * (4 * eng._CHUNK_STEPS + 12))
+    return paper2x2 if request.param == "block2x2" else _jump_ou()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pair_terminals_equal_two_independent_runs(pinned, threads):
+    x, y, dt, n, traj, seed = np.array([1.5, -0.5]), np.array([-1.0, 0.5]), 1e-3, N_PINNED, 8, 17
+    res = eng.simulate_pair_ensemble(pinned, x, y, dt, n, traj, seed, [n * dt],
+                                     keep_terminal=True, threads=threads)
+    ex = eng.simulate_ensemble(pinned, x, dt, n, traj, seed, [n * dt], threads=threads)
+    ey = eng.simulate_ensemble(pinned, y, dt, n, traj, seed, [n * dt], threads=threads)
+    assert res.x_terminal.tobytes() == ex.states[-1].tobytes()
+    assert res.y_terminal.tobytes() == ey.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_coupled_x_terminal_equals_one_run_over_n_plus_tau(pinned, threads):
+    x, dt, n, tau, traj, seed = np.array([1.5, -0.5]), 1e-3, N_PINNED, 300, 8, 23
+    res = eng.simulate_coupled_ensemble(pinned, x, tau, dt, n, traj, seed, [n * dt],
+                                        keep_terminal=True, threads=threads)
+    ex = eng.simulate_ensemble(pinned, x, dt, n + tau, traj, seed, [(n + tau) * dt],
+                               threads=threads)
+    assert res.x_terminal.tobytes() == ex.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("driver", ["pair", "coupled"])
+def test_lockstep_blowup_carries_trajectory_ids(driver):
+    op = hb.matrix_operator(hb.euclidean_space(1), [[5.0]])
+    sc = eng.Scenario(op=op, P1=hb.Projection(np.zeros((1, 1))))
+    x = np.array([1.0])
+    with pytest.raises(NumericalBlowup) as exc:
+        if driver == "pair":
+            eng.simulate_pair_ensemble(sc, x, 2 * x, 1.0, 20, 3, 7, [20.0])
+        else:
+            eng.simulate_coupled_ensemble(sc, x, 4, 1.0, 20, 3, 7, [20.0])
+    assert exc.value.trajectory_ids == [0, 1, 2]
+    assert 0 <= exc.value.step_index < 24
+
+
+@pytest.mark.parametrize("n_steps, n_traj, tau", [(10, 0, 0), (-1, 4, 0), (10, 4, -1)])
+def test_drivers_reject_empty_or_negative_sizes(ou1d, n_steps, n_traj, tau):
+    x = np.array([1.0])
+    with pytest.raises(ContractViolation):
+        eng.simulate_coupled_ensemble(ou1d, x, tau, 0.01, n_steps, n_traj, 1, [0.0])
+    if tau == 0:
+        with pytest.raises(ContractViolation):
+            eng.simulate_ensemble(ou1d, x, 0.01, n_steps, n_traj, 1, [0.0])
+        with pytest.raises(ContractViolation):
+            eng.simulate_pair_ensemble(ou1d, x, x, 0.01, n_steps, n_traj, 1, [0.0])
+
+
+def test_lockstep_blocks_in_flight_match_single_thread(pinned):
+    # per-block partial sums and terminal slices written from three threads
+    x, y, dt, n, traj, seed = np.array([1.5, -0.5]), np.array([-1.0, 0.5]), 1e-3, 300, 12, 29
+    times = [0.1, 0.3]
+
+    def run(threads):
+        p = eng.simulate_pair_ensemble(pinned, x, y, dt, n, traj, seed, times,
+                                       keep_terminal=True, threads=threads)
+        c = eng.simulate_coupled_ensemble(pinned, x, 50, dt, n, traj, seed, times,
+                                          keep_terminal=True, threads=threads)
+        return [a.tobytes() for a in (p.p1gap2_mean, p.p1gap2_se, p.gap2, p.x_terminal,
+                                      p.y_terminal, c.coupling_gap2, c.x_terminal, c.y_terminal)]
+
+    whole = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run(3) == whole
     finally:
         sys.setswitchinterval(interval)

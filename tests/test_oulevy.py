@@ -224,3 +224,14 @@ def test_limiting_cf_rejects_a_non_positive_rate(rate):
     sc.conv = ConvergenceFit(prefactor=1.0, rate=rate, residual=0.0, n_points=16)
     with pytest.raises(ContractViolation):
         ou.limiting_cf(sc, np.ones(4), np.full(4, 0.3))
+
+
+def test_constant_ou_drift_takes_the_linear_additive_collapse():
+    # a drift in ker P with no jumps is a constant drift, not a closure
+    a = np.diag([-1.0, 0.0])
+    op = hb.matrix_operator(hb.euclidean_space(2), a)
+    trip = ou.LevyTriplet(drift=np.array([0.5, 0.0]), cov=np.diag([1.0, 0.0]))
+    esc = ou.ou_engine_scenario(ou.make_ou_scenario(op, hb.coordinate_projection(2, [1]), trip))
+    assert isinstance(esc.drift, eng.ConstantDrift)
+    assert np.array_equal(esc.drift.value, [0.5, 0.0])
+    assert eng._Runtime(esc, 0.01).linear_additive
