@@ -80,11 +80,22 @@ def _out_dir(args, doc_id) -> str:
     return out
 
 
+def _experiment(args, doc, allowed, subcommand) -> dict:
+    """The subcommand's experiment section with each given flag laid over its
+    key (``--horizon`` over ``lab``'s ``T``), so flags pass the same checks."""
+    exp = dict(experiment_section(doc, allowed, subcommand=subcommand))
+    for flag in ("dt", "horizon", "traj", "seed", "snapshots", "observables"):
+        if getattr(args, flag, None) is not None:
+            exp["T" if flag == "horizon" and subcommand == "lab" else flag] = getattr(args, flag)
+    return exp
+
+
 def _resolve_observables(names, sc):
     obs = {}
     for name in names:
         if name.startswith("coord:"):
-            i = int(name.split(":", 1)[1])
+            i = name.split(":", 1)[1]
+            i = int(i) if i.isdecimal() else -1
             if not 0 <= i < sc.dim:
                 raise SchemaError(f"observable {name!r}: coordinate out of range")
             obs[name] = engine.obs_coordinate(i)
@@ -141,21 +152,16 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     doc = load_document(args.scenario)
     sc = build_scenario(doc)
-    exp = experiment_section(doc, ["dt", "horizon", "traj", "seed", "snapshots",
-                                   "observables", "initial"], subcommand="simulate")
-    dt = args.dt if args.dt is not None else _number(exp.get("dt", 1e-3), "experiment.dt", 1e-12)
-    horizon = args.horizon if args.horizon is not None else \
-        _number(exp.get("horizon", 1.0), "experiment.horizon", dt)
-    n_traj = args.traj if args.traj is not None else \
-        _integer(exp.get("traj", 1000), "experiment.traj", 1)
-    seed = args.seed if args.seed is not None else \
-        _integer(exp.get("seed", 0), "experiment.seed", 0)
-    if args.snapshots:
-        snaps = [float(s) for s in args.snapshots.split(",")]
-    else:
-        snaps = list(_vector(exp.get("snapshots", [horizon]), "experiment.snapshots"))
-    names = args.observables.split(",") if args.observables else \
-        list(exp.get("observables", ["coord:0"]))
+    exp = _experiment(args, doc, ["dt", "horizon", "traj", "seed", "snapshots", "observables",
+                                  "initial"], "simulate")
+    dt = _number(exp.get("dt", 1e-3), "experiment.dt", 1e-12)
+    horizon = _number(exp.get("horizon", 1.0), "experiment.horizon", dt)
+    n_traj = _integer(exp.get("traj", 1000), "experiment.traj", 1)
+    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
+    snaps = list(_vector(exp.get("snapshots", [horizon]), "experiment.snapshots"))
+    names = exp.get("observables", ["coord:0"])
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise SchemaError("experiment.observables: expected an array of names")
     obs = _resolve_observables(names, sc)
     initial = _vector(exp.get("initial", [0.0] * sc.dim), "experiment.initial", sc.dim)
     n_steps = args.steps if args.steps is not None else int(round(horizon / dt))
@@ -210,8 +216,8 @@ def cmd_w2(args) -> int:
 def cmd_ou_limit(args) -> int:
     doc = load_document(args.scenario)
     ou_sc = build_ou_scenario(doc)
-    exp = experiment_section(doc, ["x", "probes", "t_cut", "quad_step", "horizon",
-                                   "dt", "traj", "seed"], subcommand="ou-limit")
+    exp = _experiment(args, doc, ["x", "probes", "t_cut", "quad_step", "horizon", "dt", "traj",
+                                  "seed"], "ou-limit")
     dim = ou_sc.space.dim
     x = _vector(exp.get("x", [0.0] * dim), "experiment.x", dim)
     probes = exp.get("probes")
@@ -220,15 +226,12 @@ def cmd_ou_limit(args) -> int:
     us = [_vector(u, "experiment.probes[]", dim) for u in probes]
     t_cut = _number(exp["t_cut"], "experiment.t_cut", 0.0) if "t_cut" in exp else None
     quad_step = _number(exp.get("quad_step", 0.005), "experiment.quad_step", 1e-9)
-    dt = args.dt if args.dt is not None else _number(exp.get("dt", 0.005), "experiment.dt", 1e-12)
+    dt = _number(exp.get("dt", 0.005), "experiment.dt", 1e-12)
     rate = ou_sc.conv.rate
-    horizon = args.horizon if args.horizon is not None else \
-        _number(exp.get("horizon", 30.0 / rate if np.isfinite(rate) else 1.0),
-                "experiment.horizon", dt)
-    n_traj = args.traj if args.traj is not None else \
-        _integer(exp.get("traj", 20000), "experiment.traj", 1)
-    seed = args.seed if args.seed is not None else \
-        _integer(exp.get("seed", 0), "experiment.seed", 0)
+    horizon = _number(exp.get("horizon", 30.0 / rate if np.isfinite(rate) else 1.0),
+                      "experiment.horizon", dt)
+    n_traj = _integer(exp.get("traj", 20000), "experiment.traj", 1)
+    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     sc = ou_engine_scenario(ou_sc)
     n_steps = int(round(horizon / dt))
     ens = engine.simulate_ensemble(sc, x, dt, n_steps, n_traj, seed, [n_steps * dt],
@@ -251,6 +254,11 @@ def cmd_ou_limit(args) -> int:
 
 
 def cmd_hjmm(args) -> int:
+    _number(args.beta, "--beta", 1e-12)
+    _number(args.horizon, "--horizon", 0.0)
+    if args.dt is not None:
+        _number(args.dt, "--dt", 1e-12)
+    _integer(args.seed, "--seed", 0)
     space = hjmm.forward_space(args.beta, x_max=args.x_max, n=args.grid_n)
     if args.volatility == "example":
         vol = hjmm.hjmm_example_volatility(space, beta_prime=args.beta_prime)
@@ -296,18 +304,15 @@ def cmd_hjmm(args) -> int:
 def cmd_lab(args) -> int:
     doc = load_document(args.scenario)
     sc = build_scenario(doc)
-    exp = experiment_section(doc, ["kind", "x", "y", "tau_list", "T", "dt", "traj",
-                                   "seed", "spacing"], subcommand="lab")
+    exp = _experiment(args, doc, ["kind", "x", "y", "tau_list", "T", "dt", "traj", "seed",
+                                  "spacing"], "lab")
     kind = exp.get("kind")
     if kind not in ("vanishing", "limit-existence", "affine-uniqueness", "counterexample"):
         raise SchemaError(f"experiment.kind: unknown experiment {kind!r}")
-    dt = args.dt if args.dt is not None else _number(exp.get("dt", 1e-3), "experiment.dt", 1e-12)
-    T = args.horizon if args.horizon is not None else \
-        _number(exp.get("T", 5.0), "experiment.T", dt)
-    n_traj = args.traj if args.traj is not None else \
-        _integer(exp.get("traj", 2000), "experiment.traj", 1)
-    seed = args.seed if args.seed is not None else \
-        _integer(exp.get("seed", 0), "experiment.seed", 0)
+    dt = _number(exp.get("dt", 1e-3), "experiment.dt", 1e-12)
+    T = _number(exp.get("T", 5.0), "experiment.T", dt)
+    n_traj = _integer(exp.get("traj", 2000), "experiment.traj", 1)
+    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     spacing = _number(exp.get("spacing", 0.25), "experiment.spacing", dt)
     x = _vector(exp.get("x", [0.0] * sc.dim), "experiment.x", sc.dim)
     if kind == "vanishing":
@@ -371,8 +376,23 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error:`` line, like a
+    malformed document."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
+def _numbers(text) -> list:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="spdelab",
+    ap = _Parser(prog="spdelab",
                                  description="dissipative stochastic dynamics: "
                                              "certify, simulate, verify convergence")
     ap.add_argument("--version", action="version", version=f"spdelab {__version__}")
@@ -396,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--steps", type=int, default=None, help="overrides --horizon")
     p.add_argument("--traj", type=int, default=None)
-    p.add_argument("--snapshots", default=None, help="comma-separated times")
-    p.add_argument("--observables", default=None, help="comma-separated names")
+    p.add_argument("--snapshots", type=_numbers, default=None, help="comma-separated times")
+    p.add_argument("--observables", type=lambda text: text.split(","), default=None,
+                   help="comma-separated names")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("w2", help="Wasserstein-2 distance between two sample files")
@@ -428,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0-long-rate", type=float, default=0.05)
     p.add_argument("--h0-amplitude", type=float, default=0.04)
     p.add_argument("--h0-decay", type=float, default=2.0)
-    p.set_defaults(fn=cmd_hjmm)
+    p.set_defaults(fn=cmd_hjmm, seed=0)
 
     p = sub.add_parser("lab", help="convergence and divergence experiments")
     common(p)
@@ -444,15 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:    # --help and --version
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (SchemaError, ContractViolation, BudgetExceeded, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

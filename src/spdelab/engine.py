@@ -37,8 +37,8 @@ import numpy as np
 from .errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from .gdc import GdcCertificate
 from .hilbert import MATRIX_EXP, HilbertSpace, OperatorModel, Projection
-from .noise import (JumpSpec, NoisePath, QWienerSpec, STREAM_GAUSS, STREAM_JUMP,
-                    sample_path, shift_view, substream)
+from .noise import (JumpSpec, NoisePath, QWienerSpec, STREAM_GAUSS, jump_draw, sample_path,
+                    shift_view, substream)
 
 BLOWUP_NORM = 1e12
 _CHUNK_STEPS = 2048
@@ -132,6 +132,13 @@ class Scenario:
     @property
     def n_modes(self) -> int:
         return self.qwiener.n_modes if self.qwiener is not None else 0
+
+    def contractive_certificate(self) -> GdcCertificate:
+        """The certificate if epsilon > 0, the stability-estimate hypothesis."""
+        if self.certificate is None or not self.certificate.contractive:
+            raise HypothesisViolated("epsilon-positive",
+                                     "need a certificate with epsilon = 2 alpha - L_sigma - L_gamma > 0")
+        return self.certificate
 
     def lipschitz_audit(self, n_pairs: int = 200, seed: int = LIP_SEED,
                         scale: float = 1.0, slack: float = 1.01) -> dict:
@@ -248,12 +255,14 @@ class _Runtime:
         return self.propagate(upd, out=X if self.fused is not None else None)
 
     @staticmethod
-    def assert_finite(out, step_index, traj_ids):
+    def assert_finite(out, step_index, traj_ids, last_passed=None):
+        """Raise ``NumericalBlowup`` if a row of ``out`` is past BLOWUP_NORM;
+        ``last_passed`` is the step of the previous check these rows passed."""
         mx = np.abs(out).max() if out.size else 0.0
         if not mx < BLOWUP_NORM:
             bad = ~(np.abs(out).max(axis=1) < BLOWUP_NORM)
             ids = traj_ids[bad] if traj_ids is not None else np.nonzero(bad)[0]
-            raise NumericalBlowup(step_index, ids.tolist())
+            raise NumericalBlowup(step_index, ids.tolist(), last_passed)
 
     @property
     def linear_additive(self) -> bool:
@@ -313,7 +322,7 @@ def simulate_trajectory(sc: Scenario, x, path: NoisePath, record_path: bool = Tr
             jrows, jm = zero_rows, None
         ptr = hi
         X = rt.advance(X, xi, jrows if len(jrows) else None, jm)
-        rt.assert_finite(X, k, None)
+        rt.assert_finite(X, k, None, k - 1 if k else None)
         if record_path:
             hist[k + 1] = X[0]
     return hist if record_path else X[0]
@@ -349,16 +358,11 @@ class _BlockNoise:
         js = sc.jumps
         self.joffsets = None
         if js is not None and js.total_rate > 0:
-            rows, steps, marks = [], [], []
-            for b, ti in enumerate(traj_ids):
-                gen = substream(master_seed, ti, STREAM_JUMP)
-                k = int(gen.poisson(js.total_rate * dt * n_steps))
-                steps.append(np.floor(gen.random(k) * n_steps).astype(np.int64))
-                marks.append(js.marks.sample(gen, k))
-                rows.append(np.full(k, b, dtype=np.int64))
-            steps = np.concatenate(steps)
+            draws = [jump_draw(js, dt, n_steps, master_seed, ti) for ti in traj_ids]
+            steps = np.concatenate([k for k, _ in draws])
+            rows = np.repeat(np.arange(len(draws), dtype=np.int64), [len(k) for k, _ in draws])
             order = np.argsort(steps, kind="stable")
-            self.jrows, self.jmarks = np.concatenate(rows)[order], np.concatenate(marks)[order]
+            self.jrows, self.jmarks = rows[order], np.concatenate([m for _, m in draws])[order]
             self.joffsets = np.searchsorted(steps[order], np.arange(n_steps + 1))
 
     def gauss_chunk(self, k0: int, k1: int, raw: bool = False):
@@ -474,8 +478,11 @@ class _Lockstep:
         t0, stops, lookup = self.t0, self.stops, self.lookup
         terminal = np.empty((len(starts), self.n_traj, sc.dim)) if keep_terminal else None
 
+        # a blow-up is reported by the next check, not by numpy warnings
+        @np.errstate(over="ignore", invalid="ignore")
         def worker(lo, hi):
             ids = np.arange(lo, hi, dtype=np.int64)
+            passed = [None] * len(starts)   # step of each system's last passed check
             states = [np.empty((hi - lo, sc.dim)) for _ in self.initial]
             for X, x in zip(states, self.initial):
                 X[:] = x if x.ndim == 1 else x[lo:hi]
@@ -498,7 +505,8 @@ class _Lockstep:
                     if b in stops or b == k1:
                         for s, start in enumerate(starts):
                             if b > start:
-                                rt.assert_finite(states[s], b - 1 - start, ids)
+                                rt.assert_finite(states[s], b - 1 - start, ids, passed[s])
+                                passed[s] = b - 1 - start
                         if b in stops:
                             reduce(b - t0, lookup.get(b), lo, hi, states)
             if keep_terminal:
@@ -514,6 +522,22 @@ class _Lockstep:
                 for f in [pool.submit(worker, lo, hi) for lo, hi in ranges]:
                     f.result()
         return terminal
+
+
+def snapshot_grid(horizon: float, dt: float, spacing: float) -> np.ndarray:
+    """Step times ``0, every, 2 every, ...`` up to ``round(horizon / dt)``
+    steps, ``every = round(spacing / dt)`` steps and at least one."""
+    every = max(1, int(round(spacing / dt)))
+    return np.arange(0, int(round(horizon / dt)) + 1, every) * dt
+
+
+def mean_stderr(samples: np.ndarray):
+    """Mean over trajectories of ``(n_snap, n_traj)`` samples and its
+    standard error (zero for one trajectory)."""
+    mean = samples.mean(axis=1)
+    n_traj = samples.shape[1]
+    se = samples.std(axis=1, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros_like(mean)
+    return mean, se
 
 
 # ---------------------------------------------------------------------------
@@ -727,19 +751,14 @@ def stability_check(sc: Scenario, x, y, dt: float, n_steps: int, n_traj: int,
     E||X_t^x - X_t^y||^2 <= e^{-eps t} ||x-y||^2
                             + 2(alpha+beta) int_0^t e^{-eps(t-s)} E||P1 dX_s||^2 ds.
     """
-    cert = sc.certificate
-    if cert is None or cert.epsilon <= 0:
-        raise HypothesisViolated("epsilon-positive",
-                                 "the stability estimate needs epsilon = 2 alpha - L_sigma - L_gamma > 0")
+    cert = sc.contractive_certificate()
     res = simulate_pair_ensemble(sc, x, y, dt, n_steps, n_traj, seed, snapshot_times,
                                  threads=threads)
     space = sc.space
     gap0 = space.norm2(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     eps, coef = cert.epsilon, 2.0 * (cert.alpha + cert.beta_const)
     times = res.snapshot_times
-    lhs_mean = res.gap2.mean(axis=1)
-    lhs_se = res.gap2.std(axis=1, ddof=1) / math.sqrt(res.n_traj) if res.n_traj > 1 \
-        else np.zeros_like(lhs_mean)
+    lhs_mean, lhs_se = mean_stderr(res.gap2)
     rhs = np.empty_like(lhs_mean)
     rhs_se = np.empty_like(lhs_mean)
     s = res.step_times

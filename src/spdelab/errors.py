@@ -42,12 +42,15 @@ class HypothesisViolated(SpdelabError):
 
 
 class NumericalBlowup(SpdelabError):
-    """A trajectory left the representable range during time stepping."""
+    """A trajectory left the representable range during time stepping: found
+    by the check after step ``step_index``; ``last_passed`` is the step of the
+    previous check, which the state passed (None when there was none)."""
 
-    def __init__(self, step_index: int, trajectory_ids=None):
+    def __init__(self, step_index: int, trajectory_ids=None, last_passed: int | None = None):
         self.step_index = step_index
         self.trajectory_ids = list(trajectory_ids) if trajectory_ids is not None else []
-        msg = f"numerical blow-up at step {step_index}"
+        msg = f"numerical blow-up at step {step_index} " + (
+            "(no earlier check)" if last_passed is None else f"(last passed check: step {last_passed})")
         if self.trajectory_ids:
             msg += f" (trajectories {self.trajectory_ids[:8]}{'...' if len(self.trajectory_ids) > 8 else ''})"
         super().__init__(msg)

@@ -201,11 +201,19 @@ def fit_convergence(op: OperatorModel, P: Projection, t_grid, probes) -> Converg
     if np.all(resid < 1e-14):
         return ConvergenceFit(prefactor=0.0, rate=math.inf, residual=0.0,
                               n_points=len(t_grid))
+    return fit_exponential(t_fit[keep], resid[keep])
+
+
+def fit_exponential(times, values) -> ConvergenceFit:
+    """Least-squares fit of ``log values`` against ``times`` over the
+    positive values, ``values ~ prefactor e^{-rate t}``; needs 4 of them."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = values > 0
     if keep.sum() < 4:
-        raise ContractViolation("the semigroup residuals reach round-off before "
-                                "4 points could be fitted")
-    t_fit, y_fit = t_fit[keep], np.log(resid[keep])
-    slope, intercept = np.polyfit(t_fit, y_fit, 1)
-    rms = float(np.sqrt(np.mean((slope * t_fit + intercept - y_fit) ** 2)))
+        raise ContractViolation("not enough positive values to fit an exponential")
+    t, y = times[keep], np.log(values[keep])
+    slope, intercept = np.polyfit(t, y, 1)
+    rms = float(np.sqrt(np.mean((slope * t + intercept - y) ** 2)))
     return ConvergenceFit(prefactor=float(np.exp(intercept)), rate=float(-slope),
                           residual=rms, n_points=int(keep.sum()))

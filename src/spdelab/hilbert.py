@@ -49,8 +49,8 @@ class HilbertSpace:
         if self.kind == HBETA_GRID:
             if self.grid is None or self.beta is None or self.beta <= 0:
                 raise ContractViolation("hbeta-grid space needs a grid and beta > 0")
-            if len(self.grid) != self.dim or np.any(np.diff(self.grid) <= 0):
-                raise ContractViolation("grid must be increasing with length dim")
+            if self.dim < 2 or len(self.grid) != self.dim or np.any(np.diff(self.grid) <= 0):
+                raise ContractViolation("an hbeta grid needs n >= 2 increasing points")
         if self.weight is not None:
             if self.kind != EUCLIDEAN:
                 raise ContractViolation("weights only apply to the euclidean kind")
@@ -304,14 +304,3 @@ def matrix_operator(space: HilbertSpace, generator) -> OperatorModel:
 def shift_operator(space: HilbertSpace) -> OperatorModel:
     return OperatorModel(space=space, semigroup_mode=GRID_SHIFT)
 
-
-# Operation-style façade; the dataclass methods do the work.
-
-def inner(space: HilbertSpace, x, y) -> float:
-    return space.inner(x, y)
-
-def apply_semigroup(op: OperatorModel, t: float, x) -> np.ndarray:
-    return op.apply_semigroup(t, x)
-
-def project(p: Projection, x) -> np.ndarray:
-    return p.apply(np.asarray(x, dtype=float))

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Scenario, ScenarioFlags, simulate_ensemble, obs_norm2, obs_coordinate
+from .engine import (Scenario, ScenarioFlags, mean_stderr, obs_coordinate, obs_norm2,
+                     simulate_ensemble, snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
-from .gdc import make_certificate
+from .gdc import fit_exponential, make_certificate
 from .hilbert import HBETA_GRID, HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
 from .noise import JumpSpec, MarkSampler, diagonal_qwiener
 from .wasserstein import w2_1d
@@ -389,34 +390,26 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     if margin <= 0:
         raise HypothesisViolated("contraction-margin",
                                  f"beta - 2 sqrt(L_F) - L_sigma - L_gamma = {margin:.4g} <= 0")
-    sc, L_F = hjmm_scenario(space, vol, mu=mu, jumps=jumps)
+    sc, _ = hjmm_scenario(space, vol, mu=mu, jumps=jumps)
     h0 = np.asarray(h0, dtype=float)
     if dt is None:
         dt = space.dx
     n_steps = int(round(horizon / dt))
-    every = max(1, int(round(snapshot_spacing / dt)))
-    snap_steps = np.arange(0, n_steps + 1, every)
-    snap_times = snap_steps * dt
+    snap_times = snapshot_grid(horizon, dt, snapshot_spacing)
     target = np.full(space.dim, h0[-1])
     obs = {"dist2": obs_norm2(space, center=target), "long_rate": obs_coordinate(space.dim - 1),
            "short_rate": obs_coordinate(0)}
     ens = simulate_ensemble(sc, h0, dt, n_steps, n_traj, seed, snap_times,
                             observables=obs, threads=threads)
-    dist2 = ens.observables["dist2"]
-    mean = dist2.mean(axis=1)
-    se = dist2.std(axis=1, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros_like(mean)
+    mean, se = mean_stderr(ens.observables["dist2"])
     bound = mean[0] * np.exp(-margin * snap_times)
     lr_dev = float(np.abs(ens.observables["long_rate"] - h0[-1]).max())
     verdicts = []
     if vol.vanishing_at_constants:
         mode, w2_pairs, theoretical = "vanishing", None, margin
         keep = (snap_times >= fit_burn) & (mean > max(mean[0], 1e-300) * 1e-12)
-        if keep.sum() < 4:
-            raise ContractViolation("not enough usable snapshots to fit a decay rate")
-        slope, icpt = np.polyfit(snap_times[keep], np.log(mean[keep]), 1)
-        fitted = -float(slope)
-        resid = float(np.sqrt(np.mean(
-            (slope * snap_times[keep] + icpt - np.log(mean[keep])) ** 2)))
+        fit = fit_exponential(snap_times[keep], mean[keep])
+        fitted, resid = fit.rate, fit.residual
         ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
         verdicts.append(("decay-bound", "pass" if ok_bound else "fail",
                          "second-moment decay within the certified envelope"))
@@ -432,10 +425,8 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         floor = w2_1d(sr[-1][:half], sr[-1][half:2 * half]) if half >= 8 else 0.0
         keep = (snap_times[:-1] >= fit_burn) & (w2_pairs > max(2.0 * floor, 1e-14))
         if keep.sum() >= 4:
-            slope, icpt = np.polyfit(snap_times[:-1][keep], np.log(w2_pairs[keep]), 1)
-            fitted = -float(slope)
-            resid = float(np.sqrt(np.mean(
-                (slope * snap_times[:-1][keep] + icpt - np.log(w2_pairs[keep])) ** 2)))
+            fit = fit_exponential(snap_times[:-1][keep], w2_pairs[keep])
+            fitted, resid = fit.rate, fit.residual
             ok_rate = fitted >= rate_budget * theoretical
             rate_detail = f"fitted {fitted:.4g} vs budgeted {rate_budget:.2f} x {theoretical:.4g}"
         else:

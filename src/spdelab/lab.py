@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Scenario, obs_norm2, simulate_coupled_ensemble, simulate_ensemble,
-                     simulate_pair_ensemble)
+from .engine import (Scenario, mean_stderr, obs_norm2, simulate_coupled_ensemble,
+                     simulate_ensemble, simulate_pair_ensemble, snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
+from .gdc import ConvergenceFit, fit_exponential
 from .wasserstein import EmpiricalLaw, w2_1d, w2_assignment
 
 PROBE_SEED = 52_009
@@ -33,13 +34,6 @@ class Verdict:
     status: str        # "pass" | "fail" | "diverges"
     invariant: str
     detail: str
-
-
-@dataclass(frozen=True)
-class FitResult:
-    rate: float
-    prefactor: float
-    residual: float
 
 
 @dataclass(eq=False)
@@ -60,27 +54,6 @@ class ConvergenceReport:
     @property
     def diverged(self) -> bool:
         return any(v.status == "diverges" for v in self.verdicts)
-
-
-def _fit_exponential(times, values, min_points: int = 4) -> FitResult:
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = values > 0
-    if keep.sum() < min_points:
-        raise ContractViolation("not enough positive values to fit an exponential")
-    slope, icpt = np.polyfit(times[keep], np.log(values[keep]), 1)
-    resid = float(np.sqrt(np.mean(
-        (slope * times[keep] + icpt - np.log(values[keep])) ** 2)))
-    return FitResult(rate=float(-slope), prefactor=float(np.exp(icpt)), residual=resid)
-
-
-def _snapshot_grid(horizon: float, dt: float, spacing: float) -> np.ndarray:
-    every = max(1, int(round(spacing / dt)))
-    n_steps = int(round(horizon / dt))
-    return np.arange(0, n_steps + 1, every) * dt
-
-
-# ---------------------------------------------------------------------------
 
 
 def audit_vanishing_hypotheses(sc: Scenario, x, n_probes: int = 32) -> None:
@@ -123,18 +96,14 @@ def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
     """Decay of E ||X_t - P1 x||^2 against the certified envelope
     e^{-eps t} ||P0 x||^2, plus an exponential-rate fit."""
     audit_vanishing_hypotheses(sc, x)
-    cert = sc.certificate
-    if cert is None or cert.epsilon <= 0:
-        raise HypothesisViolated("epsilon-positive", "need a certificate with epsilon > 0")
+    cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     anchor = sc.P1.apply(x)
-    times = _snapshot_grid(horizon, dt, snapshot_spacing)
+    times = snapshot_grid(horizon, dt, snapshot_spacing)
     obs = {"dist2": obs_norm2(sc.space, center=anchor)}
     ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), n_traj, seed,
                             times, observables=obs, threads=threads)
-    d2 = ens.observables["dist2"]
-    mean = d2.mean(axis=1)
-    se = d2.std(axis=1, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros_like(mean)
+    mean, se = mean_stderr(ens.observables["dist2"])
     p0x2 = sc.space.norm2(x - anchor)
     bound = p0x2 * np.exp(-cert.epsilon * times)
     rep = ConvergenceReport(scenario_id=sc.scenario_id, experiment="vanishing-coefficients",
@@ -151,7 +120,7 @@ def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
                                     "started at the invariant point; no decay to fit"))
         return rep
     usable = mean > max(mean[0], 1e-300) * 1e-12
-    fit = _fit_exponential(times[usable], mean[usable])
+    fit = fit_exponential(times[usable], mean[usable])
     rep.fitted["decay"] = fit
     ok_rate = fit.rate >= rate_budget * cert.epsilon
     rep.verdicts.append(Verdict("rate", "pass" if ok_rate else "fail", "decay-rate",
@@ -161,23 +130,22 @@ def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
 
 
 def audit_deterministic_p1(sc: Scenario, x, dt: float, horizon: float, seed: int,
-                           n_check: int = 64) -> np.ndarray:
+                           n_check: int = 64):
     """Verifies that P1 X_t carries no randomness: across a small ensemble the
-    projected trajectories must agree bit for bit. Returns the deterministic
-    projected path sampled at unit spacing (or the full grid if shorter)."""
+    projected trajectories must agree bit for bit. Returns the snapshot times,
+    every 0.25 (or every step if dt is longer), and the deterministic
+    projected path at them."""
     if not sc.flags.deterministic_P1:
         raise HypothesisViolated("deterministic-p1",
                                  "scenario does not declare a deterministic P1 part")
-    n_steps = int(round(horizon / dt))
-    every = max(1, int(round(0.25 / dt)))
-    times = np.arange(0, n_steps + 1, every) * dt
-    ens = simulate_ensemble(sc, x, dt, n_steps, n_check, seed, times)
+    times = snapshot_grid(horizon, dt, 0.25)
+    ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), n_check, seed, times)
     p1 = ens.states @ sc.P1.matrix.T
     spread = np.abs(p1 - p1[:, :1, :]).max()
     if spread != 0.0:
         raise HypothesisViolated("deterministic-p1",
                                  f"sample spread of P1 X_t is {spread:.3e}, expected exactly 0")
-    return p1[:, 0, :]
+    return times, p1[:, 0, :]
 
 
 def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
@@ -185,19 +153,16 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
                                rate_budget: float = 0.85, threads: int = 1) -> ConvergenceReport:
     """Cauchy diagnostic sqrt(E ||Y_t^{x,tau} - X_{t+tau}^x||^2) for each tau,
     an upper bound for the Wasserstein gap between p_t and p_{t+tau}."""
-    cert = sc.certificate
-    if cert is None or cert.epsilon <= 0:
-        raise HypothesisViolated("epsilon-positive", "need a certificate with epsilon > 0")
+    cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
-    p1_path = audit_deterministic_p1(sc, x, dt, T, seed + 1)
+    p1_times, p1_path = audit_deterministic_p1(sc, x, dt, T, seed + 1)
     p1_dev = np.sqrt(sc.space.norm2_rows(p1_path - p1_path[-1]))
-    times = _snapshot_grid(T, dt, snapshot_spacing)
+    times = snapshot_grid(T, dt, snapshot_spacing)
     if p1_dev.max() <= 1e-12:
         theoretical = cert.epsilon / 2.0
         delta_fit = math.inf
     else:
-        fit = _fit_exponential(np.arange(len(p1_dev)) * 0.25, p1_dev ** 2)
-        delta_fit = fit.rate
+        delta_fit = fit_exponential(p1_times, p1_dev ** 2).rate
         theoretical = min(cert.epsilon, delta_fit) / 2.0
     rep = ConvergenceReport(scenario_id=sc.scenario_id, experiment="limit-existence",
                             times=times,
@@ -210,11 +175,11 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
             raise ContractViolation("every tau must be a multiple of dt")
         res = simulate_coupled_ensemble(sc, x, tau_steps, dt, n_steps, n_traj,
                                         seed, times, threads=threads)
-        diag = np.sqrt(res.coupling_gap2.mean(axis=1))
+        gap2_mean, gap2_se = mean_stderr(res.coupling_gap2)
+        diag = np.sqrt(gap2_mean)
         key = f"diag_tau={tau:g}"
         rep.stats[key] = diag
-        rep.stderr[key] = res.coupling_gap2.std(axis=1, ddof=1) / math.sqrt(n_traj) \
-            if n_traj > 1 else np.zeros_like(diag)
+        rep.stderr[key] = gap2_se
         if tau_steps == 0:
             ok = bool(np.all(diag == 0.0))
             rep.verdicts.append(Verdict(key, "pass" if ok else "fail", "coupling-identity",
@@ -225,7 +190,7 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
             rep.verdicts.append(Verdict(key, "diverges", "cauchy-decay",
                                         f"diagnostic grew from {head:.3g} to {diag[-1]:.3g}"))
             continue
-        fit = _fit_exponential(times, diag)
+        fit = fit_exponential(times, diag)
         rep.fitted[key] = fit
         ok = fit.rate >= rate_budget * theoretical
         rep.verdicts.append(Verdict(key, "pass" if ok else "fail", "cauchy-decay",
@@ -241,15 +206,13 @@ def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj
     """Same P1 part: common-noise contraction and a terminal assignment-W2
     floor. Distinct P1 parts: the limiting laws separate by exactly the
     projected shift along its direction."""
-    cert = sc.certificate
-    if cert is None or cert.epsilon <= 0:
-        raise HypothesisViolated("epsilon-positive", "need a certificate with epsilon > 0")
+    cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     space = sc.space
     shift = sc.P1.apply(x) - sc.P1.apply(y)
     shift_norm = space.norm(shift)
-    times = _snapshot_grid(T, dt, snapshot_spacing)
+    times = snapshot_grid(T, dt, snapshot_spacing)
     n_steps = int(round(T / dt))
     rep = ConvergenceReport(scenario_id=sc.scenario_id, experiment="affine-uniqueness",
                             times=times, theoretical={"epsilon": cert.epsilon,
@@ -257,8 +220,7 @@ def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj
     if shift_norm <= 1e-12:
         res = simulate_pair_ensemble(sc, x, y, dt, n_steps, n_traj, seed, times,
                                      keep_terminal=True, threads=threads)
-        mean = res.gap2.mean(axis=1)
-        se = res.gap2.std(axis=1, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else 0 * mean
+        mean, se = mean_stderr(res.gap2)
         gap0 = space.norm2(x - y)
         bound = gap0 * np.exp(-cert.epsilon * times)
         rep.stats["pair_gap2"] = mean
@@ -306,7 +268,7 @@ def counterexample_experiment(sc: Scenario, x, T: float, dt: float, n_traj: int,
     as linear-in-time variance (noise accumulating on the kernel) or
     exponential second moment (anti-dissipative block)."""
     x = np.asarray(x, dtype=float)
-    times = _snapshot_grid(T, dt, snapshot_spacing)
+    times = snapshot_grid(T, dt, snapshot_spacing)
     n_steps = int(round(T / dt))
     ens = simulate_ensemble(sc, x, dt, n_steps, n_traj, seed, times, threads=threads)
     p1 = ens.states @ sc.P1.matrix.T
@@ -321,14 +283,15 @@ def counterexample_experiment(sc: Scenario, x, T: float, dt: float, n_traj: int,
         ss_res = float(np.sum((var - fitvals) ** 2))
         ss_tot = float(np.sum((var - var.mean()) ** 2))
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-        rep.fitted["variance_linear"] = FitResult(rate=float(slope), prefactor=float(icpt),
-                                                  residual=float(math.sqrt(ss_res / len(var))))
+        rep.fitted["variance_linear"] = ConvergenceFit(
+            prefactor=float(icpt), rate=float(slope),
+            residual=float(math.sqrt(ss_res / len(var))), n_points=len(var))
         if slope > 0 and r2 >= 0.98:
             rep.verdicts.append(Verdict("growth", "diverges", "variance-linear-growth",
                                         f"Var(P1 X_t) grows linearly, slope {slope:.4g} "
                                         f"(R^2 = {r2:.4f})"))
             return rep
-    fit = _fit_exponential(times, m2)
+    fit = fit_exponential(times, m2)
     rep.fitted["m2_exponential"] = fit
     if fit.rate < -0.05 and m2[-1] > 4.0 * m2[0]:
         rep.verdicts.append(Verdict("growth", "diverges", "second-moment-exponential-growth",

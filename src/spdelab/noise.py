@@ -237,6 +237,14 @@ class NoisePath:
             raise ContractViolation("dt must be positive")
 
 
+def jump_draw(js: JumpSpec, dt: float, n_steps: int, seed: int, traj_index: int):
+    """One trajectory's jump events over ``n_steps`` steps, in draw order:
+    the step of each event and its mark, from the trajectory's jump stream."""
+    gen = substream(seed, traj_index, STREAM_JUMP)
+    k = int(gen.poisson(js.total_rate * dt * n_steps))
+    return np.floor(gen.random(k) * n_steps).astype(np.int64), js.marks.sample(gen, k)
+
+
 def sample_path(qw: QWienerSpec | None, js: JumpSpec | None, dt: float,
                 n_steps: int, seed: int, traj_index: int = 0) -> NoisePath:
     """Draw one trajectory's noise record from its derived substreams."""
@@ -250,10 +258,7 @@ def sample_path(qw: QWienerSpec | None, js: JumpSpec | None, dt: float,
     else:
         gauss = np.zeros((n_steps, 0))
     if js is not None and js.total_rate > 0:
-        gen = substream(seed, traj_index, STREAM_JUMP)
-        k = int(gen.poisson(js.total_rate * dt * n_steps))
-        pos = np.floor(gen.random(k) * n_steps).astype(np.int64)
-        marks = js.marks.sample(gen, k)
+        pos, marks = jump_draw(js, dt, n_steps, seed, traj_index)
         order = np.argsort(pos, kind="stable")
         steps, marks = pos[order], marks[order]
     else:

@@ -60,6 +60,7 @@ def _vector(doc, path, length=None):
     _require(isinstance(doc, list) and all(isinstance(v, (int, float)) for v in doc),
              path, "expected an array of numbers")
     v = np.asarray(doc, dtype=float)
+    _require(np.all(np.isfinite(v)), path, "must be finite")
     if length is not None:
         _require(len(v) == length, path, f"expected length {length}")
     return v

@@ -163,9 +163,30 @@ def _one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys):
-    rc = run_cli(["simulate", os.path.join(SCEN, "ou-decoupled-2d.json"),
-                  "--traj", "0", "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "ou-decoupled-2d.json", "--traj", "0"],
+    ["simulate", "ou-decoupled-2d.json", "--dt", "0"],
+    ["simulate", "ou-decoupled-2d.json", "--dt", "nan"],
+    ["simulate", "ou-decoupled-2d.json", "--horizon", "inf"],
+    ["simulate", "ou-decoupled-2d.json", "--snapshots", "a,b"],
+    ["simulate", "ou-decoupled-2d.json", "--snapshots", "1,nan"],
+    ["simulate", "ou-decoupled-2d.json", "--observables", "coord:x"],
+    ["simulate", "ou-decoupled-2d.json", "--seed", "-1"],
+    ["simulate", "ou-decoupled-2d.json", "--traj", "many"],
+    ["simulate"],
+    ["lab", "ou-decoupled-2d.json", "--dt", "0"],
+    ["lab", "ou-decoupled-2d.json", "--horizon", "inf"],
+    ["ou-limit", "ou-decoupled-2d.json", "--dt", "0"],
+    ["ou-limit", "ou-decoupled-2d.json", "--horizon", "inf"],
+    ["hjmm", "--beta", "3", "--grid-n", "1"],
+    ["hjmm", "--beta", "0"],
+    ["hjmm", "--beta", "3", "--dt", "0"],
+    ["hjmm", "--beta", "3", "--horizon", "inf"],
+    ["hjmm"],
+])
+def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys, argv):
+    argv = [os.path.join(SCEN, a) if a.endswith(".json") else a for a in argv]
+    rc = run_cli(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
@@ -207,3 +228,47 @@ def test_certify_checks_the_certificate_section(tmp_path, capsys, gdc):
     assert rc == 1
     assert _one_error_line(err)
     assert "gdc.lam" in err
+
+
+def test_simulate_uses_the_document_seed(tmp_path, capsys):
+    scen = os.path.join(SCEN, "ou-decoupled-2d.json")
+    assert run_cli(["simulate", scen, "--traj", "50", "--out", str(tmp_path / "doc")]) == 0
+    assert run_cli(["simulate", scen, "--traj", "50", "--seed", "20405",
+                    "--out", str(tmp_path / "flag")]) == 0
+    assert run_cli(["simulate", scen, "--traj", "50", "--seed", "0",
+                    "--out", str(tmp_path / "zero")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "doc" / "manifest.json").read_text())
+    assert manifest["master_seed"] == 20405
+    doc_csv = (tmp_path / "doc" / "simulate.csv").read_bytes()
+    assert doc_csv == (tmp_path / "flag" / "simulate.csv").read_bytes()
+    assert doc_csv != (tmp_path / "zero" / "simulate.csv").read_bytes()
+
+
+def test_blowup_is_one_error_line_naming_both_checks(tmp_path, capsys):
+    doc = {"id": "blowup", "space": {"kind": "euclidean", "dim": 1},
+           "operator": {"mode": "matrix-exponential", "generator": [[-1.0]]},
+           "projection": {"builder": "zero"},
+           "coefficients": {"F": {"builder": "linear", "matrix": [[2000.0]]}},
+           "experiment": {"dt": 0.01, "horizon": 5.0, "traj": 2, "initial": [1.0],
+                          "snapshots": [0.05, 5.0]}}
+    f = tmp_path / "blowup.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["simulate", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "at step 499" in err and "last passed check: step 4" in err
+
+
+def test_simulate_checks_the_observables_key(tmp_path, capsys):
+    with open(os.path.join(SCEN, "ou-decoupled-2d.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["experiment"]["simulate"]["observables"] = 3
+    f = tmp_path / "bad-observables.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["simulate", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "experiment.observables" in err

@@ -5,8 +5,8 @@ import pytest
 
 from spdelab import hilbert as hb
 from spdelab.errors import CertificationFailed, ContractViolation
-from spdelab.gdc import (certify_lambda0, fit_convergence, make_certificate,
-                         quadratic_form_audit)
+from spdelab.gdc import (certify_lambda0, fit_convergence, fit_exponential,
+                         make_certificate, quadratic_form_audit)
 
 A_BLOCK = np.array([[-1.0, 1.0], [0.0, 1.0]])
 P_SECOND = hb.coordinate_projection(2, [1])
@@ -132,3 +132,29 @@ def test_fit_convergence_input_contracts():
         fit_convergence(op, p, [0.1, 0.2, 0.3], [np.array([1.0])])   # too few points
     with pytest.raises(ContractViolation):
         fit_convergence(op, p, [0.1, 0.2, 0.3, 0.4], [np.array([0.0])])  # zero probe
+
+
+def test_fit_exponential_exact_data():
+    t = np.linspace(0.0, 3.0, 7)
+    fit = fit_exponential(t, 2.5 * np.exp(-1.7 * t))
+    assert fit.rate == pytest.approx(1.7, rel=1e-12)
+    assert fit.prefactor == pytest.approx(2.5, rel=1e-12)
+    assert fit.residual <= 1e-12
+    assert fit.n_points == 7
+
+
+def test_fit_exponential_drops_nonpositive_values():
+    t = np.arange(8.0)
+    v = 3.0 * np.exp(-0.5 * t)
+    v[[1, 4, 6]] = [0.0, -1.0, 0.0]
+    fit = fit_exponential(t, v)
+    assert fit.n_points == 5
+    assert fit.rate == pytest.approx(0.5, rel=1e-12)
+    assert fit.prefactor == pytest.approx(3.0, rel=1e-12)
+
+
+def test_fit_exponential_needs_four_positive_values():
+    with pytest.raises(ContractViolation):
+        fit_exponential([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
+    with pytest.raises(ContractViolation):
+        fit_exponential([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.0, 0.125, -1.0])

@@ -7,14 +7,14 @@ from spdelab.errors import ContractViolation
 
 def test_euclidean_orthonormal_basis():
     sp = hb.euclidean_space(2)
-    assert hb.inner(sp, [1.0, 0.0], [1.0, 0.0]) == 1.0
-    assert hb.inner(sp, [1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert sp.inner([1.0, 0.0], [1.0, 0.0]) == 1.0
+    assert sp.inner([1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_inner_dimension_mismatch():
     sp = hb.euclidean_space(2)
     with pytest.raises(ContractViolation):
-        hb.inner(sp, [1.0, 0.0, 0.0], [1.0, 0.0])
+        sp.inner([1.0, 0.0, 0.0], [1.0, 0.0])
 
 
 def test_hbeta_constant_curve_norm_is_its_value():
@@ -68,9 +68,9 @@ def test_long_rate_projection_self_adjoint_in_hbeta():
 def test_project_trivial_cases():
     sp = hb.euclidean_space(2)
     x = np.array([3.0, 4.0])
-    assert np.array_equal(hb.project(hb.identity_projection(2), x), x)
-    assert np.array_equal(hb.project(hb.Projection(np.zeros((2, 2))), x), np.zeros(2))
-    assert np.array_equal(hb.project(hb.coordinate_projection(2, [1]), x),
+    assert np.array_equal(hb.identity_projection(2).apply(x), x)
+    assert np.array_equal(hb.Projection(np.zeros((2, 2))).apply(x), np.zeros(2))
+    assert np.array_equal(hb.coordinate_projection(2, [1]).apply(x),
                           np.array([0.0, 4.0]))
 
 
@@ -78,11 +78,11 @@ def test_semigroup_identity_and_paper_block():
     a = np.array([[-1.0, 1.0], [0.0, 1.0]])
     op = hb.matrix_operator(hb.euclidean_space(2), a)
     x = np.array([0.3, -0.8])
-    assert np.array_equal(hb.apply_semigroup(op, 0.0, x), x)
+    assert np.array_equal(op.apply_semigroup(0.0, x), x)
     # explicit exponential of the block: entries e^{-t}, (e^t - e^{-t})/2, 0, e^t
-    got = hb.apply_semigroup(op, 1.0, np.array([1.0, 0.0]))
+    got = op.apply_semigroup(1.0, np.array([1.0, 0.0]))
     assert got == pytest.approx([np.exp(-1.0), 0.0], abs=1e-12)
-    got = hb.apply_semigroup(op, 1.0, np.array([0.0, 1.0]))
+    got = op.apply_semigroup(1.0, np.array([0.0, 1.0]))
     assert got == pytest.approx([np.sinh(1.0), np.exp(1.0)], rel=1e-12)
 
 

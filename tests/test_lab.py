@@ -201,3 +201,23 @@ def test_coupling_diagnostic_triangle_combination(ou2d_decoupled):
     for i in range(len(times) - 1):
         slack = 3.0 * (se10[i] + se05[i] + se05[i + 1])
         assert d10[i] <= d05[i] + d05[i + 1] + slack
+
+
+def test_limit_existence_fits_delta_on_the_sampled_times():
+    # P1 X_t = 2 (1 - 0.5 dt)^k decays deterministically at about 0.5; the
+    # P1 path is sampled every round(0.25 / dt) steps, so at dt = 0.1 every
+    # 0.2, and the fit must use those times for delta to agree across dt
+    a = np.diag([-1.0, 0.0])
+    p1 = hb.coordinate_projection(2, [1])
+    m = np.array([[0.0, 0.0], [0.0, -0.5]])
+    sc = eng.Scenario(op=hb.matrix_operator(hb.euclidean_space(2), a), P1=p1,
+                      qwiener=diagonal_qwiener([1.0]),
+                      sigma=eng.ConstantSigma(np.array([[1.0], [0.0]])),
+                      drift=lambda X: X @ m.T,
+                      certificate=make_certificate(a, p1, lambda1=0.0, L_F=0.25),
+                      flags=eng.ScenarioFlags(deterministic_P1=True))
+    x = np.array([1.0, 2.0])
+    delta = [lab.limit_existence_experiment(sc, x, [0.0], T=8.0, dt=dt, n_traj=8,
+                                            seed=3).theoretical["delta_fit"]
+             for dt in (0.1, 0.05)]
+    assert delta[0] == pytest.approx(delta[1], rel=0.05)
