@@ -109,15 +109,6 @@ def _resolve_observables(names, sc):
     return obs
 
 
-def _verdict_rows(verdicts):
-    return [(v.name, v.status, v.invariant, v.detail) for v in verdicts]
-
-
-def _verdict_exit(verdicts) -> int:
-    ok = all(v.status == "pass" for v in verdicts)
-    return EXIT_OK if ok else EXIT_VERDICT
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -170,12 +161,10 @@ def cmd_simulate(args) -> int:
     rows = []
     for name in names:
         series = ens.observables[name]
+        mean, se = engine.mean_stderr(series)
         for i, t in enumerate(ens.snapshot_times):
-            col = series[i]
-            mean = col.mean()
-            se = col.std(ddof=1) / np.sqrt(n_traj) if n_traj > 1 else 0.0
-            rows.append((t, f"{name}:mean", mean, se))
-            var = col.var(ddof=1) if n_traj > 1 else 0.0
+            rows.append((t, f"{name}:mean", mean[i], se[i]))
+            var = series[i].var(ddof=1) if n_traj > 1 else 0.0
             var_se = var * np.sqrt(2.0 / max(n_traj - 1, 1))
             rows.append((t, f"{name}:var", var, var_se))
     out = _out_dir(args, doc["id"])
@@ -220,9 +209,9 @@ def cmd_ou_limit(args) -> int:
                                   "seed"], "ou-limit")
     dim = ou_sc.space.dim
     x = _vector(exp.get("x", [0.0] * dim), "experiment.x", dim)
-    probes = exp.get("probes")
-    if probes is None:
-        probes = [list(row) for row in np.eye(dim)]
+    probes = exp.get("probes", [list(row) for row in np.eye(dim)])
+    if not isinstance(probes, list):
+        raise SchemaError("experiment.probes: expected an array of vectors")
     us = [_vector(u, "experiment.probes[]", dim) for u in probes]
     t_cut = _number(exp["t_cut"], "experiment.t_cut", 0.0) if "t_cut" in exp else None
     quad_step = _number(exp.get("quad_step", 0.005), "experiment.quad_step", 1e-9)
@@ -344,12 +333,13 @@ def cmd_lab(args) -> int:
     write_csv(os.path.join(out, "lab_rates.csv"),
               ["name", "rate", "prefactor", "residual"], fit_rows)
     write_csv(os.path.join(out, "lab_verdicts.csv"),
-              ["name", "status", "invariant", "detail"], _verdict_rows(rep.verdicts))
+              ["name", "status", "invariant", "detail"],
+              [(v.name, v.status, v.invariant, v.detail) for v in rep.verdicts])
     write_manifest(out, "lab", doc, seed, args.threads,
                    ["lab_series.csv", "lab_rates.csv", "lab_verdicts.csv"])
     for v in rep.verdicts:
         print(f"[{v.status}] {rep.experiment}/{v.name}: {v.detail}")
-    return _verdict_exit(rep.verdicts)
+    return EXIT_OK if rep.passed else EXIT_VERDICT
 
 
 def cmd_report(args) -> int:

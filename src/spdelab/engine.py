@@ -557,12 +557,6 @@ class Ensemble:
     snapshot_steps: np.ndarray
     states: np.ndarray | None                 # (n_snap, n_traj, dim) or None
     observables: dict                         # name -> (n_snap, n_traj)
-    traj_indices: np.ndarray
-
-    @property
-    def seeds(self) -> list:
-        """Per-trajectory substream keys (master seed, trajectory index)."""
-        return [(self.master_seed, int(i)) for i in self.traj_indices]
 
 
 def simulate_ensemble(sc: Scenario, initial, dt: float, n_steps: int, n_traj: int,
@@ -588,8 +582,7 @@ def simulate_ensemble(sc: Scenario, initial, dt: float, n_steps: int, n_traj: in
     return Ensemble(scenario_id=sc.scenario_id, dt=float(dt), n_steps=ls.n_steps,
                     n_traj=n_traj, master_seed=int(master_seed),
                     snapshot_times=ls.snap_steps * float(dt), snapshot_steps=ls.snap_steps,
-                    states=states, observables=obs_out,
-                    traj_indices=np.arange(n_traj, dtype=np.int64))
+                    states=states, observables=obs_out)
 
 
 @dataclass(eq=False)

@@ -56,9 +56,6 @@ class GdcCertificate:
     contractive: bool          # epsilon > 0, the stability-estimate hypothesis
     audit_max_violation: float
 
-    def recompute_epsilon(self) -> float:
-        return 2.0 * self.alpha - self.lipschitz.L_sigma - self.lipschitz.L_gamma
-
 
 def _form_matrices(A, P1: Projection, space: HilbertSpace | None):
     A = np.asarray(A, dtype=float)

@@ -30,8 +30,8 @@ from .engine import (Scenario, ScenarioFlags, mean_stderr, obs_coordinate, obs_n
                      simulate_ensemble, snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
 from .gdc import fit_exponential, make_certificate
-from .hilbert import HBETA_GRID, HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
-from .noise import JumpSpec, MarkSampler, diagonal_qwiener
+from .hilbert import HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
+from .noise import MarkSampler, diagonal_qwiener
 from .wasserstein import w2_1d
 
 GRID_POINTS = 2048
@@ -44,29 +44,6 @@ def forward_space(beta: float, x_max: float | None = None, n: int = GRID_POINTS)
     if x_max is None:
         x_max = 20.0 / beta * max(1.0, beta)
     return hbeta_grid_space(beta, x_max, n)
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardCurve:
-    space: HilbertSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if self.space.kind != HBETA_GRID or v.shape != (self.space.dim,):
-            raise ContractViolation("a forward curve needs values on its grid space")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def long_rate(self) -> float:
-        return float(self.values[-1])
-
-    def detrended(self) -> np.ndarray:
-        """The zero-long-rate part of the curve."""
-        return self.values - self.values[-1]
-
-    def norm(self) -> float:
-        return self.space.norm(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +140,6 @@ def example_volatility_rows(space: HilbertSpace, X: np.ndarray, out: np.ndarray 
     return out
 
 
-def example_volatility(space: HilbertSpace, h) -> np.ndarray:
-    return example_volatility_rows(space, np.asarray(h, dtype=float)[None, :])[0]
-
-
 @dataclass(eq=False)
 class HjmmVolatility:
     """Volatility factors with their declared bounds.
@@ -250,13 +223,6 @@ def hjmm_drift_rows(vol: HjmmVolatility, mu: FiniteMarkMeasure | None,
     return out
 
 
-def hjmm_drift(vol: HjmmVolatility, mu: FiniteMarkMeasure | None,
-               space: HilbertSpace, h) -> tuple[np.ndarray, float]:
-    """Drift of one curve plus its long-rate residual |F(h)(x_max)|."""
-    rows = hjmm_drift_rows(vol, mu, space, np.asarray(h, dtype=float)[None, :])
-    return rows[0], float(abs(rows[0][-1]))
-
-
 def _buffered_factor(f):
     """The factor as ``(X, out, work) -> out``, whatever its own signature."""
     try:
@@ -278,11 +244,9 @@ class HjmmModel:
     """Engine coefficients: evaluates the factors once per step and reuses
     them for both the drift and the diffusion contribution."""
 
-    def __init__(self, space: HilbertSpace, vol: HjmmVolatility,
-                 mu: FiniteMarkMeasure | None = None):
+    def __init__(self, space: HilbertSpace, vol: HjmmVolatility):
         self.space = space
         self.vol = vol
-        self.mu = mu
         self._factors = [_buffered_factor(f) for f in vol.sigma_factors]
 
     def fused(self, X, xi, work):
@@ -290,8 +254,7 @@ class HjmmModel:
         n = len(self._factors)
         *vals, scratch = work.arrays(n + 1, X.shape)
         factors = [f(X, v, scratch) for f, v in zip(self._factors, vals)]
-        drift = hjmm_drift_rows(self.vol, self.mu, self.space, X, factors=factors,
-                                out=scratch)
+        drift = hjmm_drift_rows(self.vol, None, self.space, X, factors=factors, out=scratch)
         if xi is None:
             return drift, 0.0
         noise = np.multiply(factors[0], xi[:, :1], out=factors[0])
@@ -300,7 +263,7 @@ class HjmmModel:
         return drift, noise
 
     def drift_rows(self, X):
-        return hjmm_drift_rows(self.vol, self.mu, self.space, X)
+        return hjmm_drift_rows(self.vol, None, self.space, X)
 
     def columns(self, x):
         X = np.asarray(x, dtype=float)[None, :]
@@ -331,25 +294,22 @@ def audit_volatility(vol: HjmmVolatility, space: HilbertSpace, probes,
 
 
 def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
-                  mu: FiniteMarkMeasure | None = None,
-                  jumps: JumpSpec | None = None,
-                  scenario_id: str = "hjmm") -> tuple[Scenario, float]:
-    """Wire the forward-curve dynamics into the engine; returns the scenario
-    and the computed drift Lipschitz constant."""
+                  scenario_id: str = "hjmm") -> Scenario:
+    """Wire the forward-curve dynamics into the engine, certified with the
+    drift Lipschitz constant the volatility bounds imply."""
     L_F = lf_bound(vol.L_sigma, vol.L_gamma, vol.M, space.beta, vol.beta_prime)
-    model = HjmmModel(space, vol, mu)
+    model = HjmmModel(space, vol)
     cert = make_certificate(None, long_rate_projection(space), lambda1=0.0,
                             L_F=L_F, L_sigma=vol.L_sigma, L_gamma=vol.L_gamma,
                             lambda0=space.beta / 2.0, audit=False)
     n = vol.n_factors
     qw = diagonal_qwiener(np.ones(n), embedding=np.zeros((space.dim, n))) if n else None
-    sc = Scenario(op=shift_operator(space), P1=long_rate_projection(space),
-                  qwiener=qw, drift=model.drift_rows, sigma=model, jumps=jumps,
-                  certificate=cert, fused=model.fused,
-                  flags=ScenarioFlags(vanishing_on_H1=vol.vanishing_at_constants,
-                                      deterministic_P1=True),
-                  scenario_id=scenario_id)
-    return sc, L_F
+    return Scenario(op=shift_operator(space), P1=long_rate_projection(space),
+                    qwiener=qw, drift=model.drift_rows, sigma=model,
+                    certificate=cert, fused=model.fused,
+                    flags=ScenarioFlags(vanishing_on_H1=vol.vanishing_at_constants,
+                                        deterministic_P1=True),
+                    scenario_id=scenario_id)
 
 
 @dataclass(eq=False)
@@ -359,21 +319,17 @@ class HjmmReport:
     decay_se: np.ndarray
     bound: np.ndarray
     fitted_rate: float
-    fit_residual: float
     theoretical_rate: float
     l_f: float
     margin: float
     long_rate_max_dev: float
     mode: str
-    w2_pairs: np.ndarray | None
     verdicts: list
 
 
 def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
                                horizon: float, n_traj: int, seed: int,
                                dt: float | None = None,
-                               mu: FiniteMarkMeasure | None = None,
-                               jumps: JumpSpec | None = None,
                                snapshot_spacing: float = 0.25,
                                fit_burn: float = 0.5,
                                rate_budget: float = 0.85,
@@ -390,7 +346,7 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     if margin <= 0:
         raise HypothesisViolated("contraction-margin",
                                  f"beta - 2 sqrt(L_F) - L_sigma - L_gamma = {margin:.4g} <= 0")
-    sc, _ = hjmm_scenario(space, vol, mu=mu, jumps=jumps)
+    sc = hjmm_scenario(space, vol)
     h0 = np.asarray(h0, dtype=float)
     if dt is None:
         dt = space.dx
@@ -406,38 +362,34 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     lr_dev = float(np.abs(ens.observables["long_rate"] - h0[-1]).max())
     verdicts = []
     if vol.vanishing_at_constants:
-        mode, w2_pairs, theoretical = "vanishing", None, margin
+        mode, theoretical, at_floor = "vanishing", margin, False
         keep = (snap_times >= fit_burn) & (mean > max(mean[0], 1e-300) * 1e-12)
-        fit = fit_exponential(snap_times[keep], mean[keep])
-        fitted, resid = fit.rate, fit.residual
+        fitted = fit_exponential(snap_times[keep], mean[keep]).rate
         ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
         verdicts.append(("decay-bound", "pass" if ok_bound else "fail",
                          "second-moment decay within the certified envelope"))
-        ok_rate = fitted >= rate_budget * theoretical
-        rate_detail = f"fitted {fitted:.4g} vs budgeted {rate_budget:.2f} x {theoretical:.4g}"
     else:
         mode, theoretical = "w2", margin / 2.0
         sr = ens.observables["short_rate"]
-        w2_pairs = np.array([w2_1d(sr[i], sr[i + 1]) for i in range(len(snap_times) - 1)])
+        w2_snap = np.array([w2_1d(sr[i], sr[i + 1]) for i in range(len(snap_times) - 1)])
         # two disjoint halves of one marginal estimate the sampling floor of
         # the snapshot-to-snapshot distance
         half = n_traj // 2
         floor = w2_1d(sr[-1][:half], sr[-1][half:2 * half]) if half >= 8 else 0.0
-        keep = (snap_times[:-1] >= fit_burn) & (w2_pairs > max(2.0 * floor, 1e-14))
-        if keep.sum() >= 4:
-            fit = fit_exponential(snap_times[:-1][keep], w2_pairs[keep])
-            fitted, resid = fit.rate, fit.residual
-            ok_rate = fitted >= rate_budget * theoretical
-            rate_detail = f"fitted {fitted:.4g} vs budgeted {rate_budget:.2f} x {theoretical:.4g}"
-        else:
-            fitted, resid = math.nan, math.nan
-            ok_rate = bool(w2_pairs[-1] <= 2.0 * floor + 1e-12)
-            rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
-                           f"before a rate could be fitted")
+        keep = (snap_times[:-1] >= fit_burn) & (w2_snap > max(2.0 * floor, 1e-14))
+        at_floor = keep.sum() < 4
+        fitted = math.nan if at_floor else \
+            fit_exponential(snap_times[:-1][keep], w2_snap[keep]).rate
+    if at_floor:
+        ok_rate = bool(w2_snap[-1] <= 2.0 * floor + 1e-12)
+        rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
+                       f"before a rate could be fitted")
+    else:
+        ok_rate = fitted >= rate_budget * theoretical
+        rate_detail = f"fitted {fitted:.4g} vs budgeted {rate_budget:.2f} x {theoretical:.4g}"
     verdicts.append(("decay-rate", "pass" if ok_rate else "fail", rate_detail))
     verdicts.append(("long-rate-conserved", "pass" if lr_dev == 0.0 else "fail",
                      f"max |P1 X_t - h0(inf)| = {lr_dev:.3g}"))
     return HjmmReport(times=snap_times, decay_mean=mean, decay_se=se, bound=bound,
-                      fitted_rate=fitted, fit_residual=resid, theoretical_rate=theoretical,
-                      l_f=L_F, margin=margin, long_rate_max_dev=lr_dev, mode=mode,
-                      w2_pairs=w2_pairs, verdicts=verdicts)
+                      fitted_rate=fitted, theoretical_rate=theoretical, l_f=L_F,
+                      margin=margin, long_rate_max_dev=lr_dev, mode=mode, verdicts=verdicts)

@@ -91,10 +91,6 @@ class MarkSampler:
             return self.mean.copy()
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.kind == POINT_MASS
-
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Probability-weighted nodes for integrals against the mark law.
 
@@ -167,7 +163,6 @@ class JumpSpec:
     marks: MarkSampler
     gamma: "callable"
     compensator_mean: "callable | None" = None
-    state_independent: bool = False
 
     def __post_init__(self):
         if self.total_rate < 0:
@@ -183,19 +178,11 @@ class JumpSpec:
             acc = wq * g if acc is None else acc + wq * g
         return self.total_rate * acc
 
-    def _moment(self, space, x, power: int) -> float:
-        w, nodes = self.marks.quadrature()
-        X = np.tile(np.asarray(x, dtype=float), (len(nodes), 1))
-        g = self.gamma(X, nodes)
-        n2 = space.norm2_rows(g)
-        return float(self.total_rate * (w @ n2 ** (power // 2)))
-
     def second_moment(self, space, x) -> float:
         """integral ||gamma(x, nu)||^2 mu(d nu) by the mark quadrature."""
-        return self._moment(space, x, 2)
-
-    def fourth_moment(self, space, x) -> float:
-        return self._moment(space, x, 4)
+        w, nodes = self.marks.quadrature()
+        X = np.tile(np.asarray(x, dtype=float), (len(nodes), 1))
+        return float(self.total_rate * (w @ space.norm2_rows(self.gamma(X, nodes))))
 
     def second_moment_diff(self, space, x, y) -> float:
         w, nodes = self.marks.quadrature()
@@ -216,7 +203,7 @@ def additive_jumps(total_rate: float, marks: MarkSampler) -> JumpSpec:
         return np.broadcast_to(total_rate * mean, X.shape)
 
     return JumpSpec(total_rate=total_rate, marks=marks, gamma=gamma,
-                    compensator_mean=compensator, state_independent=True)
+                    compensator_mean=compensator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +215,6 @@ class NoisePath:
     gaussian: np.ndarray       # (n_steps, n_modes), variance dt*lambda_j
     jump_steps: np.ndarray     # (K,) sorted step indices
     jump_marks: np.ndarray     # (K, mark_dim)
-    master_seed: int
-    traj_index: int = 0
-    tau_offset: int = 0        # shift applied relative to the generated record
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -265,7 +249,7 @@ def sample_path(qw: QWienerSpec | None, js: JumpSpec | None, dt: float,
         steps = np.zeros(0, dtype=np.int64)
         marks = np.zeros((0, js.marks.dim if js is not None else 0))
     return NoisePath(dt=dt, n_steps=n_steps, gaussian=gauss, jump_steps=steps,
-                     jump_marks=marks, master_seed=int(seed), traj_index=int(traj_index))
+                     jump_marks=marks)
 
 
 def shift_view(path: NoisePath, tau_steps: int) -> NoisePath:
@@ -281,5 +265,4 @@ def shift_view(path: NoisePath, tau_steps: int) -> NoisePath:
                    n_steps=path.n_steps - tau_steps,
                    gaussian=path.gaussian[tau_steps:],
                    jump_steps=path.jump_steps[i0:] - tau_steps,
-                   jump_marks=path.jump_marks[i0:],
-                   tau_offset=path.tau_offset + tau_steps)
+                   jump_marks=path.jump_marks[i0:])

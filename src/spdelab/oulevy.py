@@ -90,29 +90,25 @@ class LevyTriplet:
         return w, nodes, small
 
 
-def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None,
-                  with_stderr: bool = False):
+def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None) -> complex:
     """Characteristic exponent
 
     Psi(u) = i<b,u> - 1/2 <Qu,u> + int (e^{i<u,z>} - 1 - i<u,z> 1_{||z||<=1}) mu(dz)
 
     with the jump integral taken over the mark law's quadrature (exact for
-    atoms, fixed-seed Monte-Carlo otherwise, std-err reported on request).
+    atoms, fixed-seed Monte-Carlo otherwise).
     """
     u = np.asarray(u, dtype=float)
     if space is None:
         space = euclidean_space(len(u))
     val = 1j * space.inner(t.drift, u) - 0.5 * space.inner(t.cov @ u, u)
-    err = 0.0
     quad = t.jump_quadrature(space)
     if quad is not None:
         w, nodes, small = quad
         phase = space.inner_rows(nodes, np.broadcast_to(u, nodes.shape))
         vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
         val += t.jump_rate * complex(w @ vals)
-        if not t.jump_marks.is_atomic and len(w) > 1:
-            err = t.jump_rate * float(np.abs(vals - (w @ vals)).std()) / math.sqrt(len(w))
-    return (complex(val), err) if with_stderr else complex(val)
+    return complex(val)
 
 
 @dataclass(eq=False)
@@ -173,8 +169,6 @@ class CfValue:
     tail_bound: float
     quad_error: float
     t_cut: float
-    quad_step: float
-    jump_stderr: float
 
 
 def _simpson_weights(npts: int) -> np.ndarray:
@@ -229,17 +223,13 @@ def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
     integral = (h / 3.0) * complex(_simpson_weights(n + 1) @ psi)
     coarse = (2.0 * h / 3.0) * complex(_simpson_weights(n // 2 + 1) @ psi[::2])
     quad_error = abs(integral - coarse) / 15.0
-    jump_err = 0.0
-    if sc.triplet.jump_rate > 0 and not sc.triplet.jump_marks.is_atomic:
-        jump_err = sum(levy_exponent(sc.triplet, uk, space, with_stderr=True)[1]
-                       for uk in us[:: max(n // 16, 1)]) * h
     a1, a2 = _tail_constants(sc)
     un = space.norm(u)
     tail = 0.0 if not math.isfinite(rate) else \
         (a1 * un + a2 * un * un) * math.exp(-rate * t_cut) / rate
     value = cmath.exp(1j * space.inner(sc.P.apply(x), u) + integral)
     return CfValue(value=value, tail_bound=float(tail), quad_error=float(quad_error),
-                   t_cut=float(t_cut), quad_step=float(h), jump_stderr=float(jump_err))
+                   t_cut=float(t_cut))
 
 
 def empirical_cf(samples, u, space: HilbertSpace | None = None):

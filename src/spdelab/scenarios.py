@@ -39,9 +39,12 @@ def _check_keys(doc, path, required, optional=()):
         _require(k in doc, path, f"missing required key {k!r}")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(doc, path, minimum=None):
-    _require(isinstance(doc, (int, float)) and not isinstance(doc, bool), path,
-             "expected a number")
+    _require(_is_number(doc), path, "expected a number")
     v = float(doc)
     _require(math.isfinite(v), path, "must be finite")
     if minimum is not None:
@@ -56,9 +59,14 @@ def _integer(doc, path, minimum=None):
     return int(doc)
 
 
+def _boolean(doc, path):
+    _require(isinstance(doc, bool), path, "expected true or false")
+    return doc
+
+
 def _vector(doc, path, length=None):
-    _require(isinstance(doc, list) and all(isinstance(v, (int, float)) for v in doc),
-             path, "expected an array of numbers")
+    _require(isinstance(doc, list) and all(_is_number(v) for v in doc), path,
+             "expected an array of numbers")
     v = np.asarray(doc, dtype=float)
     _require(np.all(np.isfinite(v)), path, "must be finite")
     if length is not None:
@@ -69,8 +77,8 @@ def _vector(doc, path, length=None):
 def _matrix(doc, path, rows=None, cols=None):
     _require(isinstance(doc, list) and doc and all(isinstance(r, list) for r in doc),
              path, "expected a row-major array of arrays")
-    m = np.asarray(doc, dtype=float)
-    _require(m.ndim == 2, path, "expected a two-dimensional array")
+    _require(all(len(r) == len(doc[0]) for r in doc), path, "rows differ in length")
+    m = np.array([_vector(r, path) for r in doc])
     if rows is not None:
         _require(m.shape[0] == rows, path, f"expected {rows} rows")
     if cols is not None:
@@ -120,8 +128,10 @@ def build_projection(doc, space, path="projection") -> Projection:
         builder = doc.get("builder")
         if builder == "coordinates":
             coords = doc.get("coords")
-            _require(isinstance(coords, list) and all(isinstance(c, int) for c in coords),
-                     f"{path}.coords", "expected an array of coordinate indices")
+            _require(isinstance(coords, list)
+                     and all(isinstance(c, int) and not isinstance(c, bool)
+                             and 0 <= c < space.dim for c in coords),
+                     f"{path}.coords", f"expected an array of indices in [0, {space.dim})")
             p = coordinate_projection(space.dim, coords)
         elif builder == "long-rate":
             p = long_rate_projection(space)
@@ -217,16 +227,18 @@ def build_sigma(doc, space, path="coefficients.sigma", p1: Projection | None = N
         m = cols.shape[1]
         lam = _vector(doc["eigenvalues"], f"{path}.eigenvalues", m) if "eigenvalues" in doc \
             else np.ones(m)
-        wrap = bool(doc.get("vanishing_wrapper", False))
+        wrap = _boolean(doc.get("vanishing_wrapper", False), f"{path}.vanishing_wrapper")
         if b == "constant" and not wrap:
             return engine.ConstantSigma(cols), diagonal_qwiener(lam, embedding=cols)
         model = TabulatedSigma(space, cols, vanishing_wrapper=wrap, p1=p1)
         return model, diagonal_qwiener(lam, embedding=cols if not wrap
                                        else np.zeros((space.dim, m)))
     if b == "linear-modes":
-        tensors = np.asarray(doc.get("tensors"), dtype=float)
-        _require(tensors.ndim == 3 and tensors.shape[1:] == (space.dim, space.dim),
-                 f"{path}.tensors", "expected an (m, dim, dim) array")
+        raw = doc.get("tensors")
+        _require(isinstance(raw, list) and raw, f"{path}.tensors",
+                 "expected an (m, dim, dim) array")
+        tensors = np.array([_matrix(t, f"{path}.tensors[{i}]", space.dim, space.dim)
+                            for i, t in enumerate(raw)])
         m = tensors.shape[0]
         offsets = _matrix(doc["offsets"], f"{path}.offsets", m, space.dim) if "offsets" in doc \
             else np.zeros((m, space.dim))
@@ -264,6 +276,8 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
                  "vanishing_at_constants"])
     kind = doc["volatility"]
     bp = _number(doc.get("beta_prime", 1000.0), f"{path}.beta_prime", 0.0)
+    vanishing = _boolean(doc.get("vanishing_at_constants", False),
+                         f"{path}.vanishing_at_constants")
     if kind == "example":
         return hjmm.hjmm_example_volatility(space, beta_prime=bp)
     if kind == "zero":
@@ -288,7 +302,7 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
             L_sigma=_number(doc.get("L_sigma", 0.0), f"{path}.L_sigma", 0.0),
             L_gamma=_number(doc.get("L_gamma", 0.0), f"{path}.L_gamma", 0.0),
             beta_prime=bp,
-            vanishing_at_constants=bool(doc.get("vanishing_at_constants", False)))
+            vanishing_at_constants=vanishing)
     raise SchemaError(f"{path}.volatility: unknown volatility {kind!r}")
 
 
@@ -336,8 +350,7 @@ def build_scenario(doc) -> engine.Scenario:
         _require("coefficients" not in doc, "$.coefficients",
                  "the hjmm section supplies all coefficients")
         vol = build_hjmm_volatility(doc["hjmm"], space)
-        sc, _ = hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
-        return sc
+        return hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
     coeff = doc.get("coefficients", {})
     _check_keys(coeff, "coefficients", [], ["F", "sigma", "gamma"])
     drift = build_drift(coeff["F"], space) if "F" in coeff else None
@@ -346,8 +359,9 @@ def build_scenario(doc) -> engine.Scenario:
     flags_doc = doc.get("flags", {})
     _check_keys(flags_doc, "flags", [], ["vanishing_on_H1", "deterministic_P1"])
     flags = engine.ScenarioFlags(
-        vanishing_on_H1=bool(flags_doc.get("vanishing_on_H1", False)),
-        deterministic_P1=bool(flags_doc.get("deterministic_P1", False)))
+        vanishing_on_H1=_boolean(flags_doc.get("vanishing_on_H1", False), "flags.vanishing_on_H1"),
+        deterministic_P1=_boolean(flags_doc.get("deterministic_P1", False),
+                                  "flags.deterministic_P1"))
     return engine.Scenario(op=op, P1=p1, qwiener=qw, drift=drift, sigma=sigma,
                            jumps=jumps, certificate=_certificate_section(doc, space, op, p1),
                            flags=flags,

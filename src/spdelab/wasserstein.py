@@ -1,6 +1,6 @@
-"""Wasserstein-2 distances between equal-weight empirical laws, plus the
-closed-form Gaussian oracle and two-sample test statistics used to accept
-convergence claims."""
+"""Wasserstein-2 distances between equal-weight empirical laws, the
+quantile-matching W2 from a 1-D sample to a Gaussian, and two-sample test
+statistics used to accept convergence claims."""
 
 from __future__ import annotations
 
@@ -70,33 +70,6 @@ def w2_assignment(a, b, budget: int = ASSIGNMENT_BUDGET) -> float:
     cost = np.einsum("ijk,ijk->ij", diff, diff)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
-
-
-def _psd_sqrt(c: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(c)
-    if vals.min() < -1e-8 * max(1.0, abs(vals).max()):
-        raise ContractViolation("covariance matrix is not positive semidefinite")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def w2_gaussian(m1, c1, m2, c2) -> float:
-    """Closed-form W2 between two Gaussian laws,
-
-    sqrt(||m1-m2||^2 + tr(C1 + C2 - 2 (C1^{1/2} C2 C1^{1/2})^{1/2})).
-    """
-    m1 = np.atleast_1d(np.asarray(m1, dtype=float))
-    m2 = np.atleast_1d(np.asarray(m2, dtype=float))
-    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
-    if m1.shape != m2.shape or c1.shape != c2.shape or c1.shape[0] != len(m1):
-        raise ContractViolation("gaussian parameters have mismatched shapes")
-    for c in (c1, c2):
-        if np.abs(c - c.T).max() > 1e-10 * max(1.0, np.abs(c).max()):
-            raise ContractViolation("covariance matrix is not symmetric")
-    r1 = _psd_sqrt(c1)
-    cross = _psd_sqrt(r1 @ c2 @ r1)
-    gap2 = float(np.sum((m1 - m2) ** 2) + np.trace(c1 + c2 - 2.0 * cross))
-    return float(np.sqrt(max(gap2, 0.0)))
 
 
 def w2_1d_to_gaussian(samples, mean: float, std: float) -> float:

@@ -261,14 +261,58 @@ def test_blowup_is_one_error_line_naming_both_checks(tmp_path, capsys):
     assert "at step 499" in err and "last passed check: step 4" in err
 
 
-def test_simulate_checks_the_observables_key(tmp_path, capsys):
-    with open(os.path.join(SCEN, "ou-decoupled-2d.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["experiment"]["simulate"]["observables"] = 3
-    f = tmp_path / "bad-observables.json"
-    f.write_text(json.dumps(doc))
-    rc = run_cli(["simulate", str(f), "--out", str(tmp_path / "o")])
+def _mutated_document(path, value):
+    """A scenario document with the value at the dotted ``path`` replaced;
+    ``hjmm.*`` paths start from a small forward-curve document."""
+    if path.startswith("hjmm."):
+        doc = {"id": "hjmm-small", "space": {"kind": "hbeta-grid", "beta": 3.0, "n": 64},
+               "operator": {"mode": "grid-shift"}, "projection": {"builder": "long-rate"},
+               "hjmm": {"volatility": "example"},
+               "experiment": {"dt": 0.01, "horizon": 0.1, "traj": 2}}
+    else:
+        with open(os.path.join(SCEN, "ou-decoupled-2d.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+    *parents, leaf = path.split(".")
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[leaf] = value
+    return doc
+
+
+@pytest.mark.parametrize("command,path,value,key", [
+    pytest.param("simulate", "experiment.simulate.observables", 3, "experiment.observables",
+                 id="observables"),
+    pytest.param("simulate", "experiment.simulate.snapshots", [True, 2], "experiment.snapshots",
+                 id="snapshots-boolean"),
+    pytest.param("simulate", "operator.generator", [[1, 2], [3]], "operator.generator",
+                 id="generator-ragged"),
+    pytest.param("simulate", "coefficients.sigma",
+                 {"builder": "linear-modes", "tensors": [[[1, 2], [3]]]},
+                 "coefficients.sigma.tensors", id="tensors-ragged"),
+    pytest.param("simulate", "coefficients.sigma", {"builder": "linear-modes", "tensors": "x"},
+                 "coefficients.sigma.tensors", id="tensors-string"),
+    pytest.param("simulate", "projection.coords", [5], "projection.coords",
+                 id="coords-out-of-range"),
+    pytest.param("simulate", "projection.coords", [True], "projection.coords",
+                 id="coords-boolean"),
+    pytest.param("simulate", "flags.vanishing_on_H1", "no", "flags.vanishing_on_H1",
+                 id="flag-string"),
+    pytest.param("simulate", "flags.deterministic_P1", 1, "flags.deterministic_P1",
+                 id="flag-number"),
+    pytest.param("simulate", "coefficients.sigma.vanishing_wrapper", "no",
+                 "coefficients.sigma.vanishing_wrapper", id="vanishing-wrapper-string"),
+    pytest.param("simulate", "hjmm.vanishing_at_constants", "no", "hjmm.vanishing_at_constants",
+                 id="vanishing-at-constants-string"),
+    pytest.param("ou-limit", "experiment.ou-limit.probes", 5, "experiment.probes",
+                 id="probes-number"),
+])
+def test_simulate_checks_the_observables_key(tmp_path, capsys, command, path, value, key):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(_mutated_document(path, value)))
+    rc = run_cli([command, str(f), "--traj", "2", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
-    assert "experiment.observables" in err
+    assert key in err
+    assert "Traceback" not in err

@@ -85,12 +85,6 @@ def test_determinism_across_thread_counts(ou2d_decoupled):
     assert np.array_equal(a.states, b.states)
 
 
-def test_seeds_metadata(ou1d):
-    ens = eng.simulate_ensemble(ou1d, np.array([0.0]), 0.01, 10, 5, 77, [0.1])
-    assert len(ens.seeds) == ens.n_traj
-    assert ens.seeds[3] == (77, 3)
-
-
 def test_affine_common_noise_identity():
     # constant drift + constant noise: X^x - X^y = S(t)(x - y) exactly
     a = np.array([[-1.0, 0.3], [0.0, -0.5]])
@@ -297,7 +291,7 @@ def test_chunked_noise_equals_one_shot_stream():
 
 def _small_hjmm():
     sp = hjmm.forward_space(3.0, n=256)
-    sc, _ = hjmm.hjmm_scenario(sp, hjmm.hjmm_example_volatility(sp, beta_prime=1000.0))
+    sc = hjmm.hjmm_scenario(sp, hjmm.hjmm_example_volatility(sp, beta_prime=1000.0))
     return sp, sc, 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
 
 

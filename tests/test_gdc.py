@@ -74,7 +74,7 @@ def test_make_certificate_formulas():
     assert cert.beta_const == pytest.approx(1.5, abs=1e-12)
     assert cert.epsilon == pytest.approx(1.0, abs=2e-9)
     assert cert.contractive
-    assert cert.epsilon == cert.recompute_epsilon()
+    assert cert.epsilon == 2.0 * cert.alpha - cert.lipschitz.L_sigma - cert.lipschitz.L_gamma
 
 
 def test_make_certificate_with_lipschitz_constants():

@@ -73,7 +73,6 @@ def test_shift_view_composition():
     v2 = shift_view(p, 50)
     assert np.array_equal(v1.gaussian, v2.gaussian)
     assert np.array_equal(v1.jump_steps, v2.jump_steps)
-    assert v1.tau_offset == v2.tau_offset == 50
 
 
 def test_shift_view_out_of_range():
@@ -137,7 +136,6 @@ def test_jump_spec_moments_against_closed_form():
     js = make_jumps(rate=2.0, z=(1.0, -0.5))
     x = np.zeros(2)
     assert js.second_moment(sp, x) == pytest.approx(2.0 * 1.25)
-    assert js.fourth_moment(sp, x) == pytest.approx(2.0 * 1.25 ** 2)
     assert js.second_moment_diff(sp, x, np.ones(2)) == pytest.approx(0.0)
     comp = js.compensator_rows(np.zeros((3, 2)))
     assert np.allclose(comp, 2.0 * np.array([1.0, -0.5]))

@@ -1,0 +1,85 @@
+"""Every public function, class and method of ``spdelab`` has a caller: its
+name is used in ``src/`` outside its own definition, or in ``bench/``.
+
+The scan matches names, not bindings, so a name shared by two definitions
+counts as used for both; it catches code nothing reaches, not every unused
+override.
+"""
+
+import ast
+import glob
+import os
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = sorted(glob.glob(os.path.join(ROOT, "src", "spdelab", "*.py")))
+BENCH = sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
+
+# Called only from tests, and kept on purpose.
+TEST_ONLY = {
+    # one update of one state: the manual stepping the ensemble drivers are checked against
+    "engine.step",
+    # the one-trajectory coupling that the lockstep coupled driver is checked against
+    "engine.coupled_pair",
+    # the only check of the paper's pairwise dissipativity inequality
+    "engine.lyapunov_probe",
+    "engine.lyapunov_bound",
+    # the paper's stochastically perturbed Kolmogorov equation
+    "oulevy.kolmogorov_instance",
+    # read by acceptance criterion c08 (counterexample detection)
+    "lab.ConvergenceReport.diverged",
+}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _names(tree, bench=False):
+    """Identifiers a tree uses: names, attributes, imported names and keyword
+    arguments. bench reaches the package through module attributes, keyword
+    arguments and the (module, name) strings of its tracer targets, so for
+    it string constants count and bare names, its own definitions, do not."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not bench:
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.keyword) and n.arg:
+            yield n.arg
+        elif bench and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def _public_definitions(module, tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        yield f"{module}.{node.name}.{m.name}", m
+
+
+def _uncalled():
+    trees = {os.path.basename(p)[:-3]: _parse(p) for p in SRC}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names(tree))
+    in_bench = {n for p in BENCH for n in _names(_parse(p), bench=True)}
+    found = set()
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(module, tree):
+            own = Counter(_names(node))[node.name]
+            if used[node.name] - own == 0 and node.name not in in_bench:
+                found.add(qualname)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = _uncalled()
+    assert uncalled - TEST_ONLY == set(), "public names nothing in src/ or bench/ uses"
+    assert TEST_ONLY - uncalled == set(), "kept names that src/ or bench/ now use"

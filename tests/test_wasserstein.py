@@ -5,7 +5,7 @@ import pytest
 
 from spdelab.errors import BudgetExceeded, ContractViolation
 from spdelab.wasserstein import (EmpiricalLaw, ks_critical_value, ks_statistic,
-                                 w2_1d, w2_1d_to_gaussian, w2_assignment, w2_gaussian)
+                                 w2_1d, w2_1d_to_gaussian, w2_assignment)
 
 
 def test_w2_1d_identical_multisets():
@@ -86,22 +86,6 @@ def test_mean_separation_lower_bound():
         b = gen.standard_normal((32, 2)) + gen.standard_normal(2)
         gap = np.linalg.norm(a.mean(axis=0) - b.mean(axis=0))
         assert w2_assignment(a, b) >= gap - 1e-9
-
-
-def test_w2_gaussian_trivial_and_1d():
-    assert w2_gaussian([1.0], [[2.0]], [1.0], [[2.0]]) == 0.0
-    got = w2_gaussian([0.0], [[1.0]], [3.0], [[4.0]])
-    assert got == pytest.approx(np.sqrt(3.0 ** 2 + (1.0 - 2.0) ** 2))
-
-
-def test_w2_gaussian_commuting_diagonals():
-    got = w2_gaussian([0.0, 0.0], np.diag([1.0, 4.0]), [0.0, 0.0], np.diag([4.0, 1.0]))
-    assert got == pytest.approx(np.sqrt(2.0))
-
-
-def test_w2_gaussian_rejects_non_psd():
-    with pytest.raises(ContractViolation):
-        w2_gaussian([0.0], [[-1.0]], [0.0], [[1.0]])
 
 
 def test_empirical_to_gaussian_consistency():
