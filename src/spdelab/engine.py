@@ -7,17 +7,21 @@ with all integrands frozen at the left endpoint and propagated by the
 full-step semigroup.
 
 Every ensemble runs on one lockstep core: systems that share each
-trajectory's noise, each started at a given grid step. An independent run is
-one system, a common-noise pair two started together, and the shifted
-coupling of a trajectory with its own future two started tau steps apart.
-The core steps one step at a time, except for a single system with
-state-independent coefficients, no jumps, a dense propagator, dim <= 8,
-n_traj > 1 and n_steps > 0: there the steps between two stops (snapshots and
-chunk ends) collapse into one contraction against precomputed propagator
-powers. The collapse regroups the floating-point sums, so a one-trajectory
-run keeps stepping and stays bit-equal to manual stepping. Every state that
-is recorded or reduced, and every state that ends a noise chunk of
-_CHUNK_STEPS steps, is first checked against BLOWUP_NORM.
+trajectory's noise, each started at a given grid step. Independent runs from
+several initial states are one system per start, all started together; a
+common-noise pair is two started together, and the shifted coupling of a
+trajectory with its own future two started tau steps apart. The core steps
+one step at a time, except for systems that all start together and are
+reduced only at snapshots, with state-independent coefficients, no jumps, a
+dense propagator, dim <= 8, n_traj > 1 and n_steps > 0: there the steps
+between two stops (snapshots and chunk ends) collapse into one contraction
+against precomputed propagator powers, and the noise part of that
+contraction is computed once and shared by every system. The pair driver
+reduces at every step, so it keeps stepping. The collapse regroups the
+floating-point sums, so a one-trajectory run keeps stepping and stays
+bit-equal to manual stepping. Every state that is recorded or reduced, and
+every state that ends a noise chunk of _CHUNK_STEPS steps, is first checked
+against BLOWUP_NORM.
 
 Determinism: every trajectory owns Philox substreams keyed by
 ``(master_seed, trajectory_index, stream)``; blocks and threads only change
@@ -372,11 +376,11 @@ class _BlockNoise:
             return None
         buf = np.empty((len(self._gens), k1 - k0, self.m))
         for b, gen in enumerate(self._gens):
-            buf[b] = gen.standard_normal((k1 - k0, self.m))
+            gen.standard_normal(out=buf[b])
         if raw:
             return buf
-        buf *= self._std
-        return np.ascontiguousarray(buf.transpose(1, 0, 2))
+        return np.multiply(buf.transpose(1, 0, 2), self._std,
+                           out=np.empty((k1 - k0, len(self._gens), self.m)))
 
     def jumps_at(self, k: int):
         if self.joffsets is None:
@@ -396,13 +400,17 @@ class _Lockstep:
     ``start_s`` and takes every later grid step up to ``n_steps + max(start)``.
     ``n_steps`` and the snapshot times count on the clock of the last-started
     system, and so do the stops at which ``run`` reduces the states: the
-    snapshots or, with ``every_step``, every step.
+    snapshots or, with ``every_step``, every step. Systems that all start
+    together and stop only at snapshots take the collapse when the scenario
+    allows it (see the module docstring).
     """
 
     def __init__(self, sc: Scenario, dt: float, systems, n_steps: int, n_traj: int,
                  master_seed: int, snapshot_times, every_step: bool = False):
         self.n_steps, self.n_traj = n_steps, n_traj = int(n_steps), int(n_traj)
         self.starts = [int(k) for _, k in systems]
+        if not self.starts:
+            raise ContractViolation("need at least one initial state")
         if n_traj < 1:
             raise ContractViolation("n_traj must be >= 1")
         if n_steps < 0:
@@ -428,8 +436,8 @@ class _Lockstep:
         self.stops = set(range(t0, t0 + n_steps + 1)) if every_step else set(self.lookup)
         self.block = _block_size(n_traj, sc.n_modes, sc.dim, len(systems))
         # the linear-additive collapse (see the module docstring)
-        self.fast = (len(systems) == 1 and rt.linear_additive and sc.dim <= 8
-                     and n_traj > 1 and n_steps > 0)
+        self.fast = (len(set(self.starts)) == 1 and not every_step and rt.linear_additive
+                     and sc.dim <= 8 and n_traj > 1 and n_steps > 0)
         self.weights = {}
         self.chunks = []
         for k0 in range(0, t0 + n_steps, _CHUNK_STEPS):
@@ -458,15 +466,24 @@ class _Lockstep:
             w = (np.matmul(ct, q) * std[None, :, None]).reshape(L * ct.shape[0], sc.dim)
         return q[0].copy(), w, dterm
 
-    def _collapse(self, X, chunk, a: int, b: int):
-        """``X`` advanced over the steps at offsets ``a:b`` of a raw chunk."""
+    def _collapse(self, states, chunk, a: int, b: int):
+        """``states`` advanced over the steps at offsets ``a:b`` of a raw
+        chunk. The noise contraction is computed once and added to each
+        system's propagated state, the same sums in the same order as for
+        one system, so each system's rows do not depend on the others."""
         q0, w, dterm = self.weights[b - a]
-        xn = X @ q0
+        nz = None
         if chunk is not None and w is not None:
-            xn += chunk[:, a:b, :].reshape(len(X), -1) @ w
-        if dterm is not None:
-            xn += dterm
-        return xn
+            nz = chunk[:, a:b, :].reshape(len(chunk), -1) @ w
+        out = []
+        for X in states:
+            xn = X @ q0
+            if nz is not None:
+                xn += nz
+            if dterm is not None:
+                xn += dterm
+            out.append(xn)
+        return out
 
     def run(self, reduce, threads: int, keep_terminal: bool = False):
         """Step every block, calling ``reduce(k, i, lo, hi, states)`` at each
@@ -494,7 +511,7 @@ class _Lockstep:
                 a = k0
                 for b in ends:
                     if fast:
-                        states[0] = self._collapse(states[0], chunk, a - k0, b - k0)
+                        states = self._collapse(states, chunk, a - k0, b - k0)
                     else:
                         xi = chunk[a - k0] if chunk is not None else None
                         jr, jm = noise.jumps_at(a)
@@ -552,37 +569,51 @@ class Ensemble:
     dt: float
     n_steps: int
     n_traj: int
-    master_seed: int
     snapshot_times: np.ndarray
-    snapshot_steps: np.ndarray
     states: np.ndarray | None                 # (n_snap, n_traj, dim) or None
     observables: dict                         # name -> (n_snap, n_traj)
+
+
+def simulate_ensembles(sc: Scenario, initials, dt: float, n_steps: int, n_traj: int,
+                       master_seed: int, snapshot_times, observables: dict | None = None,
+                       threads: int = 1) -> list[Ensemble]:
+    """Simulate independent trajectories from each initial state of
+    ``initials`` under common noise: trajectory ``j`` of every ensemble reads
+    trajectory ``j``'s substreams, which are drawn once. Each ensemble equals,
+    bit for bit, a one-start run with the same seed; deterministic for any
+    thread count.
+
+    ``observables`` maps names to rowwise functions ``X -> (B,)``; when given,
+    only those reductions are stored per snapshot instead of full states.
+    """
+    ls = _Lockstep(sc, dt, [(x, 0) for x in initials], n_steps, n_traj, master_seed,
+                   snapshot_times)
+    shape = (len(ls.snap_steps), ls.n_traj)
+    states = [None if observables is not None else np.empty((*shape, sc.dim))
+              for _ in ls.initial]
+    obs_out = [{name: np.empty(shape) for name in observables or {}} for _ in ls.initial]
+
+    def record(k, i, lo, hi, xs):
+        for X, st, obs in zip(xs, states, obs_out):
+            if st is not None:
+                st[i, lo:hi] = X
+            for name, fn in (observables or {}).items():
+                obs[name][i, lo:hi] = fn(X)
+
+    ls.run(record, threads)
+    return [Ensemble(scenario_id=sc.scenario_id, dt=float(dt), n_steps=ls.n_steps,
+                     n_traj=ls.n_traj, snapshot_times=ls.snap_steps * float(dt),
+                     states=st, observables=obs)
+            for st, obs in zip(states, obs_out)]
 
 
 def simulate_ensemble(sc: Scenario, initial, dt: float, n_steps: int, n_traj: int,
                       master_seed: int, snapshot_times, observables: dict | None = None,
                       threads: int = 1) -> Ensemble:
-    """Simulate independent trajectories; deterministic for any thread count.
-
-    ``observables`` maps names to rowwise functions ``X -> (B,)``; when given,
-    only those reductions are stored per snapshot instead of full states.
-    """
-    ls = _Lockstep(sc, dt, [(initial, 0)], n_steps, n_traj, master_seed, snapshot_times)
-    n_snap, n_traj = len(ls.snap_steps), ls.n_traj
-    states = np.empty((n_snap, n_traj, sc.dim)) if observables is None else None
-    obs_out = {name: np.empty((n_snap, n_traj)) for name in observables or {}}
-
-    def record(k, i, lo, hi, xs):
-        if states is not None:
-            states[i, lo:hi] = xs[0]
-        for name, fn in (observables or {}).items():
-            obs_out[name][i, lo:hi] = fn(xs[0])
-
-    ls.run(record, threads)
-    return Ensemble(scenario_id=sc.scenario_id, dt=float(dt), n_steps=ls.n_steps,
-                    n_traj=n_traj, master_seed=int(master_seed),
-                    snapshot_times=ls.snap_steps * float(dt), snapshot_steps=ls.snap_steps,
-                    states=states, observables=obs_out)
+    """Simulate independent trajectories from one initial state (see
+    ``simulate_ensembles``)."""
+    return simulate_ensembles(sc, [initial], dt, n_steps, n_traj, master_seed,
+                              snapshot_times, observables, threads)[0]
 
 
 @dataclass(eq=False)
@@ -639,7 +670,6 @@ class CoupledEnsembleResult:
     """Shifted-noise coupling of (X_{t+tau}, Y_t) across an ensemble."""
 
     dt: float
-    tau_steps: int
     n_steps: int
     n_traj: int
     snapshot_times: np.ndarray
@@ -667,8 +697,8 @@ def simulate_coupled_ensemble(sc: Scenario, x, tau_steps: int, dt: float, n_step
 
     terminal = ls.run(reduce, threads, keep_terminal)
     xt, yt = terminal if keep_terminal else (None, None)
-    return CoupledEnsembleResult(dt=float(dt), tau_steps=tau_steps, n_steps=n_steps,
-                                 n_traj=n_traj, snapshot_times=ls.snap_steps * float(dt),
+    return CoupledEnsembleResult(dt=float(dt), n_steps=n_steps, n_traj=n_traj,
+                                 snapshot_times=ls.snap_steps * float(dt),
                                  coupling_gap2=gap2, y_terminal=yt, x_terminal=xt)
 
 
@@ -731,7 +761,6 @@ class StabilityReport:
     lhs_mean: np.ndarray
     lhs_se: np.ndarray
     rhs: np.ndarray
-    rhs_se: np.ndarray
     violations: np.ndarray     # lhs - rhs per snapshot
     slack: np.ndarray          # allowed Monte-Carlo slack per snapshot
     ok: bool
@@ -763,7 +792,7 @@ def stability_check(sc: Scenario, x, y, dt: float, n_steps: int, n_traj: int,
     violations = lhs_mean - rhs
     slack = 3.0 * (lhs_se + rhs_se) + 1e-9 * (1.0 + np.abs(rhs))
     return StabilityReport(times=times, lhs_mean=lhs_mean, lhs_se=lhs_se, rhs=rhs,
-                           rhs_se=rhs_se, violations=violations, slack=slack,
+                           violations=violations, slack=slack,
                            ok=bool(np.all(violations <= slack)))
 
 

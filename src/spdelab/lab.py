@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (Scenario, mean_stderr, obs_norm2, simulate_coupled_ensemble,
-                     simulate_ensemble, simulate_pair_ensemble, snapshot_grid)
+                     simulate_ensemble, simulate_ensembles, simulate_pair_ensemble,
+                     snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
 from .gdc import ConvergenceFit, fit_exponential
 from .wasserstein import EmpiricalLaw, w2_1d, w2_assignment
@@ -205,7 +206,7 @@ def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj
                                  shift_tol: float = 0.02, threads: int = 1) -> ConvergenceReport:
     """Same P1 part: common-noise contraction and a terminal assignment-W2
     floor. Distinct P1 parts: the limiting laws separate by exactly the
-    projected shift along its direction."""
+    projected shift along its direction; both ensembles read one noise draw."""
     cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -245,10 +246,8 @@ def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj
         obs = {"p1coord": lambda X: X @ w}
     else:
         obs = {"p1coord": lambda X: space.inner_rows(X, np.broadcast_to(v, X.shape))}
-    ens_x = simulate_ensemble(sc, x, dt, n_steps, n_traj, seed, times,
-                              observables=obs, threads=threads)
-    ens_y = simulate_ensemble(sc, y, dt, n_steps, n_traj, seed, times,
-                              observables=obs, threads=threads)
+    ens_x, ens_y = simulate_ensembles(sc, [x, y], dt, n_steps, n_traj, seed, times,
+                                      observables=obs, threads=threads)
     sep = np.array([w2_1d(ens_x.observables["p1coord"][i], ens_y.observables["p1coord"][i])
                     for i in range(len(times))])
     rep.stats["p1_w2"] = sep

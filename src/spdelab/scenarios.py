@@ -275,14 +275,18 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
                 ["beta_prime", "factors", "M", "L_sigma", "L_gamma",
                  "vanishing_at_constants"])
     kind = doc["volatility"]
+    if kind in ("example", "zero"):
+        for k in doc:
+            _require(k in ("volatility", "beta_prime"), f"{path}.{k}",
+                     f"not allowed for volatility {kind!r}, whose constants are fixed")
     bp = _number(doc.get("beta_prime", 1000.0), f"{path}.beta_prime", 0.0)
-    vanishing = _boolean(doc.get("vanishing_at_constants", False),
-                         f"{path}.vanishing_at_constants")
     if kind == "example":
         return hjmm.hjmm_example_volatility(space, beta_prime=bp)
     if kind == "zero":
         return hjmm.HjmmVolatility(sigma_factors=(), M=0.0, beta_prime=bp,
                                    vanishing_at_constants=True)
+    vanishing = _boolean(doc.get("vanishing_at_constants", False),
+                         f"{path}.vanishing_at_constants")
     if kind == "tabulated":
         raw = doc.get("factors")
         _require(isinstance(raw, list) and raw, f"{path}.factors",

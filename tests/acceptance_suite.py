@@ -143,8 +143,7 @@ def c05_multiple_limits(out, seed, threads):
     n_steps = int(round(T / dt))
     x, y = np.array([5.0, 7.0]), np.array([5.0, 3.0])
     n = 10_000
-    ex = eng.simulate_ensemble(sc, x, dt, n_steps, n, seed, [T], threads=threads)
-    ey = eng.simulate_ensemble(sc, y, dt, n_steps, n, seed, [T], threads=threads)
+    ex, ey = eng.simulate_ensembles(sc, [x, y], dt, n_steps, n, seed, [T], threads=threads)
     sep = w2_1d(ex.states[-1][:, 1], ey.states[-1][:, 1])
     ok_distinct = abs(sep - 4.0) <= 0.02
     y2 = np.array([-2.0, 7.0])

@@ -316,3 +316,21 @@ def test_simulate_checks_the_observables_key(tmp_path, capsys, command, path, va
     assert _one_error_line(err)
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["example", "zero"])
+@pytest.mark.parametrize("key,value", [("factors", [[1.0]]), ("M", 5.0), ("L_sigma", 9.0),
+                                       ("L_gamma", 0.5), ("vanishing_at_constants", False)])
+def test_fixed_volatility_rejects_declared_constants(tmp_path, capsys, kind, key, value):
+    # the example and zero volatilities fix their constants; a declared one
+    # would not be the one certified
+    doc = _mutated_document("hjmm.volatility", kind)
+    doc["hjmm"][key] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["simulate", str(f), "--traj", "2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert f"hjmm.{key}" in err
+    assert "Traceback" not in err

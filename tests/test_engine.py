@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from conftest import PlainSigma
 from spdelab import engine as eng
 from spdelab import hilbert as hb
-from spdelab import hjmm
+from spdelab import hjmm, scenarios
 from spdelab.errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
 from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, additive_jumps,
                            diagonal_qwiener, sample_path)
 from spdelab.wasserstein import ks_critical_value, ks_statistic
+
+SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
 def test_step_pure_semigroup(paper2x2):
@@ -368,6 +371,45 @@ def test_coupled_x_terminal_equals_one_run_over_n_plus_tau(pinned, threads):
     ex = eng.simulate_ensemble(pinned, x, dt, n + tau, traj, seed, [(n + tau) * dt],
                                threads=threads)
     assert res.x_terminal.tobytes() == ex.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("split", [False, True], ids=["default-cap", "split-cap"])
+@pytest.mark.parametrize("kind", ["ou-decoupled-2d", "block2x2", "jump-ou"])
+def test_shared_noise_starts_equal_one_start_runs(paper2x2, monkeypatch, kind, split, threads):
+    # ou-decoupled-2d collapses, sharing one noise contraction between the
+    # starts; the other two step. Under the split cap one start runs in
+    # blocks of 3 trajectories and three starts in blocks of 2, so this also
+    # pins the rows' independence of the block plan.
+    if kind == "ou-decoupled-2d":
+        sc = scenarios.build_scenario(
+            scenarios.load_document(os.path.join(SCEN, "ou-decoupled-2d.json")))
+    else:
+        sc = paper2x2 if kind == "block2x2" else _jump_ou()
+    dt, n, traj, seed = 1e-3, N_PINNED, 8, 41
+    if split:
+        monkeypatch.setattr(eng, "_BLOCK_CAP_BYTES",
+                            3 * 8 * (2 * eng._CHUNK_STEPS * sc.n_modes + 6 * sc.dim))
+        assert [eng._block_size(traj, sc.n_modes, sc.dim, k) for k in (1, 3)] == [3, 2]
+    times = [0.0, 1.0, n * dt]
+    starts = [np.array([1.5, -0.5]), np.array([-1.0, 0.5]),
+              np.linspace(-2.0, 2.0, 2 * traj).reshape(traj, 2)]
+    ls = eng._Lockstep(sc, dt, [(x, 0) for x in starts], n, traj, seed, times)
+    assert ls.fast == (kind == "ou-decoupled-2d")
+    shared = eng.simulate_ensembles(sc, starts, dt, n, traj, seed, times, threads=threads)
+    for x, ens in zip(starts, shared):
+        one = eng.simulate_ensemble(sc, x, dt, n, traj, seed, times, threads=threads)
+        assert ens.states.tobytes() == one.states.tobytes()
+    obs = eng.simulate_ensembles(sc, starts, dt, n, traj, seed, times,
+                                 observables={"x1": eng.obs_coordinate(1)}, threads=threads)
+    for ens, o in zip(shared, obs):
+        assert o.states is None
+        assert o.observables["x1"].tobytes() == ens.states[:, :, 1].tobytes()
+
+
+def test_simulate_ensembles_needs_a_start(ou1d):
+    with pytest.raises(ContractViolation):
+        eng.simulate_ensembles(ou1d, [], 0.01, 10, 4, 1, [0.1])
 
 
 @pytest.mark.parametrize("driver", ["pair", "coupled"])

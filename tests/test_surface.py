@@ -1,5 +1,7 @@
 """Every public function, class and method of ``spdelab`` has a caller: its
-name is used in ``src/`` outside its own definition, or in ``bench/``.
+name is used in ``src/`` outside its own definition, or in ``bench/``. Every
+field of a dataclass is read: as ``obj.field`` in ``src/`` or ``bench/``, or as
+``self.field`` inside its own class.
 
 The scan matches names, not bindings, so a name shared by two definitions
 counts as used for both; it catches code nothing reaches, not every unused
@@ -28,6 +30,17 @@ TEST_ONLY = {
     "oulevy.kolmogorov_instance",
     # read by acceptance criterion c08 (counterexample detection)
     "lab.ConvergenceReport.diverged",
+}
+
+# Dataclass fields read only by tests, and kept on purpose.
+FIELDS_TEST_ONLY = {
+    # the Monte-Carlo standard error of the stability check's left side, which
+    # the attained-bound test compares the gap against
+    "engine.StabilityReport.lhs_se",
+    # how many values the decay fit used after dropping nonpositive ones
+    "gdc.ConvergenceFit.n_points",
+    # the truncation time of the characteristic-function quadrature
+    "oulevy.CfValue.t_cut",
 }
 
 
@@ -83,3 +96,41 @@ def test_every_public_name_has_a_caller():
     uncalled = _uncalled()
     assert uncalled - TEST_ONLY == set(), "public names nothing in src/ or bench/ uses"
     assert TEST_ONLY - uncalled == set(), "kept names that src/ or bench/ now use"
+
+
+def _is_self(node):
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _attribute_reads(tree, own):
+    """Attributes a tree reads: ``self.<name>`` reads with ``own``, all others
+    without."""
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                and _is_self(n) == own):
+            yield n.attr
+
+
+def _unread_fields():
+    trees = {os.path.basename(p)[:-3]: _parse(p) for p in SRC}
+    read = set()
+    for tree in [*trees.values(), *(_parse(p) for p in BENCH)]:
+        read.update(_attribute_reads(tree, own=False))
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any("dataclass" in ast.dump(d) for d in node.decorator_list)):
+                continue
+            own = set(_attribute_reads(node, own=True))
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read | own):
+                    found.add(f"{module}.{node.name}.{stmt.target.id}")
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields()
+    assert unread - FIELDS_TEST_ONLY == set(), "fields nothing in src/ or bench/ reads"
+    assert FIELDS_TEST_ONLY - unread == set(), "kept fields that src/ or bench/ now read"
