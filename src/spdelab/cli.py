@@ -1,8 +1,8 @@
 """Command line driver.
 
-Exit codes: 0 success/pass, 1 usage or schema problems, 2 a required
-mathematical hypothesis failed its audit, 3 an experiment verdict failed
-(including "diverges").
+Exit codes: 0 success/pass, 1 usage or schema problems, an input over a size
+budget or a numerical blow-up, 2 a required mathematical hypothesis failed its
+audit, 3 an experiment verdict failed (including "diverges").
 
 All outputs land in one run directory together with ``manifest.json``
 echoing the resolved configuration, seed and thread count; manifests and
@@ -90,6 +90,15 @@ def _experiment(args, doc, allowed, subcommand) -> dict:
     return exp
 
 
+def _steps(horizon: float, dt: float, path: str) -> int:
+    """Grid steps of ``dt`` in ``horizon``, within the engine's step budget."""
+    steps = horizon / dt
+    if not steps <= engine.MAX_STEPS:
+        raise BudgetExceeded(f"{path}: {horizon!r} is {steps:.4g} steps of dt, over the "
+                             f"budget of {engine.MAX_STEPS}")
+    return int(round(steps))
+
+
 def _resolve_observables(names, sc):
     obs = {}
     for name in names:
@@ -155,7 +164,7 @@ def cmd_simulate(args) -> int:
         raise SchemaError("experiment.observables: expected an array of names")
     obs = _resolve_observables(names, sc)
     initial = _vector(exp.get("initial", [0.0] * sc.dim), "experiment.initial", sc.dim)
-    n_steps = args.steps if args.steps is not None else int(round(horizon / dt))
+    n_steps = _steps(horizon, dt, "experiment.horizon") if args.steps is None else args.steps
     ens = engine.simulate_ensemble(sc, initial, dt, n_steps, n_traj, seed, snaps,
                                    observables=obs, threads=args.threads)
     rows = []
@@ -214,6 +223,8 @@ def cmd_ou_limit(args) -> int:
         raise SchemaError("experiment.probes: expected an array of vectors")
     us = [_vector(u, "experiment.probes[]", dim) for u in probes]
     t_cut = _number(exp["t_cut"], "experiment.t_cut", 0.0) if "t_cut" in exp else None
+    if t_cut == 0.0:
+        raise SchemaError("experiment.t_cut: must be > 0")
     quad_step = _number(exp.get("quad_step", 0.005), "experiment.quad_step", 1e-9)
     dt = _number(exp.get("dt", 0.005), "experiment.dt", 1e-12)
     rate = ou_sc.conv.rate
@@ -221,14 +232,15 @@ def cmd_ou_limit(args) -> int:
                       "experiment.horizon", dt)
     n_traj = _integer(exp.get("traj", 20000), "experiment.traj", 1)
     seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
+    # the quadratures check their arguments before the simulation runs
+    cfs = [limiting_cf(ou_sc, x, u, t_cut=t_cut, quad_step=quad_step) for u in us]
+    n_steps = _steps(horizon, dt, "experiment.horizon")
     sc = ou_engine_scenario(ou_sc)
-    n_steps = int(round(horizon / dt))
     ens = engine.simulate_ensemble(sc, x, dt, n_steps, n_traj, seed, [n_steps * dt],
                                    threads=args.threads)
     samples = ens.states[-1]
     rows = []
-    for u in us:
-        cf = limiting_cf(ou_sc, x, u, t_cut=t_cut, quad_step=quad_step)
+    for u, cf in zip(us, cfs):
         emp, se = empirical_cf(samples, u, ou_sc.space)
         rows.append((json.dumps(list(u)), cf.value.real, cf.value.imag,
                      emp.real, emp.imag, cf.tail_bound, cf.quad_error, se,
@@ -249,6 +261,7 @@ def cmd_hjmm(args) -> int:
         _number(args.dt, "--dt", 1e-12)
     _integer(args.seed, "--seed", 0)
     space = hjmm.forward_space(args.beta, x_max=args.x_max, n=args.grid_n)
+    _steps(args.horizon, args.dt or space.dx, "--horizon")
     if args.volatility == "example":
         vol = hjmm.hjmm_example_volatility(space, beta_prime=args.beta_prime)
     elif args.volatility == "zero":
@@ -300,6 +313,7 @@ def cmd_lab(args) -> int:
         raise SchemaError(f"experiment.kind: unknown experiment {kind!r}")
     dt = _number(exp.get("dt", 1e-3), "experiment.dt", 1e-12)
     T = _number(exp.get("T", 5.0), "experiment.T", dt)
+    _steps(T, dt, "experiment.T")
     n_traj = _integer(exp.get("traj", 2000), "experiment.traj", 1)
     seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     spacing = _number(exp.get("spacing", 0.25), "experiment.spacing", dt)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, HypothesisViolated, NumericalBlowup
+from .errors import BudgetExceeded, ContractViolation, HypothesisViolated, NumericalBlowup
 from .gdc import GdcCertificate
 from .hilbert import MATRIX_EXP, HilbertSpace, OperatorModel, Projection
 from .noise import (JumpSpec, NoisePath, QWienerSpec, STREAM_GAUSS, jump_draw, sample_path,
@@ -48,6 +48,7 @@ BLOWUP_NORM = 1e12
 _CHUNK_STEPS = 2048
 _BLOCK_CAP_BYTES = 192 * 2**20
 _MAX_BLOCK = 8192
+MAX_STEPS = 10**9             # most grid steps of one run
 LIP_SEED = 61_003
 
 
@@ -415,9 +416,14 @@ class _Lockstep:
             raise ContractViolation("n_traj must be >= 1")
         if n_steps < 0:
             raise ContractViolation("n_steps must be >= 0")
+        if n_steps + max(self.starts) > MAX_STEPS:
+            raise BudgetExceeded(f"{n_steps + max(self.starts)} grid steps exceed the "
+                                 f"budget of {MAX_STEPS}")
         if min(self.starts) < 0:
             raise ContractViolation("tau_steps must be >= 0")
         t = np.atleast_1d(np.asarray(snapshot_times, dtype=float))
+        if not np.all(np.abs(t / dt) <= n_steps + 1):      # before the integer cast
+            raise ContractViolation("snapshot times outside the simulated horizon")
         self.snap_steps = snaps = np.rint(t / dt).astype(np.int64)
         if np.any(np.abs(snaps * dt - t) > 1e-9 * np.maximum(1.0, np.abs(t))):
             raise ContractViolation("snapshot times must lie on the step grid")

@@ -1,7 +1,7 @@
 """Error taxonomy shared by all subsystems.
 
 Exit-code mapping used by the command line driver:
-  1  usage / schema / contract problems
+  1  usage / schema / contract problems, size budgets, numerical blow-ups
   2  a mathematical hypothesis required by an experiment does not hold
   3  an experiment ran fine but its verdict is a failure (or "diverges")
 """

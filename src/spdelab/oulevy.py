@@ -9,6 +9,11 @@ The limiting law started at x has characteristic function
 
 evaluated here by composite Simpson quadrature on [0, T_cut] with a certified
 exponential tail bound of the form C(||u|| + ||u||^2) e^{-rate T_cut} / rate.
+The orbit u_k = S(h)* u_{k-1} is stepped one node after the other (a batched
+form, such as powers of S(h)*, would round differently); the exponent Psi
+then runs over all of its nodes in one call. A quadrature takes at most
+MAX_QUAD_NODES = 10^6 steps t_cut / quad_step (shipped calls take 8,000);
+more is BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .engine import ConstantDrift, ConstantSigma, Scenario, ScenarioFlags
-from .errors import ContractViolation, HypothesisViolated
+from .errors import BudgetExceeded, ContractViolation, HypothesisViolated
 from .gdc import ConvergenceFit, fit_convergence, make_certificate
-from .hilbert import (HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
+from .hilbert import (EUCLIDEAN, HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
                       euclidean_space, matrix_operator, weighted_space,
                       averaging_projection)
 from .noise import MarkSampler, QWienerSpec, additive_jumps
@@ -32,6 +37,8 @@ HYP_DRIFT = "ou-drift-in-ker-P"
 HYP_COV = "ou-covariance-in-ker-P"
 HYP_JUMPS = "ou-jump-measure-on-ker-P"
 HYP_TOL = 1e-10
+MAX_QUAD_NODES = 1_000_000     # most quadrature steps t_cut / quad_step
+_MARK_BLOCK = 1 << 18         # phase-matrix entries per block of rows
 
 
 def _op_norm(space: HilbertSpace, m: np.ndarray) -> float:
@@ -90,25 +97,36 @@ class LevyTriplet:
         return w, nodes, small
 
 
-def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None) -> complex:
+def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None):
     """Characteristic exponent
 
     Psi(u) = i<b,u> - 1/2 <Qu,u> + int (e^{i<u,z>} - 1 - i<u,z> 1_{||z||<=1}) mu(dz)
 
-    with the jump integral taken over the mark law's quadrature (exact for
-    atoms, fixed-seed Monte-Carlo otherwise).
+    at one vector ``u`` (a complex) or at each row of an ``(n, d)`` array (an
+    array of n complexes), with the jump integral taken over the mark law's
+    quadrature (exact for atoms, fixed-seed Monte-Carlo otherwise). The phases
+    <u_i, z_k> form an (n, q) matrix, in blocks of rows that bound its memory.
     """
-    u = np.asarray(u, dtype=float)
+    U = np.atleast_2d(np.asarray(u, dtype=float))
+    if np.ndim(u) not in (1, 2) or U.shape[1] != len(t.drift):
+        raise ContractViolation(f"Levy exponent needs vectors of length {len(t.drift)}, "
+                                f"got shape {np.shape(u)}")
     if space is None:
-        space = euclidean_space(len(u))
-    val = 1j * space.inner(t.drift, u) - 0.5 * space.inner(t.cov @ u, u)
+        space = euclidean_space(U.shape[1])
+    val = 1j * space.inner_rows(np.broadcast_to(t.drift, U.shape), U) \
+        - 0.5 * space.inner_rows(U @ t.cov.T, U)
     quad = t.jump_quadrature(space)
     if quad is not None:
         w, nodes, small = quad
-        phase = space.inner_rows(nodes, np.broadcast_to(u, nodes.shape))
-        vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
-        val += t.jump_rate * complex(w @ vals)
-    return complex(val)
+        if space.kind != EUCLIDEAN:
+            raise ContractViolation("jump phases need a euclidean geometry")
+        zw = nodes if space.weight is None else nodes * space.weight
+        rows = max(1, _MARK_BLOCK // len(w))
+        for lo in range(0, len(U), rows):
+            phase = U[lo:lo + rows] @ zw.T
+            vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
+            val[lo:lo + rows] += t.jump_rate * (vals @ w)
+    return complex(val[0]) if np.ndim(u) == 1 else val
 
 
 @dataclass(eq=False)
@@ -193,23 +211,41 @@ def _tail_constants(sc: OuScenario) -> tuple[float, float]:
     return a1, a2
 
 
+def _finite_vector(v, name: str, dim: int) -> np.ndarray:
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (dim,) or not np.isfinite(a).all():
+        raise ContractViolation(f"{name} must be a finite vector of length {dim}")
+    return a
+
+
 def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
                 quad_step: float = 0.01) -> CfValue:
     """Quadrature evaluation of the limiting characteristic function at u.
 
     Needs a positive fitted convergence rate; ``+inf`` (residuals that vanish
-    identically) makes the tail exactly zero.
+    identically) makes the tail exactly zero. ``t_cut`` and ``quad_step``
+    must be positive and finite, and ask for at most MAX_QUAD_NODES steps.
     """
-    sc.audit_hypotheses()
     space = sc.space
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
+    u = _finite_vector(u, "u", space.dim)
+    x = _finite_vector(x, "x", space.dim)
+    if not (quad_step > 0 and math.isfinite(quad_step)):
+        raise ContractViolation(f"quad_step must be positive and finite, got {quad_step!r}")
+    if t_cut is not None and not (t_cut > 0 and math.isfinite(t_cut)):
+        raise ContractViolation(f"t_cut must be positive and finite, got {t_cut!r}")
     rate = sc.conv.rate
     if not rate > 0:
         raise ContractViolation(f"the fitted semigroup convergence rate {rate:.4g} "
                                 "is not positive")
     if t_cut is None:
         t_cut = 1.0 if not math.isfinite(rate) else 40.0 / rate
+    if not t_cut / quad_step <= MAX_QUAD_NODES:
+        raise BudgetExceeded(f"t_cut / quad_step = {t_cut / quad_step:.4g} quadrature steps "
+                             f"exceed the budget of {MAX_QUAD_NODES}")
+    sc.audit_hypotheses()
     n = max(4, int(math.ceil(t_cut / quad_step)))
     n += (-n) % 4
     h = t_cut / n
@@ -218,8 +254,8 @@ def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
     us = np.empty((n + 1, len(u)))
     us[0] = u
     for k in range(n):
-        us[k + 1] = estar @ us[k]
-    psi = np.array([levy_exponent(sc.triplet, uk, space) for uk in us])
+        np.matmul(estar, us[k], out=us[k + 1])
+    psi = levy_exponent(sc.triplet, us, space)
     integral = (h / 3.0) * complex(_simpson_weights(n + 1) @ psi)
     coarse = (2.0 * h / 3.0) * complex(_simpson_weights(n // 2 + 1) @ psi[::2])
     quad_error = abs(integral - coarse) / 15.0

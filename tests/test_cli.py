@@ -1,8 +1,10 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spdelab import cli
 
@@ -183,6 +185,12 @@ def _one_error_line(err):
     ["hjmm", "--beta", "3", "--dt", "0"],
     ["hjmm", "--beta", "3", "--horizon", "inf"],
     ["hjmm"],
+    ["simulate", "ou-decoupled-2d.json", "--horizon", "1e30"],
+    ["simulate", "ou-decoupled-2d.json", "--steps", "10000000000"],
+    ["simulate", "ou-decoupled-2d.json", "--traj", "2", "--snapshots", "1e30"],
+    ["lab", "ou-decoupled-2d.json", "--horizon", "1e300"],
+    ["ou-limit", "ou-decoupled-2d.json", "--horizon", "1e308"],
+    ["hjmm", "--beta", "3", "--horizon", "1e30"],
 ])
 def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys, argv):
     argv = [os.path.join(SCEN, a) if a.endswith(".json") else a for a in argv]
@@ -306,6 +314,8 @@ def _mutated_document(path, value):
                  id="vanishing-at-constants-string"),
     pytest.param("ou-limit", "experiment.ou-limit.probes", 5, "experiment.probes",
                  id="probes-number"),
+    pytest.param("ou-limit", "experiment.ou-limit.t_cut", 0, "experiment.t_cut",
+                 id="t-cut-zero"),
 ])
 def test_simulate_checks_the_observables_key(tmp_path, capsys, command, path, value, key):
     f = tmp_path / "bad.json"
@@ -333,4 +343,60 @@ def test_fixed_volatility_rejects_declared_constants(tmp_path, capsys, kind, key
     assert rc == 1
     assert _one_error_line(err)
     assert f"hjmm.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_ou_limit_caps_the_quadrature_nodes(tmp_path, capsys):
+    f = tmp_path / "huge-t-cut.json"
+    f.write_text(json.dumps(_mutated_document("experiment.ou-limit.t_cut", 1e30)))
+    rc = run_cli(["ou-limit", str(f), "--traj", "2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "budget" in err
+
+
+# Property test of the input contract: mutated ou-limit experiments end in a
+# documented exit code, exit 1 prints exactly one error line, and nothing
+# escapes as a traceback. The base document is the shipped one with a tiny
+# horizon and few trajectories, so an example runs in tens of milliseconds.
+
+_JUNK = st.sampled_from([None, True, "x", [], {}, -1, 0, 1e30])
+_OU_LIMIT_MUTATIONS = {
+    "x": st.one_of(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+                   st.lists(st.floats(), max_size=3), _JUNK),
+    "probes": st.one_of(st.lists(st.lists(st.floats(-3, 3), min_size=2, max_size=2),
+                                 max_size=3),
+                        st.lists(st.one_of(_JUNK, st.lists(st.floats(), max_size=3)),
+                                 max_size=2),
+                        _JUNK),
+    "t_cut": st.one_of(st.floats(-50, 50), st.sampled_from([1e30, math.inf, math.nan]), _JUNK),
+    "quad_step": st.one_of(st.sampled_from([0.005, 0.05, 0.5, 100.0, 1e-9, 0.0, -0.01,
+                                            math.nan]), _JUNK),
+    "traj": st.one_of(st.integers(-2, 6), st.floats(0, 4), _JUNK),
+    "horizon": st.one_of(st.floats(-0.05, 0.05), _JUNK),
+}
+
+
+# one or two keys per example, so most examples get past the schema checks
+_OU_LIMIT_MUTATION = st.lists(st.sampled_from(sorted(_OU_LIMIT_MUTATIONS)), min_size=1,
+                              max_size=2, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _OU_LIMIT_MUTATIONS[k] for k in keys}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_OU_LIMIT_MUTATION)
+@example(mutation={"horizon": 1e30})
+def test_mutated_ou_limit_keeps_the_exit_contract(tmp_path, capsys, mutation):
+    doc = _mutated_document("experiment.ou-limit.horizon", 0.02)
+    doc["experiment"]["ou-limit"]["traj"] = 4
+    doc["experiment"]["ou-limit"].update(mutation)
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["ou-limit", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert _one_error_line(err)
     assert "Traceback" not in err

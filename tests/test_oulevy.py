@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from spdelab import engine as eng
 from spdelab import hilbert as hb
 from spdelab import oulevy as ou
-from spdelab.errors import ContractViolation, HypothesisViolated
+from spdelab.errors import BudgetExceeded, ContractViolation, HypothesisViolated
 from spdelab.gdc import ConvergenceFit
-from spdelab.noise import MarkSampler, POINT_MASS
+from spdelab.noise import GAUSSIAN_MARK, MarkSampler, POINT_MASS
 
 
 def decoupled_scenario():
@@ -235,3 +236,153 @@ def test_constant_ou_drift_takes_the_linear_additive_collapse():
     assert isinstance(esc.drift, eng.ConstantDrift)
     assert np.array_equal(esc.drift.value, [0.5, 0.0])
     assert eng._Runtime(esc, 0.01).linear_additive
+
+
+# The exponent and the quadrature as first written: one exponent call per
+# node. The batched exponent must reproduce them bit for bit on the c04
+# instance (euclidean, diagonal covariance, no jumps).
+
+def _ref_levy_exponent(t, u, space=None):
+    u = np.asarray(u, dtype=float)
+    if space is None:
+        space = hb.euclidean_space(len(u))
+    val = 1j * space.inner(t.drift, u) - 0.5 * space.inner(t.cov @ u, u)
+    quad = t.jump_quadrature(space)
+    if quad is not None:
+        w, nodes, small = quad
+        phase = space.inner_rows(nodes, np.broadcast_to(u, nodes.shape))
+        vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
+        val += t.jump_rate * complex(w @ vals)
+    return complex(val)
+
+
+def _ref_limiting_cf(sc, x, u, t_cut, quad_step):
+    space = sc.space
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    rate = sc.conv.rate
+    n = max(4, int(math.ceil(t_cut / quad_step)))
+    n += (-n) % 4
+    h = t_cut / n
+    astar = space.adjoint(sc.op.generator)
+    estar = ou.expm(h * astar)
+    us = np.empty((n + 1, len(u)))
+    us[0] = u
+    for k in range(n):
+        us[k + 1] = estar @ us[k]
+    psi = np.array([_ref_levy_exponent(sc.triplet, uk, space) for uk in us])
+    integral = (h / 3.0) * complex(ou._simpson_weights(n + 1) @ psi)
+    coarse = (2.0 * h / 3.0) * complex(ou._simpson_weights(n // 2 + 1) @ psi[::2])
+    quad_error = abs(integral - coarse) / 15.0
+    a1, a2 = ou._tail_constants(sc)
+    un = space.norm(u)
+    tail = 0.0 if not math.isfinite(rate) else \
+        (a1 * un + a2 * un * un) * math.exp(-rate * t_cut) / rate
+    value = cmath.exp(1j * space.inner(sc.P.apply(x), u) + integral)
+    return ou.CfValue(value=value, tail_bound=float(tail), quad_error=float(quad_error),
+                      t_cut=float(t_cut))
+
+
+C04_PROBES = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -0.7], [2.0, 0.3])
+
+
+def _c04_rows():
+    """Orbit nodes of the c04 quadrature for every probe, plus random rows."""
+    estar = ou.expm(0.005 * np.diag([-1.0, 0.0]))
+    rows = []
+    for u in C04_PROBES:
+        v = np.array(u)
+        for _ in range(400):
+            rows.append(v)
+            v = estar @ v
+    gen = np.random.Generator(np.random.Philox(404))
+    rows += list(gen.standard_normal((200, 2)) * np.exp(gen.uniform(-5.0, 3.0, (200, 1))))
+    return np.array(rows)
+
+
+def test_levy_exponent_rows_equal_vector_calls_on_c04():
+    t = decoupled_scenario().triplet
+    rows = _c04_rows()
+    psi = ou.levy_exponent(t, rows)
+    assert psi.shape == (len(rows),) and psi.dtype == complex
+    one = [ou.levy_exponent(t, r) for r in rows]
+    assert all(type(v) is complex for v in one)
+    assert psi.tobytes() == np.array(one).tobytes()
+    assert psi.tobytes() == np.array([_ref_levy_exponent(t, r) for r in rows]).tobytes()
+
+
+def _weighted_kolmogorov_triplet(marks):
+    gen = np.random.Generator(np.random.Philox(2718))
+    _, eta = _reversible_chain(4, 4, 2.0)
+    a = gen.standard_normal((4, 4))
+    cov = 0.3 * (a @ a.T) * eta[None, :]      # Q = Sigma D is self-adjoint in L^2(eta)
+    trip = ou.LevyTriplet(drift=gen.standard_normal(4), cov=cov, jump_rate=1.3,
+                          jump_marks=marks)
+    space = hb.weighted_space(eta)
+    trip.validate(space)
+    rows = gen.standard_normal((300, 4)) * np.exp(gen.uniform(-4.0, 2.0, (300, 1)))
+    return trip, space, rows
+
+
+@pytest.mark.parametrize("marks", [
+    pytest.param(MarkSampler(POINT_MASS, point=np.array([0.6, -0.2, 0.1, -0.4])), id="small-atom"),
+    pytest.param(MarkSampler(POINT_MASS, point=np.array([2.6, -0.2, 0.1, -0.9])), id="big-atom"),
+    pytest.param(MarkSampler(GAUSSIAN_MARK, mean=np.zeros(4), cov_diag=np.full(4, 0.5)),
+                 id="gaussian-marks"),
+])
+def test_levy_exponent_rows_match_vector_calls_on_weighted_kolmogorov(marks):
+    # a general covariance, a weighted geometry and the mark phases regroup
+    # the sums, so rows agree to rounding rather than bit for bit; 300 rows
+    # of 4,096 Gaussian marks take five blocks of the phase matrix
+    trip, space, rows = _weighted_kolmogorov_triplet(marks)
+    psi = ou.levy_exponent(trip, rows, space)
+    one = np.array([ou.levy_exponent(trip, r, space) for r in rows])
+    assert np.all(np.abs(psi - one) <= 1e-14 * np.abs(one))
+    ref = np.array([_ref_levy_exponent(trip, r, space) for r in rows])
+    assert np.all(np.abs(psi - ref) <= 1e-14 * np.abs(ref))
+
+
+@pytest.mark.parametrize("u", [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 2)), 0.0])
+def test_levy_exponent_rejects_a_wrong_shape(u):
+    with pytest.raises(ContractViolation):
+        ou.levy_exponent(decoupled_scenario().triplet, u)
+
+
+def test_limiting_cf_matches_the_per_node_loop():
+    sc = decoupled_scenario()
+    x = np.array([5.0, 7.0])
+    for u in C04_PROBES:
+        u = np.array(u)
+        got = ou.limiting_cf(sc, x, u, t_cut=40.0, quad_step=0.005)
+        want = _ref_limiting_cf(sc, x, u, t_cut=40.0, quad_step=0.005)
+        assert got == want
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """The c04 instance, with the orbit's matrix exponential made to fail:
+    a rejection must come before any quadrature work."""
+    sc = decoupled_scenario()
+
+    def fail(*_):
+        raise AssertionError("the quadrature started")
+    monkeypatch.setattr(ou, "expm", fail)
+    return sc
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"quad_step": -0.01}, {"quad_step": 0.0}, {"quad_step": math.nan}, {"quad_step": math.inf},
+    {"t_cut": -5.0}, {"t_cut": 0.0}, {"t_cut": math.nan}, {"t_cut": math.inf},
+    {"u": np.zeros(3)}, {"u": np.zeros((2, 2))}, {"u": 1.0}, {"u": [0.0, math.nan]},
+    {"u": ["a", "b"]}, {"x": np.zeros(1)}, {"x": [[5.0, 7.0]]}, {"x": [math.inf, 0.0]},
+])
+def test_limiting_cf_rejects_malformed_arguments(no_quadrature, kwargs):
+    args = {"x": np.array([5.0, 7.0]), "u": np.array([1.0, 0.5]), **kwargs}
+    with pytest.raises(ContractViolation):
+        ou.limiting_cf(no_quadrature, **args)
+
+
+@pytest.mark.parametrize("t_cut", [1e30, 1e300])
+def test_limiting_cf_caps_the_node_count(no_quadrature, t_cut):
+    with pytest.raises(BudgetExceeded, match="budget"):
+        ou.limiting_cf(no_quadrature, np.zeros(2), np.ones(2), t_cut=t_cut, quad_step=0.005)
