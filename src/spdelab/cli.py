@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .scenarios import (build_hjmm_volatility, build_operator, build_ou_scenario
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
 EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_VERDICT = 0, 1, 2, 3
+SAMPLE_MAX = 1e100            # largest magnitude of a w2 sample
 
 
 def _fmt(v) -> str:
@@ -70,6 +72,15 @@ def write_manifest(out_dir, subcommand, config, seed, threads, outputs) -> str:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
+
+
+def _read_json(path):
+    """The value in a JSON file; malformed JSON is a SchemaError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as e:
+        raise SchemaError(f"{path}: not valid JSON: {e}") from None
 
 
 def _out_dir(args, doc_id) -> str:
@@ -140,11 +151,8 @@ def cmd_certify(args) -> int:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
     write_manifest(out, "certify", doc, None, 1, ["certificate.json"])
-    print(f"lambda0 = {cert.lambda0!r}")
-    print(f"lambda1 = {cert.lambda1!r}")
-    print(f"alpha = {cert.alpha!r}")
-    print(f"beta = {cert.beta_const!r}")
-    print(f"epsilon = {cert.epsilon!r}")
+    for key in ("lambda0", "lambda1", "alpha", "beta", "epsilon"):
+        print(f"{key} = {record[key]!r}")
     print(f"contractive (epsilon > 0): {'yes' if cert.contractive else 'no'}")
     return EXIT_OK
 
@@ -186,11 +194,18 @@ def cmd_simulate(args) -> int:
 
 
 def _read_samples(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise SchemaError(f"{path}: empty file")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    """The rows of numbers below a sample file's header line, each at most
+    SAMPLE_MAX in magnitude so that no squared distance overflows."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # loadtxt warns on a file with no rows
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, skiprows=1)
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from None
+    if not data.size:
+        raise SchemaError(f"{path}: no samples below the header line")
+    if not np.all(np.abs(data) <= SAMPLE_MAX):
+        raise SchemaError(f"{path}: samples must be numbers of magnitude at most {SAMPLE_MAX:g}")
     return data
 
 
@@ -270,9 +285,8 @@ def cmd_hjmm(args) -> int:
     else:
         if not args.volatility_file:
             raise SchemaError("--volatility file needs --volatility-file")
-        with open(args.volatility_file, "r", encoding="utf-8") as fh:
-            vol_doc = json.load(fh)
-        vol = build_hjmm_volatility(vol_doc, space, path="volatility-file")
+        vol = build_hjmm_volatility(_read_json(args.volatility_file), space,
+                                    path="volatility-file")
     h0 = args.h0_long_rate + args.h0_amplitude * np.exp(-args.h0_decay * space.grid)
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
@@ -359,17 +373,15 @@ def cmd_lab(args) -> int:
 def cmd_report(args) -> int:
     manifest_path = os.path.join(args.run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
-        print(f"error: no manifest.json under {args.run_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        raise SchemaError(f"no manifest.json under {args.run_dir}")
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path}: expected a JSON object")
     rows = []
     for name in sorted(os.listdir(args.run_dir)):
         if name.endswith("verdicts.csv"):
             with open(os.path.join(args.run_dir, name), "r", encoding="utf-8") as fh:
-                header = fh.readline()
-                for line in fh:
-                    rows.append((name, line.rstrip("\n")))
+                rows += [(name, line.rstrip("\n")) for line in fh.readlines()[1:]]
     print(f"run: {manifest.get('subcommand')} (seed {manifest.get('master_seed')}, "
           f"version {manifest.get('version')})")
     print("file,verdict")

@@ -4,7 +4,10 @@
                       + sum_{jumps in step k} gamma(X_k, mark) ]
 
 with all integrands frozen at the left endpoint and propagated by the
-full-step semigroup.
+full-step semigroup. Every scenario takes this one step: a coefficient hook
+gives the drift and noise rows (the diffusion's own ``fused`` method if it
+has one, else ``drift`` and ``sigma.apply``), and the step writes the
+propagated update back into X.
 
 Every ensemble runs on one lockstep core: systems that share each
 trajectory's noise, each started at a given grid step. Independent runs from
@@ -35,6 +38,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -119,11 +123,10 @@ class Scenario:
     P1: Projection
     qwiener: QWienerSpec | None = None
     drift: "callable | None" = None          # rows -> rows
-    sigma: "object | None" = None            # .apply(X, xi), .columns(x)
+    sigma: "object | None" = None            # .apply(X, xi), .columns(x), optional .fused
     jumps: JumpSpec | None = None
     certificate: GdcCertificate | None = None
     flags: ScenarioFlags = field(default_factory=ScenarioFlags)
-    fused: "callable | None" = None          # (X, xi, Workspace) -> (drift_rows, noise_rows)
     scenario_id: str = "scenario"
 
     @property
@@ -145,6 +148,11 @@ class Scenario:
                                      "need a certificate with epsilon = 2 alpha - L_sigma - L_gamma > 0")
         return self.certificate
 
+    def sigma_gap2(self, x, y) -> float:
+        """||sigma(x) - sigma(y)||_HS^2 = sum_j lambda_j ||sigma(x) e_j - sigma(y) e_j||^2."""
+        dc = self.sigma.columns(x) - self.sigma.columns(y)
+        return float(self.qwiener.eigenvalues @ self.space.norm2_rows(dc.T))
+
     def lipschitz_audit(self, n_pairs: int = 200, seed: int = LIP_SEED,
                         scale: float = 1.0, slack: float = 1.01) -> dict:
         """Spot-check the declared squared-norm Lipschitz constants on random pairs."""
@@ -164,12 +172,7 @@ class Scenario:
             if report["L_F"] > lip.L_F * slack + 1e-12:
                 raise HypothesisViolated("lipschitz-F", f"measured {report['L_F']:.4g} > declared {lip.L_F:.4g}")
         if self.sigma is not None and self.qwiener is not None:
-            lam = self.qwiener.eigenvalues
-            worst = 0.0
-            for x, y, g2 in zip(X, Y, gap2):
-                dc = self.sigma.columns(x) - self.sigma.columns(y)
-                hs = float(np.sum(lam * np.array([space.norm2(dc[:, j]) for j in range(dc.shape[1])])))
-                worst = max(worst, hs / g2)
+            worst = max(self.sigma_gap2(x, y) / g2 for x, y, g2 in zip(X, Y, gap2))
             report["L_sigma"] = worst
             if worst > lip.L_sigma * slack + 1e-12:
                 raise HypothesisViolated("lipschitz-sigma", f"measured {worst:.4g} > declared {lip.L_sigma:.4g}")
@@ -187,11 +190,13 @@ class Scenario:
 # stepping kernel
 
 
-class Workspace:
-    """Scratch arrays for one thread's steps, reused from step to step.
+class Workspace(threading.local):
+    """Scratch arrays for one thread's steps, reused from step to step; every
+    thread that uses a Workspace sees arrays of its own.
 
-    A fused coefficient hook takes its arrays from here and returns drift
-    and noise rows that live in them; the step overwrites both.
+    The step builds ``X + dt F`` in the first array. A coefficient hook may
+    return its drift rows there, for the step to overwrite, and keeps any
+    other rows it returns in the arrays after it.
     """
 
     def __init__(self):
@@ -208,7 +213,7 @@ class Workspace:
 
 
 class _Runtime:
-    """Per-(scenario, dt) plan: precomputed propagator and coefficient hooks,
+    """Per-(scenario, dt) plan: precomputed propagator and coefficient hook,
     plus one step workspace per thread, freed with the plan."""
 
     def __init__(self, sc: Scenario, dt: float):
@@ -216,48 +221,43 @@ class _Runtime:
             raise ContractViolation("dt must be positive")
         self.sc = sc
         self.dt = float(dt)
-        self.drift = sc.drift
-        self.sigma = sc.sigma
-        self.fused = sc.fused
+        # the hook holds no reference to the plan, which is freed without the gc
+        self.terms = getattr(sc.sigma, "fused", None) or partial(self._terms, sc.drift, sc.sigma)
         self.jumps = sc.jumps if (sc.jumps is not None and sc.jumps.total_rate > 0) else None
         self._et = sc.op.semigroup_matrix(self.dt).T.copy() \
             if sc.op.semigroup_mode == MATRIX_EXP else None
-        self._local = threading.local()
+        self.ws = Workspace()
+
+    @staticmethod
+    def _terms(drift, sigma, X, xi, ws):
+        """The hook built from ``drift`` and ``sigma.apply``: drift and noise
+        rows, each None when absent."""
+        return (None if drift is None else drift(X),
+                None if sigma is None or xi is None else sigma.apply(X, xi))
 
     def propagate(self, U, out=None):
         if self._et is not None:
             return np.matmul(U, self._et, out=out)
         return self.sc.op.apply_semigroup_rows(self.dt, U, out=out)
 
-    def workspace(self) -> Workspace:
-        ws = getattr(self._local, "ws", None)
-        if ws is None:
-            ws = self._local.ws = Workspace()
-        return ws
-
     def advance(self, X, xi, jrows, jmarks):
-        """One step of the block ``X``; the fused path overwrites ``X`` with
-        the result, so callers pass a state array they own. The result is
-        not checked: callers check it with ``assert_finite``."""
+        """One step of the block ``X``, written back into ``X``, so callers
+        pass a state array they own. The result is not checked: callers
+        check it with ``assert_finite``."""
         dt = self.dt
-        if self.fused is not None:
-            dr, nz = self.fused(X, xi, self.workspace())
-            upd = np.multiply(dr, dt, out=dr)
-            np.add(X, upd, out=upd)
+        dr, nz = self.terms(X, xi, self.ws)
+        if dr is None:
+            upd = X.copy()
+        else:       # X + dt F in the workspace's first array, which may hold dr
+            upd = self.ws.arrays(1, X.shape)[0]
+            np.add(X, np.multiply(dr, dt, out=upd), out=upd)
+        if nz is not None:
             upd += nz
-        else:
-            upd = X
-            if self.drift is not None:
-                upd = X + dt * self.drift(X)
-            if self.sigma is not None and xi is not None:
-                contrib = self.sigma.apply(X, xi)
-                upd = upd + contrib if upd is X else np.add(upd, contrib, out=upd)
         if self.jumps is not None:
-            comp = dt * self.jumps.compensator_rows(X)
-            upd = upd - comp if upd is X else np.subtract(upd, comp, out=upd)
+            upd -= dt * self.jumps.compensator_rows(X)
             if jrows is not None and len(jrows):
                 np.add.at(upd, jrows, self.jumps.gamma(X[jrows], jmarks))
-        return self.propagate(upd, out=X if self.fused is not None else None)
+        return self.propagate(upd, out=X)
 
     @staticmethod
     def assert_finite(out, step_index, traj_ids, last_passed=None):
@@ -273,9 +273,10 @@ class _Runtime:
     def linear_additive(self) -> bool:
         """True when one chunk of steps collapses to a single contraction:
         state-independent coefficients, no jumps, dense propagator."""
-        return (self.fused is None and self.jumps is None
-                and (self.drift is None or isinstance(self.drift, ConstantDrift))
-                and (self.sigma is None or isinstance(self.sigma, ConstantSigma))
+        sc = self.sc
+        return (self.jumps is None
+                and (sc.drift is None or isinstance(sc.drift, ConstantDrift))
+                and (sc.sigma is None or isinstance(sc.sigma, ConstantSigma))
                 and self.sc.op.semigroup_mode == MATRIX_EXP)
 
 
@@ -312,21 +313,14 @@ def simulate_trajectory(sc: Scenario, x, path: NoisePath, record_path: bool = Tr
     hist = np.empty((path.n_steps + 1, sc.dim)) if record_path else None
     if record_path:
         hist[0] = X[0]
-    steps, marks = path.jump_steps, path.jump_marks
-    zero_rows = np.zeros(0, dtype=np.int64)
-    ptr = 0
+    # the jumps of step k are jump_marks[offsets[k]:offsets[k + 1]]
+    offsets = np.searchsorted(path.jump_steps, np.arange(path.n_steps + 1))
     for k in range(path.n_steps):
         xi = path.gaussian[k][None, :] if path.gaussian.shape[1] else None
-        hi = ptr
-        while hi < len(steps) and steps[hi] == k:
-            hi += 1
-        if hi > ptr:
-            jrows = np.zeros(hi - ptr, dtype=np.int64)
-            jm = marks[ptr:hi]
-        else:
-            jrows, jm = zero_rows, None
-        ptr = hi
-        X = rt.advance(X, xi, jrows if len(jrows) else None, jm)
+        a, b = offsets[k], offsets[k + 1]
+        jrows, jm = (np.zeros(b - a, dtype=np.int64), path.jump_marks[a:b]) if b > a \
+            else (None, None)
+        X = rt.advance(X, xi, jrows, jm)
         rt.assert_finite(X, k, None, k - 1 if k else None)
         if record_path:
             hist[k + 1] = X[0]
@@ -464,7 +458,7 @@ class _Lockstep:
         q[L - 1] = rt._et
         for j in range(L - 2, -1, -1):
             q[j] = q[j + 1] @ rt._et
-        dterm = rt.dt * (rt.drift.value @ q.sum(axis=0)) if rt.drift is not None else None
+        dterm = rt.dt * (sc.drift.value @ q.sum(axis=0)) if sc.drift is not None else None
         w = None
         if sc.sigma is not None:
             # raw-noise weights: mode scaling folded in up front
@@ -742,9 +736,7 @@ def lyapunov_probe(sc: Scenario, x, y) -> float:
         df = sc.drift(x[None, :])[0] - sc.drift(y[None, :])[0]
         val += 2.0 * space.inner(df, d)
     if sc.sigma is not None and sc.qwiener is not None:
-        dc = sc.sigma.columns(x) - sc.sigma.columns(y)
-        lam = sc.qwiener.eigenvalues
-        val += float(sum(lam[j] * space.norm2(dc[:, j]) for j in range(dc.shape[1])))
+        val += sc.sigma_gap2(x, y)
     if sc.jumps is not None and sc.jumps.total_rate > 0:
         val += sc.jumps.second_moment_diff(space, x, y)
     return float(val)

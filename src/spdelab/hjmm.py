@@ -11,11 +11,12 @@ point (their analytic values there are below double resolution anyway).
 Buffers: ``example_volatility_rows``, ``cumtrapz_rows`` and
 ``hjmm_drift_rows`` accept ``out=`` (and the volatility a ``work=`` scratch
 array) and then compute in place; without them each returns a fresh array
-the caller owns. The engine's step reuses one workspace per thread for the
-whole run: one array per volatility factor (the factor value, then its noise
-term) and one array that is the volatility's scratch, then the drift, then
-the Euler update. The grid shift writes the next state back into the state
-array, so a step allocates no curve-sized array.
+the caller owns. ``HjmmModel.fused`` is the engine's coefficient hook for
+forward curves; it takes from the engine's per-thread workspace a first
+array that is the volatility's scratch, then the drift, then the step's
+Euler update, and one array per volatility factor (the factor value, then
+its noise term). The step writes the grid shift back into the state
+array, so it allocates no curve-sized array.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ def _buffered_factor(f):
 
 
 class HjmmModel:
-    """Engine coefficients: evaluates the factors once per step and reuses
-    them for both the drift and the diffusion contribution."""
+    """The scenario's diffusion for forward curves: ``fused`` evaluates the
+    factors once per step for both the drift and the diffusion contribution."""
 
     def __init__(self, space: HilbertSpace, vol: HjmmVolatility):
         self.space = space
@@ -252,7 +253,7 @@ class HjmmModel:
     def fused(self, X, xi, work):
         """Drift and noise rows of one step, both in arrays of ``work``."""
         n = len(self._factors)
-        *vals, scratch = work.arrays(n + 1, X.shape)
+        scratch, *vals = work.arrays(n + 1, X.shape)
         factors = [f(X, v, scratch) for f, v in zip(self._factors, vals)]
         drift = hjmm_drift_rows(self.vol, None, self.space, X, factors=factors, out=scratch)
         if xi is None:
@@ -306,7 +307,7 @@ def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
     qw = diagonal_qwiener(np.ones(n), embedding=np.zeros((space.dim, n))) if n else None
     return Scenario(op=shift_operator(space), P1=long_rate_projection(space),
                     qwiener=qw, drift=model.drift_rows, sigma=model,
-                    certificate=cert, fused=model.fused,
+                    certificate=cert,
                     flags=ScenarioFlags(vanishing_on_H1=vol.vanishing_at_constants,
                                         deterministic_P1=True),
                     scenario_id=scenario_id)

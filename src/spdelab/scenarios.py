@@ -189,34 +189,27 @@ def build_drift(doc, space, path="coefficients.F"):
 
 
 class TabulatedSigma:
-    """User-tabulated constant columns, optionally damped by the distance to
-    the constant curves so the diffusion vanishes on the projection range."""
+    """Constant columns damped by the distance to the range of ``p1``, so the
+    diffusion vanishes there (the ``vanishing_wrapper`` option)."""
 
-    def __init__(self, space: HilbertSpace, columns: np.ndarray,
-                 vanishing_wrapper: bool = False, p1: Projection | None = None):
+    def __init__(self, space: HilbertSpace, columns: np.ndarray, p1: Projection):
         self.space = space
-        self.columns_matrix = np.atleast_2d(np.asarray(columns, dtype=float))
-        self.vanishing = vanishing_wrapper
-        self._p0 = p1.complement().matrix.T.copy() if p1 is not None else None
+        self.columns_matrix = columns
+        self._p0 = p1.complement().matrix.T.copy()
 
     def _gain(self, X):
-        if not self.vanishing:
-            return None
-        detr = X @ self._p0 if self._p0 is not None else X
-        return np.minimum(1.0, np.sqrt(self.space.norm2_rows(detr)))[:, None]
+        return np.minimum(1.0, np.sqrt(self.space.norm2_rows(X @ self._p0)))[:, None]
 
     def apply(self, X, xi):
-        out = xi @ self.columns_matrix.T
-        g = self._gain(X)
-        return out if g is None else out * g
+        return (xi @ self.columns_matrix.T) * self._gain(X)
 
     def columns(self, x):
-        g = self._gain(np.asarray(x, dtype=float)[None, :])
-        return self.columns_matrix if g is None else self.columns_matrix * g[0]
+        return self.columns_matrix * self._gain(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def build_sigma(doc, space, path="coefficients.sigma", p1: Projection | None = None):
-    """Returns (sigma_model, qwiener) or (None, None)."""
+def build_sigma(doc, space, p1: Projection, path="coefficients.sigma"):
+    """Returns (sigma_model, qwiener) or (None, None). Unwrapped ``constant`` and
+    ``tabulated`` columns are one ``engine.ConstantSigma``, which the collapse takes."""
     _check_keys(doc, path, ["builder"], ["columns", "eigenvalues", "tensors", "offsets",
                                          "vanishing_wrapper"])
     b = doc["builder"]
@@ -227,12 +220,10 @@ def build_sigma(doc, space, path="coefficients.sigma", p1: Projection | None = N
         m = cols.shape[1]
         lam = _vector(doc["eigenvalues"], f"{path}.eigenvalues", m) if "eigenvalues" in doc \
             else np.ones(m)
-        wrap = _boolean(doc.get("vanishing_wrapper", False), f"{path}.vanishing_wrapper")
-        if b == "constant" and not wrap:
-            return engine.ConstantSigma(cols), diagonal_qwiener(lam, embedding=cols)
-        model = TabulatedSigma(space, cols, vanishing_wrapper=wrap, p1=p1)
-        return model, diagonal_qwiener(lam, embedding=cols if not wrap
-                                       else np.zeros((space.dim, m)))
+        if _boolean(doc.get("vanishing_wrapper", False), f"{path}.vanishing_wrapper"):
+            return (TabulatedSigma(space, cols, p1),
+                    diagonal_qwiener(lam, embedding=np.zeros((space.dim, m))))
+        return engine.ConstantSigma(cols), diagonal_qwiener(lam, embedding=cols)
     if b == "linear-modes":
         raw = doc.get("tensors")
         _require(isinstance(raw, list) and raw, f"{path}.tensors",
@@ -358,7 +349,7 @@ def build_scenario(doc) -> engine.Scenario:
     coeff = doc.get("coefficients", {})
     _check_keys(coeff, "coefficients", [], ["F", "sigma", "gamma"])
     drift = build_drift(coeff["F"], space) if "F" in coeff else None
-    sigma, qw = build_sigma(coeff["sigma"], space, p1=p1) if "sigma" in coeff else (None, None)
+    sigma, qw = build_sigma(coeff["sigma"], space, p1) if "sigma" in coeff else (None, None)
     jumps = build_jumps(coeff["gamma"], space) if "gamma" in coeff else None
     flags_doc = doc.get("flags", {})
     _check_keys(flags_doc, "flags", [], ["vanishing_on_H1", "deterministic_P1"])

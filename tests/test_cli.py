@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_w2_cli_roundtrip(tmp_path, capsys):
     assert val == pytest.approx(1.0, abs=0.2)
 
 
+_BAD_SAMPLES = {
+    "non-numeric": "x\n1\nabc\n",
+    "nan-sort": "x\n1\nnan\n",
+    "inf-sort": "x\ninf\n2\n",
+    "nan-assignment": "x,y\n1,2\nnan,3\n",
+    "header-only": "x\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
+def test_w2_malformed_samples_are_one_error_line(tmp_path, capsys, text):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(text)
+    good.write_text("x,y\n1,2\n3,4\n" if "," in text else "x\n1\n2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a printed warning is a second stderr line
+        rc = run_cli(["w2", str(bad), str(good)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert str(bad) in err
+
+
 def test_ou_limit_cli(tmp_path, capsys):
     rc = run_cli(["ou-limit", os.path.join(SCEN, "ou-decoupled-2d.json"),
                   "--out", str(tmp_path), "--traj", "2000", "--dt", "0.01",
@@ -149,6 +173,21 @@ def test_hjmm_cli_small(tmp_path, capsys):
 def test_report_requires_manifest(tmp_path, capsys):
     assert run_cli(["report", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize("command", ["report", "hjmm"])
+def test_a_malformed_json_file_is_one_error_line(tmp_path, capsys, command, text):
+    f = tmp_path / "manifest.json"
+    f.write_text(text)
+    argv = ["report", str(tmp_path)] if command == "report" else \
+        ["hjmm", "--beta", "3", "--grid-n", "64", "--volatility", "file",
+         "--volatility-file", str(f), "--out", str(tmp_path / "o")]
+    rc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "manifest.json" in err or "volatility-file" in err
 
 
 def test_report_lists_verdicts(tmp_path, capsys):
@@ -397,6 +436,53 @@ def test_mutated_ou_limit_keeps_the_exit_contract(tmp_path, capsys, mutation):
     rc = run_cli(["ou-limit", str(f), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert _one_error_line(err)
+    assert "Traceback" not in err
+
+
+def test_tabulated_diffusion_steps_like_constant(tmp_path, capsys):
+    # both builders name one ConstantSigma, so both take the collapse
+    for builder in ("constant", "tabulated"):
+        f = tmp_path / f"{builder}.json"
+        f.write_text(json.dumps(_mutated_document("coefficients.sigma.builder", builder)))
+        assert run_cli(["simulate", str(f), "--traj", "64",
+                        "--out", str(tmp_path / builder)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "constant" / "simulate.csv").read_bytes() == \
+        (tmp_path / "tabulated" / "simulate.csv").read_bytes()
+
+
+# Property test of the w2 input contract: two sample files made of random
+# rows of numbers, non-finite values, words, blanks and ragged widths end in
+# exit 0 or in exit 1 with exactly one error line, and never in a traceback.
+
+_SAMPLE_CELL = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " ", "abc", "nan", "-inf", "1e999", "1e-400", "1e100", "-1e101",
+                     "#", '"1"']),
+    st.text(alphabet="0123456789.e+-nainfx ", max_size=6))
+_SAMPLE_FILE = st.tuples(
+    st.sampled_from(["", "x\n", "x,y\n"]),
+    st.lists(st.lists(_SAMPLE_CELL, max_size=3).map(",".join), max_size=6),
+).map(lambda hr: hr[0] + "".join(row + "\n" for row in hr[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text_a=_SAMPLE_FILE, text_b=_SAMPLE_FILE)
+@example(text_a="x\n1\n2\n", text_b="x\n1.5\n-3\n")
+@example(text_a="x,y\n1,2\n3,4\n", text_b="x,y\n0,0\n1,1\n")
+def test_w2_sample_files_keep_the_exit_contract(tmp_path, capsys, text_a, text_b):
+    fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
+    fa.write_text(text_a)
+    fb.write_text(text_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["w2", str(fa), str(fb)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
     if rc == 1:
         assert _one_error_line(err)
     assert "Traceback" not in err

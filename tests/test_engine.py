@@ -42,6 +42,45 @@ def test_step_applies_jumps_at_left_state():
     assert got[0] == pytest.approx(1.0 + 4.0 - 0.1 * 2.0)
 
 
+def _wrapped_scenario():
+    """ou-decoupled-2d with its diffusion under the vanishing wrapper."""
+    doc = scenarios.load_document(os.path.join(SCEN, "ou-decoupled-2d.json"))
+    doc["coefficients"]["sigma"]["vanishing_wrapper"] = True
+    return scenarios.build_scenario(doc)
+
+
+def test_vanishing_wrapper_is_zero_on_the_p1_range():
+    sc = _wrapped_scenario()
+    x = np.array([0.0, 3.0])            # P1 keeps coordinate 1, so x is in its range
+    assert np.all(sc.sigma.columns(x) == 0.0)
+    assert np.all(sc.sigma.apply(x[None, :], np.ones((1, 1))) == 0.0)
+    assert np.array_equal(sc.sigma.columns(np.array([2.0, 3.0])), [[1.0], [0.0]])
+    assert np.array_equal(sc.sigma.columns(np.array([0.25, 3.0])), [[0.25], [0.0]])
+
+
+@pytest.mark.parametrize("kind", ["wrapped-diffusion", "no-drift-no-noise", "jumps"])
+def test_one_trajectory_ensemble_equals_simulate_trajectory(kind):
+    # without drift and noise the step propagates the state into its own input
+    a = np.array([[-1.0, 0.5], [0.0, -0.2]])
+    op, p0 = hb.matrix_operator(hb.euclidean_space(2), a), hb.Projection(np.zeros((2, 2)))
+    if kind == "wrapped-diffusion":
+        sc = _wrapped_scenario()
+    elif kind == "no-drift-no-noise":
+        sc = eng.Scenario(op=op, P1=p0)
+    else:   # about one jump per four steps, several in some steps
+        marks = MarkSampler(GAUSSIAN_MARK, mean=np.array([0.1, -0.2]),
+                            cov_diag=np.array([0.3, 0.1]))
+        sc = eng.Scenario(op=op, P1=p0, qwiener=diagonal_qwiener([1.0]),
+                          sigma=PlainSigma([[0.5], [0.2]]),
+                          drift=lambda X: 0.1 * np.sin(X), jumps=additive_jumps(25.0, marks))
+    dt, n_steps, x = 0.01, 250, np.array([0.4, -1.3])
+    ens = eng.simulate_ensemble(sc, x, dt, n_steps, 1, 77, np.arange(n_steps + 1) * dt)
+    path = sample_path(sc.qwiener, sc.jumps, dt, n_steps, seed=77, traj_index=0)
+    hist = eng.simulate_trajectory(sc, x, path)
+    assert np.array_equal(ens.states[:, 0], hist)
+    assert not np.array_equal(hist[-1], hist[0])
+
+
 def test_ou_terminal_moments(ou1d):
     dt, T, n = 1e-3, 5.0, 20_000
     ens = eng.simulate_ensemble(ou1d, np.array([1.0]), dt, int(T / dt), n, 909, [T])
@@ -304,6 +343,19 @@ def test_grid_shift_ensemble_leaves_no_reference_cycles():
     gc.disable()
     try:
         eng.simulate_ensemble(sc, h0, sp.dx, 30, 4, 5, [30 * sp.dx])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stepped_drift_and_sigma_leave_no_reference_cycles(paper2x2):
+    # the default coefficient hook; PlainSigma keeps the ensemble off the collapse
+    sc = eng.Scenario(op=paper2x2.op, P1=paper2x2.P1, qwiener=paper2x2.qwiener,
+                      sigma=PlainSigma(paper2x2.sigma.matrix), drift=paper2x2.drift)
+    gc.collect()
+    gc.disable()
+    try:
+        eng.simulate_ensemble(sc, np.array([0.5, -0.5]), 0.01, 30, 4, 5, [0.3])
         assert gc.collect() == 0
     finally:
         gc.enable()
