@@ -407,6 +407,18 @@ def _numbers(text) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _threads(text) -> int:
+    """A thread count in ``[1, engine.MAX_THREADS]``, checked before any
+    thread starts."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if not 1 <= n <= engine.MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be in [1, {engine.MAX_THREADS}], got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="spdelab",
                                  description="dissipative stochastic dynamics: "
@@ -420,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory "
                                                    "(default $SPDELAB_OUT or ./spdelab-runs/<id>)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_threads, default=1)
 
     p = sub.add_parser("certify", help="certify dissipativity constants")
     common(p)
@@ -486,7 +498,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:    # --help and --version
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    except (SchemaError, ContractViolation, BudgetExceeded, FileNotFoundError) as e:
+    except (SchemaError, ContractViolation, BudgetExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (HypothesisViolated, CertificationFailed) as e:

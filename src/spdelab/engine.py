@@ -26,10 +26,22 @@ bit-equal to manual stepping. Every state that is recorded or reduced, and
 every state that ends a noise chunk of _CHUNK_STEPS steps, is first checked
 against BLOWUP_NORM.
 
+Blocks: trajectories are stepped in blocks of one size (the last block may
+be shorter), and up to ``threads`` workers take the blocks in turn. Besides
+_MAX_BLOCK trajectories, a block has two caps. Its noise chunk and states
+fit in _BLOCK_CAP_BYTES. And each system's states in it hold at most
+_BLOCK_STATE_VALUES = 2**16 numbers (512 KiB), so the few state-sized arrays
+of a step stay in a 2 MiB L2 cache. On a 2,048-point forward-curve grid that
+is 32 curves per block, which also gives a second thread work on runs of a
+few dozen curves. At dim <= 8 the state cap is at least _MAX_BLOCK, so it
+never binds there. The plan depends on the trajectory count, the dimension,
+the noise modes and the number of systems, never on ``threads``.
+
 Determinism: every trajectory owns Philox substreams keyed by
 ``(master_seed, trajectory_index, stream)``; blocks and threads only change
 the evaluation schedule, never the numbers. Reductions across trajectories
-are assembled in fixed block order.
+are assembled in fixed block order, and the block plan does not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -52,6 +64,8 @@ BLOWUP_NORM = 1e12
 _CHUNK_STEPS = 2048
 _BLOCK_CAP_BYTES = 192 * 2**20
 _MAX_BLOCK = 8192
+_BLOCK_STATE_VALUES = 2**16   # state values per system in a block: 512 KiB, L2-sized
+MAX_THREADS = 64              # most worker threads of one run
 MAX_STEPS = 10**9             # most grid steps of one run
 LIP_SEED = 61_003
 
@@ -332,8 +346,15 @@ def simulate_trajectory(sc: Scenario, x, path: NoisePath, record_path: bool = Tr
 
 
 def _block_size(n_traj: int, n_modes: int, dim: int, n_systems: int) -> int:
+    """Trajectories per block: the smallest of ``n_traj``, _MAX_BLOCK, those
+    whose noise chunk and states fit _BLOCK_CAP_BYTES, and those whose states
+    of one system hold at most _BLOCK_STATE_VALUES numbers. The last cap
+    keeps a step's state-sized arrays in L2 and splits large-state runs into
+    enough blocks for several threads; ``threads`` never enters, so results
+    do not depend on it."""
     per_traj = 8 * (2 * _CHUNK_STEPS * max(n_modes, 1) + 6 * dim * n_systems)
-    b = min(n_traj, _MAX_BLOCK, max(1, _BLOCK_CAP_BYTES // per_traj))
+    b = min(n_traj, _MAX_BLOCK, max(1, _BLOCK_CAP_BYTES // per_traj),
+            max(1, _BLOCK_STATE_VALUES // dim))
     return int(b)
 
 
@@ -535,7 +556,7 @@ class _Lockstep:
             for lo, hi in ranges:
                 worker(lo, hi)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            with ThreadPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
                 for f in [pool.submit(worker, lo, hi) for lo, hi in ranges]:
                     f.result()
         return terminal

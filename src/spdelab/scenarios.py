@@ -322,11 +322,13 @@ def _certificate_section(doc, space, op, p1):
 
 def load_document(path_or_text) -> dict:
     text = path_or_text
-    if not str(path_or_text).lstrip().startswith("{"):
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if not str(path_or_text).lstrip().startswith("{"):
+            with open(path_or_text, "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path_or_text}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from None
     _check_keys(doc, "$", *SCENARIO_KEYS)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spdelab import cli
+from spdelab import cli, engine, scenarios
+from spdelab.errors import SchemaError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -238,6 +239,45 @@ def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys, argv):
     assert rc == 1
     assert _one_error_line(err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "65", "1000000", "x"])
+def test_threads_outside_the_bound_are_one_error_line(tmp_path, capsys, monkeypatch, value):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+    rc = run_cli(["hjmm", "--beta", "3", "--traj", "100000", "--threads", value,
+                  "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "--threads" in err
+    assert engine.MAX_THREADS == 64
+
+
+@pytest.mark.parametrize("command", ["simulate", "w2"])
+def test_a_directory_as_input_is_one_error_line(tmp_path, capsys, command):
+    (tmp_path / "b.csv").write_text("x0\n1.0\n")
+    argv = ["simulate", str(tmp_path), "--out", str(tmp_path / "o")] if command == "simulate" \
+        else ["w2", str(tmp_path), str(tmp_path / "b.csv")]
+    rc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "directory" in err
+
+
+def test_a_scenario_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    f = tmp_path / "utf16.json"
+    f.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(SchemaError, match="utf16.json"):
+        scenarios.load_document(str(f))
+    rc = run_cli(["simulate", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "utf16.json" in err and "UTF-8" in err
 
 
 def test_unmet_hypothesis_prints_its_prefix_once(tmp_path, capsys):

@@ -365,19 +365,57 @@ def test_hjmm_concurrent_blocks_match_single_thread(monkeypatch):
     sp, sc, h0 = _small_hjmm()
     n_steps, n_traj = 60, 24
     times = [20 * sp.dx, n_steps * sp.dx]
+    assert eng._block_size(n_traj, sc.n_modes, sc.dim, 1) == n_traj
     whole = eng.simulate_ensemble(sc, h0, sp.dx, n_steps, n_traj, 31, times)
-    # blocks of 5 trajectories: 5 blocks, up to three of them in flight at once
-    monkeypatch.setattr(eng, "_BLOCK_CAP_BYTES", 5 * 8 * (2 * eng._CHUNK_STEPS + 6 * sp.dim))
-    assert eng._block_size(n_traj, sc.n_modes, sc.dim, 1) == 5
+    # blocks of 5 trajectories, cut by either cap alone: 5 blocks, up to three
+    # of them in flight at once
+    caps = [("_BLOCK_CAP_BYTES", 5 * 8 * (2 * eng._CHUNK_STEPS + 6 * sp.dim)),
+            ("_BLOCK_STATE_VALUES", 5 * sp.dim)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for threads in (1, 2, 3):
-            ens = eng.simulate_ensemble(sc, h0, sp.dx, n_steps, n_traj, 31, times,
-                                        threads=threads)
-            assert ens.states.tobytes() == whole.states.tobytes()
+        for name, value in caps:
+            with monkeypatch.context() as m:
+                m.setattr(eng, name, value)
+                assert eng._block_size(n_traj, sc.n_modes, sc.dim, 1) == 5
+                for threads in (1, 2, 3):
+                    ens = eng.simulate_ensemble(sc, h0, sp.dx, n_steps, n_traj, 31, times,
+                                                threads=threads)
+                    assert ens.states.tobytes() == whole.states.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_block_size_caps_state_values_per_system():
+    # 2**16 state values per system: 32 curves on a 2,048-point grid
+    assert eng._block_size(2000, 1, 2048, 1) == 32
+    assert eng._block_size(64, 1, 2048, 1) == 32
+    # at dim <= 8 the state cap never binds: c06's 2-D pair plan is the byte cap's
+    assert eng._block_size(10_000, 2, 2, 2) == 3063
+    assert eng._BLOCK_STATE_VALUES // 8 >= eng._MAX_BLOCK
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_block_plan_does_not_depend_on_threads(threads):
+    # 70 forward curves on 2,048 points: blocks of 32, 32 and 6 at any thread count
+    sp = hjmm.forward_space(3.0, n=2048)
+    sc = hjmm.hjmm_scenario(sp, hjmm.hjmm_example_volatility(sp, beta_prime=1000.0))
+    ls = eng._Lockstep(sc, sp.dx, [(np.full(sp.dim, 0.05), 0)], 0, 70, 3, [0.0])
+    seen = []
+    ls.run(lambda k, i, lo, hi, xs: seen.append((lo, hi)), threads)
+    assert sorted(seen) == [(0, 32), (32, 64), (64, 70)]
+
+
+def test_pair_sums_under_the_state_cap_do_not_depend_on_threads(paper2x2, monkeypatch):
+    # blocks of 5 and 3 trajectories; the pair driver sums per block
+    monkeypatch.setattr(eng, "_BLOCK_STATE_VALUES", 5 * 2)
+    x, y, dt, n, traj, seed = np.array([1.5, -0.5]), np.array([-1.0, 0.5]), 1e-3, 300, 8, 19
+    assert eng._block_size(traj, paper2x2.n_modes, paper2x2.dim, 2) == 5
+    res = [eng.simulate_pair_ensemble(paper2x2, x, y, dt, n, traj, seed, [0.1, n * dt],
+                                      keep_terminal=True, threads=threads)
+           for threads in (1, 2)]
+    for name in ("p1gap2_mean", "p1gap2_se", "gap2", "x_terminal", "y_terminal"):
+        assert getattr(res[0], name).tobytes() == getattr(res[1], name).tobytes()
 
 
 # The three ensemble drivers share one noise stream per trajectory: a pair or a
