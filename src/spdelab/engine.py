@@ -18,18 +18,23 @@ one step at a time, except for systems that all start together and are
 reduced only at snapshots, with state-independent coefficients, no jumps, a
 dense propagator, dim <= 8, n_traj > 1 and n_steps > 0: there the steps
 between two stops (snapshots and chunk ends) collapse into one contraction
-against precomputed propagator powers, and the noise part of that
-contraction is computed once and shared by every system. The pair driver
-reduces at every step, so it keeps stepping. The collapse regroups the
-floating-point sums, so a one-trajectory run keeps stepping and stays
-bit-equal to manual stepping. Every state that is recorded or reduced, and
-every state that ends a noise chunk of _CHUNK_STEPS steps, is first checked
-against BLOWUP_NORM.
+against precomputed propagator powers. The noise of such a segment is a
+fixed linear map ``w`` of the standard normals stepping would draw, so it is
+drawn from its exact law N(0, w^T w) as ``xi @ R``, with ``R`` the
+triangular QR factor of ``w`` and ``xi`` min(L m, dim) standard normals from
+the trajectory's STREAM_SEGMENT substream; that noise term is computed once
+and shared by every system. Every recorded state keeps the law of the
+stepping scheme, but not its numbers, which depend on the segment plan. The
+pair driver reduces at every step and the coupled driver starts its systems
+tau > 0 steps apart, so both keep stepping, and so does a one-trajectory
+run, which stays bit-equal to manual stepping. Every state that is recorded
+or reduced, and every state that ends a noise chunk of _CHUNK_STEPS steps,
+is first checked against BLOWUP_NORM.
 
 Blocks: trajectories are stepped in blocks of one size (the last block may
 be shorter), and up to ``threads`` workers take the blocks in turn. Besides
 _MAX_BLOCK trajectories, a block has two caps. Its noise chunk and states
-fit in _BLOCK_CAP_BYTES. And each system's states in it hold at most
+fit in _BLOCK_CAP_BYTES (a collapse draw is at most a chunk's normals). And each system's states in it hold at most
 _BLOCK_STATE_VALUES = 2**16 numbers (512 KiB), so the few state-sized arrays
 of a step stay in a 2 MiB L2 cache. On a 2,048-point forward-curve grid that
 is 32 curves per block, which also gives a second thread work on runs of a
@@ -38,10 +43,10 @@ never binds there. The plan depends on the trajectory count, the dimension,
 the noise modes and the number of systems, never on ``threads``.
 
 Determinism: every trajectory owns Philox substreams keyed by
-``(master_seed, trajectory_index, stream)``; blocks and threads only change
-the evaluation schedule, never the numbers. Reductions across trajectories
-are assembled in fixed block order, and the block plan does not depend on
-the thread count.
+``(master_seed, trajectory_index, stream)``: the Gaussian and jump streams
+when stepping, the segment stream alone on the collapse. Blocks and threads
+only change the evaluation schedule, never the numbers. Reductions across trajectories are assembled in fixed block order,
+and the block plan does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated, NumericalBlowup
 from .gdc import GdcCertificate
 from .hilbert import MATRIX_EXP, HilbertSpace, OperatorModel, Projection
-from .noise import (JumpSpec, NoisePath, QWienerSpec, STREAM_GAUSS, jump_draw, sample_path,
-                    shift_view, substream)
+from .noise import (JumpSpec, NoisePath, QWienerSpec, STREAM_GAUSS, STREAM_SEGMENT, jump_draw,
+                    sample_path, shift_view, substream)
 
 BLOWUP_NORM = 1e12
 _CHUNK_STEPS = 2048
@@ -359,21 +364,24 @@ def _block_size(n_traj: int, n_modes: int, dim: int, n_systems: int) -> int:
 
 
 class _BlockNoise:
-    """Noise for a block of trajectories, delivered in chunks.
+    """Noise for a block of trajectories, one Philox generator each.
 
-    Gaussian values are drawn per trajectory from its own substream in
-    chunk-sized pieces; chunked draws concatenate to exactly the stream a
-    one-shot ``sample_path`` would produce. Jump events are materialized up
-    front (finite activity keeps them sparse), ordered by step, then by
-    trajectory, then by draw.
+    Stepping draws each trajectory's Gaussian increments from its
+    STREAM_GAUSS substream in chunk-sized pieces, which concatenate to
+    exactly the stream a one-shot ``sample_path`` would produce. The collapse
+    (``segments``) draws instead the standard normals of its segment noise
+    factors from the trajectory's STREAM_SEGMENT substream. Jump events are
+    materialized up front (finite activity keeps them sparse), ordered by
+    step, then by trajectory, then by draw.
     """
 
     def __init__(self, sc: Scenario, dt: float, n_steps: int, master_seed: int,
-                 traj_ids: np.ndarray):
+                 traj_ids: np.ndarray, segments: bool = False):
         qw = sc.qwiener
         self.m = qw.n_modes if qw is not None else 0
         if self.m:
-            self._gens = [substream(master_seed, ti, STREAM_GAUSS) for ti in traj_ids]
+            tag = STREAM_SEGMENT if segments else STREAM_GAUSS
+            self._gens = [substream(master_seed, ti, tag) for ti in traj_ids]
             self._std = qw.increment_std(dt)
         js = sc.jumps
         self.joffsets = None
@@ -385,16 +393,18 @@ class _BlockNoise:
             self.jrows, self.jmarks = rows[order], np.concatenate([m for _, m in draws])[order]
             self.joffsets = np.searchsorted(steps[order], np.arange(n_steps + 1))
 
-    def gauss_chunk(self, k0: int, k1: int, raw: bool = False):
-        """Increments of steps ``k0:k1``, time-major and scaled; with ``raw``,
-        the trajectory-major standard normals they are made from."""
-        if not self.m:
-            return None
-        buf = np.empty((len(self._gens), k1 - k0, self.m))
+    def normals(self, n: int) -> np.ndarray:
+        """The next ``n`` standard normals of each trajectory, ``(B, n)``."""
+        buf = np.empty((len(self._gens), n))
         for b, gen in enumerate(self._gens):
             gen.standard_normal(out=buf[b])
-        if raw:
-            return buf
+        return buf
+
+    def gauss_chunk(self, k0: int, k1: int):
+        """Increments of steps ``k0:k1``, time-major and scaled."""
+        if not self.m:
+            return None
+        buf = self.normals((k1 - k0) * self.m).reshape(len(self._gens), k1 - k0, self.m)
         return np.multiply(buf.transpose(1, 0, 2), self._std,
                            out=np.empty((k1 - k0, len(self._gens), self.m)))
 
@@ -459,43 +469,62 @@ class _Lockstep:
         # the linear-additive collapse (see the module docstring)
         self.fast = (len(set(self.starts)) == 1 and not every_step and rt.linear_additive
                      and sc.dim <= 8 and n_traj > 1 and n_steps > 0)
+        # chunks [k0, k1, ends, draw]: the stops in steps k0:k1 and, on the
+        # collapse, how many standard normals each trajectory draws before
+        # the chunk, for its segments and those of the next chunks up to the
+        # next draw. A draw holds at most a raw chunk's _CHUNK_STEPS m values,
+        # so every shipped run draws once per trajectory.
         self.weights = {}
         self.chunks = []
+        budget, head = _CHUNK_STEPS * max(sc.n_modes, 1), None
         for k0 in range(0, t0 + n_steps, _CHUNK_STEPS):
             k1 = min(k0 + _CHUNK_STEPS, t0 + n_steps)
             if not self.fast:
-                self.chunks.append((k0, k1, range(k0 + 1, k1 + 1)))
+                self.chunks.append([k0, k1, range(k0 + 1, k1 + 1), 0])
                 continue
             ends = sorted({s for s in self.stops if k0 < s < k1} | {k1})
+            draw = 0
             for a, b in zip([k0, *ends], ends):
                 if b - a not in self.weights:
                     self.weights[b - a] = self._collapse_weights(b - a)
-            self.chunks.append((k0, k1, ends))
+                draw += self.weights[b - a][3]
+            if head is not None and head[3] + draw <= budget:
+                head[3], draw = head[3] + draw, 0
+            self.chunks.append([k0, k1, ends, draw])
+            if draw:
+                head = self.chunks[-1]
 
     def _collapse_weights(self, L: int):
-        """Propagator power, raw-noise weights and drift term of ``L`` steps."""
+        """Propagator power, noise factor ``R``, drift term and ``len(R)`` of
+        ``L`` steps. The noise those steps add is ``z @ w`` for the ``L m``
+        standard normals ``z`` they would draw, so its law is
+        ``N(0, w^T w)``. ``R``, the triangular factor of ``w = QR``, has the
+        same Gram matrix and ``min(L m, dim)`` rows, so ``xi @ R`` for that
+        many standard normals ``xi`` draws the same law exactly. A zero
+        column of ``w`` (a noise-free coordinate) stays a zero column of
+        ``R`` under Householder QR."""
         sc, rt = self.sc, self.rt
         q = np.empty((L, sc.dim, sc.dim))
         q[L - 1] = rt._et
         for j in range(L - 2, -1, -1):
             q[j] = q[j + 1] @ rt._et
         dterm = rt.dt * (sc.drift.value @ q.sum(axis=0)) if sc.drift is not None else None
-        w = None
-        if sc.sigma is not None:
-            # raw-noise weights: mode scaling folded in up front
+        R = None
+        if sc.sigma is not None and sc.n_modes:
+            # raw-noise weights, mode scaling folded in up front
             ct, std = sc.sigma.matrix.T.copy(), sc.qwiener.increment_std(rt.dt)
             w = (np.matmul(ct, q) * std[None, :, None]).reshape(L * ct.shape[0], sc.dim)
-        return q[0].copy(), w, dterm
+            R = np.linalg.qr(w, mode="r")
+        return q[0].copy(), R, dterm, 0 if R is None else len(R)
 
-    def _collapse(self, states, chunk, a: int, b: int):
-        """``states`` advanced over the steps at offsets ``a:b`` of a raw
-        chunk. The noise contraction is computed once and added to each
-        system's propagated state, the same sums in the same order as for
-        one system, so each system's rows do not depend on the others."""
-        q0, w, dterm = self.weights[b - a]
-        nz = None
-        if chunk is not None and w is not None:
-            nz = chunk[:, a:b, :].reshape(len(chunk), -1) @ w
+    def _collapse(self, states, xi, L: int):
+        """``states`` advanced over a segment of ``L`` steps, with ``xi`` the
+        segment's standard normals, one row per trajectory (None without
+        noise). The noise term ``xi @ R`` is computed once and added to each
+        system's propagated state, the same sums in the same order as for one
+        system, so each system's rows do not depend on the others."""
+        q0, R, dterm, _ = self.weights[L]
+        nz = xi @ R if xi is not None else None
         out = []
         for X in states:
             xn = X @ q0
@@ -524,15 +553,20 @@ class _Lockstep:
             states = [np.empty((hi - lo, sc.dim)) for _ in self.initial]
             for X, x in zip(states, self.initial):
                 X[:] = x if x.ndim == 1 else x[lo:hi]
-            noise = _BlockNoise(sc, rt.dt, t0 + self.n_steps, self.master_seed, ids)
+            noise = _BlockNoise(sc, rt.dt, t0 + self.n_steps, self.master_seed, ids, fast)
             if t0 == 0 and 0 in stops:
                 reduce(0, lookup.get(0), lo, hi, states)
-            for k0, k1, ends in self.chunks:
-                chunk = noise.gauss_chunk(k0, k1, raw=fast)
+            normals, off = None, 0
+            for k0, k1, ends, draw in self.chunks:
+                if draw:
+                    normals, off = noise.normals(draw), 0
+                chunk = None if fast else noise.gauss_chunk(k0, k1)
                 a = k0
                 for b in ends:
                     if fast:
-                        states = self._collapse(states, chunk, a - k0, b - k0)
+                        r = self.weights[b - a][3]
+                        xi = normals[:, off:off + r] if r else None
+                        states, off = self._collapse(states, xi, b - a), off + r
                     else:
                         xi = chunk[a - k0] if chunk is not None else None
                         jr, jm = noise.jumps_at(a)

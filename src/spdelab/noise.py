@@ -5,6 +5,13 @@ can be replayed bit-exactly and viewed under a time shift.
 Reproducibility contract: every random stream is a Philox generator keyed by
 ``(master_seed, trajectory_index, stream_tag)`` through ``SeedSequence`` spawn
 keys, so regeneration never depends on execution order or worker count.
+There are three stream tags:
+
+- STREAM_GAUSS: the per-step standard normals of the Q-Wiener increments;
+- STREAM_JUMP: the jump count, times and marks;
+- STREAM_SEGMENT: the standard normals from which the engine's
+  linear-additive collapse draws each segment's noise; a collapsed run reads
+  it instead of STREAM_GAUSS.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .errors import ContractViolation
 
 STREAM_GAUSS = 0
 STREAM_JUMP = 1
+STREAM_SEGMENT = 2
 QUAD_SEED = 90_210            # fixed seed for Monte-Carlo mark quadratures
 
 POINT_MASS = "point-mass"

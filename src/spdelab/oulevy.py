@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,21 +222,29 @@ def _finite_vector(v, name: str, dim: int) -> np.ndarray:
     return a
 
 
+def _positive_finite(v, name: str) -> float:
+    """``v`` as a float if it is a positive finite real number; a bool is not."""
+    if (isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
+            or not (v > 0 and math.isfinite(v))):
+        raise ContractViolation(f"{name} must be positive and finite, got {v!r}")
+    return float(v)
+
+
 def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
                 quad_step: float = 0.01) -> CfValue:
     """Quadrature evaluation of the limiting characteristic function at u.
 
     Needs a positive fitted convergence rate; ``+inf`` (residuals that vanish
     identically) makes the tail exactly zero. ``t_cut`` and ``quad_step``
-    must be positive and finite, and ask for at most MAX_QUAD_NODES steps.
+    must be positive finite real numbers (not booleans), and ask for at most
+    MAX_QUAD_NODES steps.
     """
     space = sc.space
     u = _finite_vector(u, "u", space.dim)
     x = _finite_vector(x, "x", space.dim)
-    if not (quad_step > 0 and math.isfinite(quad_step)):
-        raise ContractViolation(f"quad_step must be positive and finite, got {quad_step!r}")
-    if t_cut is not None and not (t_cut > 0 and math.isfinite(t_cut)):
-        raise ContractViolation(f"t_cut must be positive and finite, got {t_cut!r}")
+    quad_step = _positive_finite(quad_step, "quad_step")
+    if t_cut is not None:
+        t_cut = _positive_finite(t_cut, "t_cut")
     rate = sc.conv.rate
     if not rate > 0:
         raise ContractViolation(f"the fitted semigroup convergence rate {rate:.4g} "

@@ -8,11 +8,11 @@ import pytest
 from conftest import PlainSigma
 from spdelab import engine as eng
 from spdelab import hilbert as hb
-from spdelab import hjmm, scenarios
+from spdelab import cli, hjmm, scenarios
 from spdelab.errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
-from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, additive_jumps,
-                           diagonal_qwiener, sample_path)
+from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, STREAM_SEGMENT,
+                           additive_jumps, diagonal_qwiener, sample_path)
 from spdelab.wasserstein import ks_critical_value, ks_statistic
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -548,3 +548,133 @@ def test_lockstep_blocks_in_flight_match_single_thread(pinned):
         assert run(3) == whole
     finally:
         sys.setswitchinterval(interval)
+
+
+# The collapse draws each segment's noise as xi @ R, with R the triangular
+# factor of the segment's raw-noise weights w, so it has exactly the law
+# N(0, w^T w) of the per-step draws it replaces.
+
+
+def _raw_noise_weights(sc, dt, L):
+    """The weights w of the L m per-step standard normals of an L-step
+    segment, built by stepping powers of the propagator, one mode at a time."""
+    et = sc.op.semigroup_matrix(dt).T
+    cols = sc.sigma.matrix.T * sc.qwiener.increment_std(dt)[:, None]     # (m, dim)
+    rows, power = [], et
+    for _ in range(L):               # the last step's normals see one propagator
+        rows.append(cols @ power)
+        power = power @ et
+    return np.concatenate(rows[::-1])
+
+
+def test_segment_factor_has_the_gram_matrix_of_the_raw_weights(ou1d, monkeypatch, tmp_path,
+                                                               capsys):
+    seen = []
+    collapse_weights = eng._Lockstep._collapse_weights
+
+    def spy(self, L):
+        out = collapse_weights(self, L)
+        seen.append((self.sc, self.rt.dt, L, out[1]))
+        return out
+
+    monkeypatch.setattr(eng._Lockstep, "_collapse_weights", spy)
+    for name in sorted(os.listdir(SCEN)):
+        for cmd in ("simulate", "lab", "ou-limit"):
+            cli.run([cmd, os.path.join(SCEN, name), "--traj", "2",
+                     "--out", str(tmp_path / f"{cmd}-{name}")])
+    capsys.readouterr()
+    # gdc-example-2x2 is noise-free, so its segments have no noise factor
+    assert {sc.scenario_id for sc, *_, R in seen if R is None} == {"gdc-example-2x2"}
+    assert {sc.scenario_id for sc, *_, R in seen if R is not None} == {
+        "ou-decoupled-2d", "counterexample-antidissipative", "counterexample-kernel-noise"}
+    # c03's 1-D OU: 10,000 steps as segments of 2,048 and 1,808
+    eng._Lockstep(ou1d, 1e-3, [(np.array([1.0]), 0)], 10_000, 2, 1, [10.0])
+    assert sorted(L for sc, _, L, _ in seen if sc is ou1d) == [1808, 2048]
+    for sc, dt, L, R in (r for r in seen if r[3] is not None):
+        w = _raw_noise_weights(sc, dt, L)
+        assert R.shape == (min(w.shape), sc.dim)
+        gram = w.T @ w
+        assert np.abs(R.T @ R - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+@pytest.mark.parametrize("still", [0, 1])
+def test_noise_free_coordinate_stays_exactly_constant(still):
+    # a zero column of w gives a zero column of R, also as QR's first column
+    a = np.diag([0.0, -1.0] if still == 0 else [-1.0, 0.0])
+    cols = np.zeros((2, 1))
+    cols[1 - still] = 1.0
+    sc = eng.Scenario(op=hb.matrix_operator(hb.euclidean_space(2), a),
+                      P1=hb.coordinate_projection(2, [still]), qwiener=diagonal_qwiener([1.0]),
+                      sigma=eng.ConstantSigma(cols))
+    x, times = np.array([5.0, 7.0]), [0.01, 1.0, 3.0]
+    ls = eng._Lockstep(sc, 0.01, [(x, 0)], 300, 64, 3, times)
+    assert ls.fast and sorted(ls.weights) == [1, 99, 200]
+    assert all(np.all(R[:, still] == 0.0) for _, R, _, _ in ls.weights.values())
+    ens = eng.simulate_ensemble(sc, x, 0.01, 300, 64, 3, times)
+    assert np.all(ens.states[:, :, still] == x[still])
+    assert np.all(ens.states[:, :, 1 - still].std(axis=1) > 0)
+
+
+def test_segment_shorter_than_the_state_draws_fewer_normals():
+    # a 3-D state driven by one mode: the one-step segment has a 1 x 3 factor
+    a = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -1.5]])
+    sc = eng.Scenario(op=hb.matrix_operator(hb.euclidean_space(3), a),
+                      P1=hb.Projection(np.zeros((3, 3))), qwiener=diagonal_qwiener([2.0]),
+                      sigma=eng.ConstantSigma(np.array([[1.0], [0.5], [0.2]])))
+    x, dt, n, traj = np.array([1.0, -1.0, 0.5]), 0.01, 10, 20_000
+    ls = eng._Lockstep(sc, dt, [(x, 0)], n, traj, 5, [dt, n * dt])
+    assert ls.fast
+    assert {L: R.shape for L, (_, R, _, _) in ls.weights.items()} == {1: (1, 3), 9: (3, 3)}
+    assert [c[3] for c in ls.chunks] == [4]
+    ens = eng.simulate_ensemble(sc, x, dt, n, traj, 5, [dt, n * dt])
+    assert np.all(np.isfinite(ens.states))
+    # after one step the noise lies on the line of w and has its variance
+    w = _raw_noise_weights(sc, dt, 1)[0]
+    inc = ens.states[0] - x @ ls.weights[1][0]
+    assert np.abs(np.cross(inc, w)).max() <= 1e-12 * np.abs(inc).max()
+    coef = inc @ w / (w @ w)
+    assert coef.var() == pytest.approx(1.0, rel=0.05)
+
+
+def test_collapsed_run_builds_one_generator_per_trajectory(ou2d_decoupled, monkeypatch):
+    calls = []
+    substream = eng.substream
+
+    def counting(seed, traj, tag):
+        calls.append((traj, tag))
+        return substream(seed, traj, tag)
+
+    monkeypatch.setattr(eng, "substream", counting)
+    starts = [np.array([5.0, 7.0]), np.array([1.0, 3.0])]
+    # 2,500 steps span two noise chunks, drawn in one call per trajectory
+    eng.simulate_ensembles(ou2d_decoupled, starts, 1e-3, 2500, 300, 8, [1.0, 2.5])
+    assert sorted(calls) == [(i, STREAM_SEGMENT) for i in range(300)]
+
+
+# Two-sample KS at 10^5 trajectories per arm: the collapse under two segment
+# plans against per-step stepping, which PlainSigma forces.
+KS_TRAJ, KS_ALPHA = 100_000, 1e-4
+
+
+@pytest.mark.parametrize("kind", ["ou-decoupled-2d", "ou1d"])
+def test_collapsed_draws_have_the_law_of_stepping(kind, ou1d):
+    if kind == "ou1d":
+        sc = ou1d
+    else:
+        sc = scenarios.build_scenario(
+            scenarios.load_document(os.path.join(SCEN, "ou-decoupled-2d.json")))
+    step_sc = eng.Scenario(op=sc.op, P1=sc.P1, qwiener=sc.qwiener,
+                           sigma=PlainSigma(sc.sigma.matrix))
+    x, dt, n = np.full(sc.dim, 2.0), 0.005, 400
+    three = [0.5, 1.2, n * dt]
+    obs = {"x0": eng.obs_coordinate(0)}
+    assert not eng._Lockstep(step_sc, dt, [(x, 0)], n, KS_TRAJ, 1, three).fast
+    step = eng.simulate_ensemble(step_sc, x, dt, n, KS_TRAJ, 71, three, obs)
+    crit = ks_critical_value(KS_TRAJ, KS_TRAJ, alpha=KS_ALPHA)
+    for times, seed in (([n * dt], 72), (three, 73)):
+        assert eng._Lockstep(sc, dt, [(x, 0)], n, KS_TRAJ, seed, times).fast
+        ens = eng.simulate_ensemble(sc, x, dt, n, KS_TRAJ, seed, times, obs)
+        got = ens.observables["x0"]
+        want = step.observables["x0"][-len(times):]
+        for g, w in zip(got, want):
+            assert ks_statistic(g, w) < crit

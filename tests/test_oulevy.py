@@ -375,6 +375,7 @@ def no_quadrature(monkeypatch):
     {"t_cut": -5.0}, {"t_cut": 0.0}, {"t_cut": math.nan}, {"t_cut": math.inf},
     {"u": np.zeros(3)}, {"u": np.zeros((2, 2))}, {"u": 1.0}, {"u": [0.0, math.nan]},
     {"u": ["a", "b"]}, {"x": np.zeros(1)}, {"x": [[5.0, 7.0]]}, {"x": [math.inf, 0.0]},
+    {"quad_step": True}, {"t_cut": True},
 ])
 def test_limiting_cf_rejects_malformed_arguments(no_quadrature, kwargs):
     args = {"x": np.array([5.0, 7.0]), "u": np.array([1.0, 0.5]), **kwargs}
