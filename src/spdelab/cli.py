@@ -271,10 +271,20 @@ def cmd_ou_limit(args) -> int:
 
 def cmd_hjmm(args) -> int:
     _number(args.beta, "--beta", 1e-12)
+    if args.volatility != "file" and not args.beta_prime > args.beta:   # nan fails too
+        raise SchemaError(f"--beta-prime: must be > --beta {args.beta!r}, "
+                          f"got {args.beta_prime!r}")
     _number(args.horizon, "--horizon", 0.0)
     if args.dt is not None:
         _number(args.dt, "--dt", 1e-12)
+    if args.x_max is not None:
+        _number(args.x_max, "--x-max", 1e-12)
+    _integer(args.grid_n, "--grid-n", 2)
+    _integer(args.traj, "--traj", 1)
     _integer(args.seed, "--seed", 0)
+    _number(args.h0_long_rate, "--h0-long-rate")
+    _number(args.h0_amplitude, "--h0-amplitude")
+    _number(args.h0_decay, "--h0-decay")
     space = hjmm.forward_space(args.beta, x_max=args.x_max, n=args.grid_n)
     _steps(args.horizon, args.dt or space.dx, "--horizon")
     if args.volatility == "example":
@@ -287,7 +297,12 @@ def cmd_hjmm(args) -> int:
             raise SchemaError("--volatility file needs --volatility-file")
         vol = build_hjmm_volatility(_read_json(args.volatility_file), space,
                                     path="volatility-file")
-    h0 = args.h0_long_rate + args.h0_amplitude * np.exp(-args.h0_decay * space.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = args.h0_long_rate + args.h0_amplitude * np.exp(-args.h0_decay * space.grid)
+        peak = np.abs(h0).max()
+    if not peak < engine.BLOWUP_NORM:     # nan and inf fail too
+        raise SchemaError(f"--h0-long-rate, --h0-amplitude, --h0-decay: the initial curve "
+                          f"reaches {peak:.3g}, past the blow-up bound {engine.BLOWUP_NORM:g}")
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
         dt=args.dt, threads=args.threads)

@@ -72,6 +72,7 @@ _MAX_BLOCK = 8192
 _BLOCK_STATE_VALUES = 2**16   # state values per system in a block: 512 KiB, L2-sized
 MAX_THREADS = 64              # most worker threads of one run
 MAX_STEPS = 10**9             # most grid steps of one run
+MAX_TRAJ = 10**8              # most trajectories of one run
 LIP_SEED = 61_003
 
 
@@ -439,6 +440,8 @@ class _Lockstep:
             raise ContractViolation("need at least one initial state")
         if n_traj < 1:
             raise ContractViolation("n_traj must be >= 1")
+        if n_traj > MAX_TRAJ:
+            raise BudgetExceeded(f"{n_traj} trajectories exceed the budget of {MAX_TRAJ}")
         if n_steps < 0:
             raise ContractViolation("n_steps must be >= 0")
         if n_steps + max(self.starts) > MAX_STEPS:

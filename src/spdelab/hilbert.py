@@ -22,10 +22,13 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ContractViolation
+from .errors import BudgetExceeded, ContractViolation
 
 EUCLIDEAN = "euclidean"
 HBETA_GRID = "hbeta-grid"
+
+MAX_GRID_POINTS = 2**20       # most points of one forward-curve grid (8 MiB a curve)
+_MAX_WEIGHT_EXPONENT = 700.0  # largest beta x_max: e^700 and a sum of two stay finite
 
 MATRIX_EXP = "matrix-exponential"
 GRID_SHIFT = "grid-shift"
@@ -51,6 +54,10 @@ class HilbertSpace:
                 raise ContractViolation("hbeta-grid space needs a grid and beta > 0")
             if self.dim < 2 or len(self.grid) != self.dim or np.any(np.diff(self.grid) <= 0):
                 raise ContractViolation("an hbeta grid needs n >= 2 increasing points")
+            if not float(self.beta) * float(self.grid[-1]) <= _MAX_WEIGHT_EXPONENT:
+                raise ContractViolation(f"an hbeta grid needs beta x_max <= "
+                                        f"{_MAX_WEIGHT_EXPONENT:g}, or its weight "
+                                        f"e^(beta x) overflows")
         if self.weight is not None:
             if self.kind != EUCLIDEAN:
                 raise ContractViolation("weights only apply to the euclidean kind")
@@ -134,6 +141,8 @@ def weighted_space(weights) -> HilbertSpace:
     return HilbertSpace(dim=len(w), weight=w)
 
 def hbeta_grid_space(beta: float, x_max: float, n: int) -> HilbertSpace:
+    if n > MAX_GRID_POINTS:
+        raise BudgetExceeded(f"a grid of {n} points is over the budget of {MAX_GRID_POINTS}")
     grid = np.linspace(0.0, float(x_max), int(n))
     return HilbertSpace(dim=int(n), kind=HBETA_GRID, grid=grid, beta=float(beta))
 
@@ -249,8 +258,9 @@ class OperatorModel:
         return hit
 
     def shift_plan(self, t: float) -> tuple[int, float]:
-        """Decompose a shift by ``t`` into whole cells plus a fractional weight."""
-        shift = float(t) / self.space.dx
+        """Decompose a shift by ``t`` into whole cells plus a fractional weight;
+        a shift past the grid's end is one by ``dim`` cells (all terminal)."""
+        shift = min(float(t) / self.space.dx, self.space.dim)
         k = int(np.floor(shift + 1e-12))
         w = shift - k
         if w < 1e-12:

@@ -11,7 +11,15 @@ point (their analytic values there are below double resolution anyway).
 Buffers: ``example_volatility_rows``, ``cumtrapz_rows`` and
 ``hjmm_drift_rows`` accept ``out=`` (and the volatility a ``work=`` scratch
 array) and then compute in place; without them each returns a fresh array
-the caller owns. ``HjmmModel.fused`` is the engine's coefficient hook for
+the caller owns. The two kernels run their shifted-pair passes (the
+volatility's difference and pair sum, the integral's pair sum) as one 1-D
+pass over the flattened block and then overwrite the one column per row that
+took a cross-row value. They need X's shape of ``out`` and ``work``, and no
+overlap with X; any layout works, but only a C-contiguous buffer is written
+in place (another is filled from a C scratch array at the end). Each scales
+its pair sums in one multiplication by ``0.5 * dx``, bit-equal to halving and
+scaling except at pair sums below 2^-1021 (see the kernel docstrings).
+``HjmmModel.fused`` is the engine's coefficient hook for
 forward curves; it takes from the engine's per-thread workspace a first
 array that is the volatility's scratch, then the drift, then the step's
 Euler update, and one array per volatility factor (the factor value, then
@@ -60,19 +68,39 @@ class FiniteMarkMeasure:
         return self.rate, w, nodes
 
 
-def cumtrapz_rows(F: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise cumulative trapezoid integral starting at zero; ``out`` (not
-    overlapping ``F``) receives it when given."""
+def _c_buffer(a, shape):
+    """``a`` if it is C-contiguous, so that ``a.reshape(-1)`` is a view a
+    flattened pass writes through; else (or for None) a fresh C array."""
+    return a if a is not None and a.flags.c_contiguous else np.empty(shape)
+
+
+def _into(out, buf):
+    """``buf``'s values in the caller's ``out`` (if given and not ``buf``)."""
     if out is None:
-        out = np.empty_like(F)
-    # the scaling passes run over whole rows (contiguous, several times
-    # faster than the column slice), which keep column 0 at zero
-    out[:, 0] = 0.0
-    np.add(F[:, 1:], F[:, :-1], out=out[:, 1:])
-    np.multiply(out, 0.5, out=out)
-    np.multiply(out, dx, out=out)
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+        return buf
+    if out is not buf:
+        np.copyto(out, buf)
     return out
+
+
+def cumtrapz_rows(F: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise cumulative trapezoid integral starting at zero; ``out`` (F's
+    shape, any layout, not overlapping ``F``) receives it when given.
+
+    The pair sum runs as one pass over the flattened block, which leaves a
+    cross-row sum in column 0 of each row; that column is then set to zero.
+    A non-C-contiguous ``out`` is filled from a C scratch array at the end.
+    The scaling is one multiplication by ``0.5 * dx``: it equals halving and
+    then scaling except where a pair sum is below 2^-1021, where halving
+    rounds and the one product may differ by one subnormal ulp.
+    """
+    buf = _c_buffer(out, F.shape)
+    f, b = F.reshape(-1), buf.reshape(-1)
+    np.add(f[1:], f[:-1], out=b[1:])
+    buf[:, 0] = 0.0
+    np.multiply(buf, 0.5 * dx, out=buf)
+    np.cumsum(buf[:, 1:], axis=1, out=buf[:, 1:])
+    return _into(out, buf)
 
 
 def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
@@ -85,9 +113,9 @@ def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
 
     ``beta_prime = inf`` drops the last term.
     """
-    if beta <= 0 or beta_prime <= beta:
+    if not (beta > 0 and beta_prime > beta):        # nan fails too
         raise ContractViolation("need beta' > beta > 0")
-    if min(L_sigma, L_gamma) < 0 or M < 0:
+    if not (L_sigma >= 0 and L_gamma >= 0 and M >= 0):
         raise ContractViolation("constants must be nonnegative")
     pre = max(L_sigma, L_gamma) * math.sqrt(M) / beta
     term1 = math.sqrt(6.0 * M * math.sqrt(2.0))
@@ -102,43 +130,52 @@ def contraction_margin(beta: float, L_F: float, L_sigma: float, L_gamma: float) 
 
 
 def example_volatility_rows(space: HilbertSpace, X: np.ndarray, out: np.ndarray | None = None,
-                            work: np.ndarray | None = None) -> np.ndarray:
+                            work: np.ndarray | None = None,
+                            decay: np.ndarray | None = None) -> np.ndarray:
     """Single-factor volatility sigma(h)(x) = int_x^inf min(e^{-beta y}, |h'(y)|) dy.
 
     The derivative magnitude is taken by forward differences (terminal value
     copied), the tail integral by reverse cumulative trapezoid, and the piece
     beyond the grid in closed form with |h'| continued at its terminal value.
     The terminal node is clamped to zero (exact zero-long-rate range).
-    ``out`` receives the result and ``work`` is scratch; both have X's shape
-    and must not overlap X or each other.
+    ``out`` receives the result and ``work`` is scratch; both have X's shape,
+    may have any layout and must not overlap X or each other. ``decay`` is
+    the row e^{-beta x} on the grid, computed here when not given.
+
+    The difference and the pair sum each run as one pass over the flattened
+    block, which puts a cross-row value in each row's last column; the code
+    overwrites that column afterwards (numpy may warn if that discarded value
+    overflows). A non-C-contiguous ``out`` or ``work`` is replaced by a C
+    scratch array, and ``out`` is filled from it at the end. The scaling is
+    one multiplication by ``0.5 * dx``: it equals halving and then scaling
+    except where a pair sum is below 2^-1021 (|h'| that small; e^{-beta x}
+    stays above it where beta x_max <= 700, as every grid needs), where
+    halving rounds and the one product may differ by one subnormal ulp.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     beta, g, dx = space.beta, space.grid, space.dx
-    if out is None:
-        out = np.empty_like(X)
-    if work is None:
-        work = np.empty_like(X)
-    # elementwise passes run over whole rows where the spare column is
-    # harmless: contiguous passes are several times faster than column slices
-    np.subtract(X[:, 1:], X[:, :-1], out=work[:, :-1])
-    work[:, -1] = work[:, -2]
-    np.abs(work, out=work)
-    np.divide(work, dx, out=work)
-    c = work[:, -1].copy()
-    f = np.minimum(np.exp(-beta * g), work, out=work)
-    np.add(f[:, :-1], f[:, 1:], out=out[:, :-1])
-    out[:, -1] = 0.0
-    np.multiply(out, 0.5, out=out)
-    np.multiply(out, dx, out=out)
-    rev = out[:, -2::-1]
+    if decay is None:
+        decay = np.exp(-beta * g)
+    res, w = _c_buffer(out, X.shape), _c_buffer(work, X.shape)
+    x, wf = X.reshape(-1), w.reshape(-1)
+    np.subtract(x[1:], x[:-1], out=wf[:-1])
+    w[:, -1] = w[:, -2]
+    np.abs(w, out=w)
+    np.divide(w, dx, out=w)
+    c = w[:, -1].copy()
+    np.minimum(decay, w, out=w)
+    np.add(wf[:-1], wf[1:], out=res.reshape(-1)[:-1])
+    res[:, -1] = 0.0
+    np.multiply(res, 0.5 * dx, out=res)
+    rev = res[:, -2::-1]
     np.cumsum(rev, axis=1, out=rev)
     edge = math.exp(-beta * g[-1])
     ystar = -np.log(np.maximum(c, 1e-300)) / beta
     tail = np.where(c >= edge, edge / beta,
                     np.where(c > 0, c * (ystar - g[-1]) + c / beta, 0.0))
-    out += tail[:, None]
-    out[:, -1] = 0.0
-    return out
+    res += tail[:, None]
+    res[:, -1] = 0.0
+    return _into(out, res)
 
 
 @dataclass(eq=False)
@@ -171,8 +208,10 @@ class HjmmVolatility:
 def hjmm_example_volatility(space: HilbertSpace,
                             beta_prime: float = math.inf) -> HjmmVolatility:
     """The worked single-factor model: M = 1/beta, L_sigma = 1, no jumps."""
-    def factor(X, out=None, work=None, _sp=space):
-        return example_volatility_rows(_sp, X, out=out, work=work)
+    decay = np.exp(-space.beta * space.grid)
+
+    def factor(X, out=None, work=None):
+        return example_volatility_rows(space, X, out=out, work=work, decay=decay)
 
     return HjmmVolatility(sigma_factors=(factor,), M=1.0 / space.beta, L_sigma=1.0,
                           L_gamma=0.0, beta_prime=beta_prime,

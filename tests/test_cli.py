@@ -526,3 +526,53 @@ def test_w2_sample_files_keep_the_exit_contract(tmp_path, capsys, text_a, text_b
     if rc == 1:
         assert _one_error_line(err)
     assert "Traceback" not in err
+
+
+# Property test of the hjmm argv contract: one or two flags set to
+# non-finite, huge, negative, zero or non-numeric values end in exit 0-3,
+# exit 1 comes with exactly one error line, and there is never a traceback or
+# a numpy warning. A non-finite or non-numeric value is malformed for every
+# flag (except --beta-prime inf, which drops a term of L_F) and ends in exit
+# 1 naming a changed flag. The base run has a 64-point grid, 13 steps and 4
+# curves, and the curated values make no long run (no tiny --dt, and no
+# --grid-n or --traj that is large but within its budget), so an example
+# takes milliseconds.
+
+_HJMM_BASE = {"--beta": "3", "--grid-n": "64", "--horizon": "4", "--traj": "4",
+              "--seed": "1"}
+_HJMM_FLOAT = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e30", "-1", "0",
+                               "-0.0", "0.5", "1", "2.5", "x"])
+_HJMM_COUNT = st.sampled_from(["nan", "inf", "1e3", "-1", "0", "1", "2", "3", "10" * 15,
+                               str(2**63), "x"])
+_HJMM_FLAGS = {flag: _HJMM_FLOAT for flag in
+               ("--beta", "--beta-prime", "--x-max", "--dt", "--horizon", "--h0-long-rate",
+                "--h0-amplitude", "--h0-decay")}
+_HJMM_FLAGS.update({"--grid-n": _HJMM_COUNT, "--traj": _HJMM_COUNT})
+_HJMM_ARGV = st.lists(st.sampled_from(sorted(_HJMM_FLAGS)), min_size=1, max_size=2,
+                      unique=True).flatmap(
+    lambda flags: st.fixed_dictionaries({f: _HJMM_FLAGS[f] for f in flags}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=_HJMM_ARGV)
+@example(flags={"--beta-prime": "nan"})
+@example(flags={"--x-max": "inf"})
+@example(flags={"--h0-decay": "-1000"})
+@example(flags={"--beta": "1e308", "--beta-prime": "inf"})     # e^(beta x) overflows
+@example(flags={"--dt": "1e308", "--horizon": "1e308"})        # one step past the grid
+def test_hjmm_flags_keep_the_exit_contract(tmp_path, capsys, flags):
+    argv = ["hjmm", "--out", str(tmp_path)]
+    for flag, value in {**_HJMM_BASE, **flags}.items():
+        argv += [flag, value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert _one_error_line(err)
+    assert "Traceback" not in err
+    if any(v in ("nan", "-inf", "x") or (v == "inf" and f != "--beta-prime")
+           for f, v in flags.items()):
+        assert rc == 1 and any(f in err for f in flags), err

@@ -30,6 +30,10 @@ def test_lf_bound_monotone_in_beta_prime():
 def test_lf_bound_contracts():
     with pytest.raises(ContractViolation):
         hjmm.lf_bound(1.0, 0.0, 0.5, 3.0, 2.0)
+    for args in [(1.0, 0.0, 0.5, math.nan, 5.0), (1.0, 0.0, 0.5, 3.0, math.nan),
+                 (1.0, 0.0, math.nan, 3.0, 5.0)]:
+        with pytest.raises(ContractViolation):
+            hjmm.lf_bound(*args)
 
 
 def test_example_volatility_vanishes_on_constants():
@@ -339,3 +343,114 @@ def test_engine_step_bit_identical_to_reference_step(extra_factor):
         X[:, -1:] = upd[:, -1:]
         assert _same_bits(got[k + 1], X[0])
     assert got[-1][-1] == h0[-1]
+
+
+# The merged scaling multiplies a pair sum p by 0.5 dx once, where the
+# references halve and then scale. Halving is exact unless p < 2^-1021, so
+# there the two may differ by one subnormal ulp per scaled value. Below
+# 2^-1021 every value here is a multiple of 2^-1074 and every partial sum
+# stays under 2^-1021, so the sums are exact and column j differs from the
+# reference by at most the number of such pairs summed into it.
+
+TINY = 2.0 ** -1021
+ULP = 2.0 ** -1074
+
+
+def _within_subnormal_ulps(got, want, below_summed):
+    return np.all(np.abs(got - want) <= below_summed * ULP)
+
+
+def _rounds_differently(pair, dx):
+    """Whether halving then scaling some pair sums differs from one product."""
+    return np.any((0.5 * pair) * dx != pair * (0.5 * dx))
+
+
+def test_cumtrapz_rows_near_subnormal_scaling():
+    gen = np.random.Generator(np.random.Philox(21))
+    dx = 0.3                                     # coarse: more of the pairs round apart
+    F = np.vstack([gen.uniform(2.0 ** -1024, 2.0 ** -1021, (400, 4)),   # sums on both sides
+                   gen.uniform(2.0 ** -1020, 2.0 ** -1018, (50, 4))])   # sums above only
+    pair = F[:, 1:] + F[:, :-1]
+    below = pair < TINY
+    mixed = slice(0, 400)
+    assert below[mixed].any() and (~below[mixed]).any() and not below[400:].any()
+    assert _rounds_differently(pair[below], dx)
+    got, want = hjmm.cumtrapz_rows(F, dx), _ref_cumtrapz_rows(F, dx)
+    assert np.all(want[mixed, -1] < TINY)        # the sums stay exact
+    summed = np.zeros(F.shape)
+    summed[:, 1:] = np.cumsum(below, axis=1)
+    assert _within_subnormal_ulps(got, want, summed)
+    assert _same_bits(got[400:], want[400:])
+
+
+def test_example_volatility_rows_near_subnormal_scaling():
+    # |h'| near 2^-1021 (e^{-beta x} is normal on any valid grid); a 4-point
+    # grid with a coarse cell keeps the tail sums below 2^-1021, and a flat
+    # last cell makes the closed-form tail zero
+    sp = hjmm.forward_space(3.0, x_max=0.9, n=4)
+    gen = np.random.Generator(np.random.Philox(22))
+    slopes = np.vstack([gen.uniform(2.0 ** -1024, 2.0 ** -1020, (400, 2)),
+                        gen.uniform(2.0 ** -1020, 2.0 ** -1018, (50, 2))])
+    X = np.zeros((450, sp.dim))
+    X[:, 1:3] = np.cumsum(slopes * sp.dx, axis=1)
+    X[:, 3] = X[:, 2]
+    f = np.minimum(np.exp(-sp.beta * sp.grid),
+                   np.concatenate([np.abs(np.diff(X, axis=1)) / sp.dx,
+                                   np.zeros((450, 1))], axis=1))
+    pair = f[:, :-1] + f[:, 1:]
+    below = (pair > 0) & (pair < TINY)          # halving zero is exact
+    mixed = slice(0, 400)
+    assert below[mixed].any() and (~below[mixed]).any() and not below[400:].any()
+    assert _rounds_differently(pair[below], sp.dx)
+    got, want = hjmm.example_volatility_rows(sp, X), _ref_example_volatility_rows(sp, X)
+    assert np.all(want[mixed, 0] < TINY)
+    summed = np.zeros(X.shape)
+    summed[:, :-1] = np.cumsum(below[:, ::-1], axis=1)[:, ::-1]
+    assert _within_subnormal_ulps(got, want, summed)
+    assert _same_bits(got[400:], want[400:])
+
+
+# Any layout the kernels accept: a column slice of a wider array, Fortran
+# order and a broadcast row as input; buffers that are row slices of a larger
+# array (C-contiguous, written in place) or column slices and Fortran arrays
+# (not C-contiguous, so a flattened pass cannot write through them).
+
+def _layouts(X):
+    wide = np.full((X.shape[0], X.shape[1] + 5), 7.0)
+    wide[:, :X.shape[1]] = X
+    return {"C": X, "columns": wide[:, :X.shape[1]], "fortran": np.asfortranarray(X),
+            "broadcast": np.broadcast_to(X[2], X.shape)}
+
+
+def _buffers(shape):
+    """Buffer layouts, each with the cells around it in its larger array."""
+    b, n = shape
+    rows = np.full((b + 4, n), np.nan)
+    cols = np.full((b, n + 3), np.nan)
+    return [(rows[2:b + 2], [rows[:2], rows[b + 2:]]),
+            (cols[:, 1:n + 1], [cols[:, :1], cols[:, n + 1:]]),
+            (np.full(shape, np.nan, order="F"), [])]
+
+
+def _untouched(around):
+    return all(np.all(np.isnan(a)) for a in around)
+
+
+@pytest.mark.parametrize("layout", ["C", "columns", "fortran", "broadcast"])
+def test_kernels_any_layout_bit_identical_to_reference(layout):
+    sp = hjmm.forward_space(3.0, n=257)
+    base = _kernel_curves(sp)
+    X = _layouts(base)[layout]
+    want = _ref_example_volatility_rows(sp, np.ascontiguousarray(X))
+    assert _same_bits(hjmm.example_volatility_rows(sp, X), want)
+    for (out, out_around), (work, work_around) in zip(_buffers(X.shape),
+                                                      _buffers(X.shape)[::-1]):
+        got = hjmm.example_volatility_rows(sp, X, out=out, work=work)
+        assert got is out and _same_bits(got, want)
+        assert _untouched(out_around) and _untouched(work_around)
+    F = _layouts(want)[layout]
+    want_ct = _ref_cumtrapz_rows(np.ascontiguousarray(F), sp.dx)
+    assert _same_bits(hjmm.cumtrapz_rows(F, sp.dx), want_ct)
+    for out, around in _buffers(F.shape):
+        assert hjmm.cumtrapz_rows(F, sp.dx, out=out) is out and _same_bits(out, want_ct)
+        assert _untouched(around)
