@@ -297,6 +297,8 @@ def cmd_hjmm(args) -> int:
             raise SchemaError("--volatility file needs --volatility-file")
         vol = build_hjmm_volatility(_read_json(args.volatility_file), space,
                                     path="volatility-file")
+    if vol.vanishing_at_constants and hjmm.fit_snapshots(args.horizon, args.dt or space.dx) < 4:
+        raise SchemaError(f"--horizon: {args.horizon!r} leaves too few snapshots for the decay fit")
     with np.errstate(over="ignore", invalid="ignore"):
         h0 = args.h0_long_rate + args.h0_amplitude * np.exp(-args.h0_decay * space.grid)
         peak = np.abs(h0).max()

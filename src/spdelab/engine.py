@@ -62,8 +62,7 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated, NumericalBlowup
 from .gdc import GdcCertificate
 from .hilbert import MATRIX_EXP, HilbertSpace, OperatorModel, Projection
-from .noise import (JumpSpec, NoisePath, QWienerSpec, STREAM_GAUSS, STREAM_SEGMENT, jump_draw,
-                    sample_path, shift_view, substream)
+from .noise import JumpSpec, QWienerSpec, STREAM_GAUSS, STREAM_SEGMENT, jump_draw, substream
 
 BLOWUP_NORM = 1e12
 _CHUNK_STEPS = 2048
@@ -283,11 +282,9 @@ class _Runtime:
     def assert_finite(out, step_index, traj_ids, last_passed=None):
         """Raise ``NumericalBlowup`` if a row of ``out`` is past BLOWUP_NORM;
         ``last_passed`` is the step of the previous check these rows passed."""
-        mx = np.abs(out).max() if out.size else 0.0
-        if not mx < BLOWUP_NORM:
+        if not np.abs(out).max() < BLOWUP_NORM:
             bad = ~(np.abs(out).max(axis=1) < BLOWUP_NORM)
-            ids = traj_ids[bad] if traj_ids is not None else np.nonzero(bad)[0]
-            raise NumericalBlowup(step_index, ids.tolist(), last_passed)
+            raise NumericalBlowup(step_index, traj_ids[bad].tolist(), last_passed)
 
     @property
     def linear_additive(self) -> bool:
@@ -298,53 +295,6 @@ class _Runtime:
                 and (sc.drift is None or isinstance(sc.drift, ConstantDrift))
                 and (sc.sigma is None or isinstance(sc.sigma, ConstantSigma))
                 and self.sc.op.semigroup_mode == MATRIX_EXP)
-
-
-def step(sc: Scenario, x, dt: float, gaussian_inc=None, jump_marks=None) -> np.ndarray:
-    """One exponential-Euler update of a single state vector."""
-    rt = _Runtime(sc, dt)
-    X = np.asarray(x, dtype=float)[None, :].copy()
-    if gaussian_inc is not None:
-        xi = np.asarray(gaussian_inc, dtype=float)[None, :]
-    elif sc.n_modes:
-        xi = np.zeros((1, sc.n_modes))
-    else:
-        xi = None
-    if jump_marks is not None and len(jump_marks):
-        jm = np.atleast_2d(np.asarray(jump_marks, dtype=float))
-        jrows = np.zeros(len(jm), dtype=np.int64)
-    else:
-        jm, jrows = None, None
-    out = rt.advance(X, xi, jrows, jm)
-    rt.assert_finite(out, 0, None)
-    return out[0]
-
-
-def simulate_trajectory(sc: Scenario, x, path: NoisePath, record_path: bool = True):
-    """Step one trajectory through a recorded noise path.
-
-    Returns the full state history ``(n_steps+1, dim)`` when ``record_path``,
-    otherwise just the terminal state.
-    """
-    rt = _Runtime(sc, path.dt)
-    X = np.asarray(x, dtype=float)[None, :].copy()
-    if X.shape[1] != sc.dim:
-        raise ContractViolation("initial state does not match the scenario dimension")
-    hist = np.empty((path.n_steps + 1, sc.dim)) if record_path else None
-    if record_path:
-        hist[0] = X[0]
-    # the jumps of step k are jump_marks[offsets[k]:offsets[k + 1]]
-    offsets = np.searchsorted(path.jump_steps, np.arange(path.n_steps + 1))
-    for k in range(path.n_steps):
-        xi = path.gaussian[k][None, :] if path.gaussian.shape[1] else None
-        a, b = offsets[k], offsets[k + 1]
-        jrows, jm = (np.zeros(b - a, dtype=np.int64), path.jump_marks[a:b]) if b > a \
-            else (None, None)
-        X = rt.advance(X, xi, jrows, jm)
-        rt.assert_finite(X, k, None, k - 1 if k else None)
-        if record_path:
-            hist[k + 1] = X[0]
-    return hist if record_path else X[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +413,8 @@ class _Lockstep:
         if any(x.shape not in ((sc.dim,), (n_traj, sc.dim)) for x in self.initial):
             raise ContractViolation("initial states must be (dim,) or (n_traj, dim) "
                                     "in the scenario dimension")
+        if not np.max([np.abs(x).max() for x in self.initial]) < BLOWUP_NORM:   # nan fails too
+            raise ContractViolation(f"initial states must be below the blow-up bound {BLOWUP_NORM:g}")
         self.sc, self.master_seed = sc, int(master_seed)
         self.rt = rt = _Runtime(sc, dt)
         self.t0 = t0 = max(self.starts)         # grid step = that clock's step + t0
@@ -758,20 +710,6 @@ def simulate_coupled_ensemble(sc: Scenario, x, tau_steps: int, dt: float, n_step
     return CoupledEnsembleResult(dt=float(dt), n_steps=n_steps, n_traj=n_traj,
                                  snapshot_times=ls.snap_steps * float(dt),
                                  coupling_gap2=gap2, y_terminal=yt, x_terminal=xt)
-
-
-def coupled_pair(sc: Scenario, x, tau: float, dt: float, n_steps: int, seed: int,
-                 traj_index: int = 0):
-    """Single-trajectory coupling: X driven by a recorded path on [0, T+tau],
-    Y by the tau-shifted view of the same record. Returns both state histories."""
-    tau_steps = int(round(tau / dt))
-    if abs(tau_steps * dt - tau) > 1e-9 * max(1.0, abs(tau)):
-        raise ContractViolation("tau must be a multiple of dt")
-    path = sample_path(sc.qwiener, sc.jumps, dt, int(n_steps) + tau_steps, seed,
-                       traj_index=traj_index)
-    x_hist = simulate_trajectory(sc, x, path)
-    y_hist = simulate_trajectory(sc, x, shift_view(path, tau_steps))
-    return {"x_path": x_hist, "y_path": y_hist, "tau_steps": tau_steps, "path": path}
 
 
 # ---------------------------------------------------------------------------

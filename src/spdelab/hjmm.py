@@ -111,7 +111,9 @@ def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
           ( sqrt(6 M sqrt(2)) + sqrt(8/beta^3 + 16/beta)
             + sqrt((16 (1 + 1/sqrt(beta))^2 + 48) / (beta' - beta)) ).
 
-    ``beta_prime = inf`` drops the last term.
+    ``beta_prime = inf`` drops the last term. From ``beta = 1e100`` on,
+    8/beta^3 is below 2^-53 of 16/beta and leaves the sum unchanged, so it is
+    dropped there, which keeps ``beta**3`` from overflowing.
     """
     if not (beta > 0 and beta_prime > beta):        # nan fails too
         raise ContractViolation("need beta' > beta > 0")
@@ -119,7 +121,7 @@ def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
         raise ContractViolation("constants must be nonnegative")
     pre = max(L_sigma, L_gamma) * math.sqrt(M) / beta
     term1 = math.sqrt(6.0 * M * math.sqrt(2.0))
-    term2 = math.sqrt(8.0 / beta**3 + 16.0 / beta)
+    term2 = math.sqrt((8.0 / beta**3 if beta < 1e100 else 0.0) + 16.0 / beta)
     term3 = 0.0 if math.isinf(beta_prime) else \
         math.sqrt((16.0 * (1.0 + 1.0 / math.sqrt(beta))**2 + 48.0) / (beta_prime - beta))
     return pre * (term1 + term2 + term3)
@@ -367,6 +369,11 @@ class HjmmReport:
     verdicts: list
 
 
+def fit_snapshots(horizon: float, dt: float, spacing: float = 0.25, fit_burn: float = 0.5) -> int:
+    """Snapshots at or after ``fit_burn``: the points of the decay fit."""
+    return int(np.sum(snapshot_grid(horizon, dt, spacing) >= fit_burn))
+
+
 def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
                                horizon: float, n_traj: int, seed: int,
                                dt: float | None = None,
@@ -392,6 +399,9 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         dt = space.dx
     n_steps = int(round(horizon / dt))
     snap_times = snapshot_grid(horizon, dt, snapshot_spacing)
+    if vol.vanishing_at_constants and fit_snapshots(horizon, dt, snapshot_spacing, fit_burn) < 4:
+        raise ContractViolation(f"horizon {horizon!r} leaves fewer than 4 snapshots at or "
+                                f"after fit_burn {fit_burn!r} for the decay fit")
     target = np.full(space.dim, h0[-1])
     obs = {"dist2": obs_norm2(space, center=target), "long_rate": obs_coordinate(space.dim - 1),
            "short_rate": obs_coordinate(0)}
@@ -402,9 +412,10 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     lr_dev = float(np.abs(ens.observables["long_rate"] - h0[-1]).max())
     verdicts = []
     if vol.vanishing_at_constants:
-        mode, theoretical, at_floor = "vanishing", margin, False
+        # started at the long rate, the series stays zero: nothing to fit
+        mode, theoretical, at_floor = "vanishing", margin, mean[0] == 0.0
         keep = (snap_times >= fit_burn) & (mean > max(mean[0], 1e-300) * 1e-12)
-        fitted = fit_exponential(snap_times[keep], mean[keep]).rate
+        fitted = math.nan if at_floor else fit_exponential(snap_times[keep], mean[keep]).rate
         ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
         verdicts.append(("decay-bound", "pass" if ok_bound else "fail",
                          "second-moment decay within the certified envelope"))
@@ -420,7 +431,10 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         at_floor = keep.sum() < 4
         fitted = math.nan if at_floor else \
             fit_exponential(snap_times[:-1][keep], w2_snap[keep]).rate
-    if at_floor:
+    if at_floor and mode == "vanishing":
+        ok_rate = not mean.any()
+        rate_detail = "started at the long rate; no decay to fit"
+    elif at_floor:
         ok_rate = bool(w2_snap[-1] <= 2.0 * floor + 1e-12)
         rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
                        f"before a rate could be fitted")

@@ -1,6 +1,6 @@
 """Driving noise: Q-Wiener increments in a truncated eigenbasis and
-finite-activity compensated Poisson jumps, recorded on a time grid so paths
-can be replayed bit-exactly and viewed under a time shift.
+finite-activity compensated Poisson jumps, drawn per trajectory from
+counter-based substreams.
 
 Reproducibility contract: every random stream is a Philox generator keyed by
 ``(master_seed, trajectory_index, stream_tag)`` through ``SeedSequence`` spawn
@@ -12,11 +12,14 @@ There are three stream tags:
 - STREAM_SEGMENT: the standard normals from which the engine's
   linear-additive collapse draws each segment's noise; a collapsed run reads
   it instead of STREAM_GAUSS.
+
+The engine draws them block by block; ``sample_path`` draws one trajectory's
+increments and jump events at once, as plain arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,21 +217,6 @@ def additive_jumps(total_rate: float, marks: MarkSampler) -> JumpSpec:
                     compensator_mean=compensator)
 
 
-@dataclass(frozen=True, eq=False)
-class NoisePath:
-    """Materialized noise on a step grid; slices of it act as shifted views."""
-
-    dt: float
-    n_steps: int
-    gaussian: np.ndarray       # (n_steps, n_modes), variance dt*lambda_j
-    jump_steps: np.ndarray     # (K,) sorted step indices
-    jump_marks: np.ndarray     # (K, mark_dim)
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ContractViolation("dt must be positive")
-
-
 def jump_draw(js: JumpSpec, dt: float, n_steps: int, seed: int, traj_index: int):
     """One trajectory's jump events over ``n_steps`` steps, in draw order:
     the step of each event and its mark, from the trajectory's jump stream."""
@@ -238,39 +226,22 @@ def jump_draw(js: JumpSpec, dt: float, n_steps: int, seed: int, traj_index: int)
 
 
 def sample_path(qw: QWienerSpec | None, js: JumpSpec | None, dt: float,
-                n_steps: int, seed: int, traj_index: int = 0) -> NoisePath:
-    """Draw one trajectory's noise record from its derived substreams."""
+                n_steps: int, seed: int, traj_index: int = 0):
+    """One trajectory's noise over ``n_steps`` steps as plain arrays
+    ``(gaussian, jump_steps, jump_marks)``: the increments ``(n_steps,
+    n_modes)`` with variance ``dt * lambda_j``, the sorted step of each jump
+    and its mark. The increments are the STREAM_GAUSS numbers that stepping
+    draws in chunks."""
     if dt <= 0:
         raise ContractViolation("dt must be positive")
     n_steps = int(n_steps)
     if qw is not None and qw.n_modes > 0:
-        gen = substream(seed, traj_index, STREAM_GAUSS)
-        gauss = gen.standard_normal((n_steps, qw.n_modes))
+        gauss = substream(seed, traj_index, STREAM_GAUSS).standard_normal((n_steps, qw.n_modes))
         gauss *= qw.increment_std(dt)
     else:
         gauss = np.zeros((n_steps, 0))
     if js is not None and js.total_rate > 0:
         pos, marks = jump_draw(js, dt, n_steps, seed, traj_index)
         order = np.argsort(pos, kind="stable")
-        steps, marks = pos[order], marks[order]
-    else:
-        steps = np.zeros(0, dtype=np.int64)
-        marks = np.zeros((0, js.marks.dim if js is not None else 0))
-    return NoisePath(dt=dt, n_steps=n_steps, gaussian=gauss, jump_steps=steps,
-                     jump_marks=marks)
-
-
-def shift_view(path: NoisePath, tau_steps: int) -> NoisePath:
-    """View of the record starting ``tau_steps`` later; no array data is copied."""
-    tau_steps = int(tau_steps)
-    if not 0 <= tau_steps <= path.n_steps:
-        raise ContractViolation(
-            f"shift {tau_steps} outside the recorded range [0, {path.n_steps}]")
-    if tau_steps == 0:
-        return path
-    i0 = int(np.searchsorted(path.jump_steps, tau_steps, side="left"))
-    return replace(path,
-                   n_steps=path.n_steps - tau_steps,
-                   gaussian=path.gaussian[tau_steps:],
-                   jump_steps=path.jump_steps[i0:] - tau_steps,
-                   jump_marks=path.jump_marks[i0:])
+        return gauss, pos[order], marks[order]
+    return gauss, np.zeros(0, dtype=np.int64), np.zeros((0, js.marks.dim if js is not None else 0))

@@ -348,6 +348,42 @@ def test_blowup_is_one_error_line_naming_both_checks(tmp_path, capsys):
     assert "at step 499" in err and "last passed check: step 4" in err
 
 
+def test_a_zero_step_run_rejects_an_initial_state_past_the_blowup_bound(tmp_path, capsys):
+    with open(os.path.join(SCEN, "ou-decoupled-2d.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["experiment"]["simulate"].update(initial=[1e300, 7.0], snapshots=[0.0],
+                                         observables=["norm2", "coord:0"])
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["simulate", str(f), "--steps", "0", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and "blow-up bound" in err
+    assert not (tmp_path / "o" / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize("horizon", ["0.3", "1.25"])
+def test_hjmm_horizon_too_short_for_the_decay_fit_names_the_flag(tmp_path, capsys, horizon):
+    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4",
+                  "--horizon", horizon, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and "--horizon" in err
+    assert not (tmp_path / "hjmm_decay.csv").exists()
+
+
+def test_hjmm_start_at_the_long_rate_passes(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4",
+                      "--h0-amplitude", "0", "--horizon", "2", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[pass] decay-rate: started at the long rate" in out
+
+
 def _mutated_document(path, value):
     """A scenario document with the value at the dotted ``path`` replaced;
     ``hjmm.*`` paths start from a small forward-curve document."""

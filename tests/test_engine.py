@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import PlainSigma
+from reference import coupled_pair, sample_path, simulate_trajectory, step
 from spdelab import engine as eng
 from spdelab import hilbert as hb
 from spdelab import cli, hjmm, scenarios
 from spdelab.errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
 from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, STREAM_SEGMENT,
-                           additive_jumps, diagonal_qwiener, sample_path)
+                           additive_jumps, diagonal_qwiener)
 from spdelab.wasserstein import ks_critical_value, ks_statistic
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -21,7 +22,7 @@ SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 def test_step_pure_semigroup(paper2x2):
     sc = eng.Scenario(op=paper2x2.op, P1=paper2x2.P1)
     x = np.array([0.7, -0.2])
-    got = eng.step(sc, x, 0.05)
+    got = step(sc, x, 0.05)
     assert np.allclose(got, paper2x2.op.apply_semigroup(0.05, x), atol=1e-14)
 
 
@@ -29,7 +30,7 @@ def test_step_euler_on_constant_drift():
     op = hb.matrix_operator(hb.euclidean_space(2), np.zeros((2, 2)))
     sc = eng.Scenario(op=op, P1=hb.Projection(np.zeros((2, 2))),
                       drift=eng.ConstantDrift([0.5, -1.0]))
-    got = eng.step(sc, np.array([1.0, 1.0]), 0.1)
+    got = step(sc, np.array([1.0, 1.0]), 0.1)
     assert np.allclose(got, [1.05, 0.9], atol=1e-15)
 
 
@@ -37,7 +38,7 @@ def test_step_applies_jumps_at_left_state():
     op = hb.matrix_operator(hb.euclidean_space(1), [[0.0]])
     js = additive_jumps(1.0, MarkSampler(POINT_MASS, point=np.array([2.0])))
     sc = eng.Scenario(op=op, P1=hb.Projection(np.zeros((1, 1))), jumps=js)
-    got = eng.step(sc, np.array([1.0]), 0.1, jump_marks=np.array([[2.0], [2.0]]))
+    got = step(sc, np.array([1.0]), 0.1, jump_marks=np.array([[2.0], [2.0]]))
     # two jumps of +2, compensator 1.0*2.0 per unit time
     assert got[0] == pytest.approx(1.0 + 4.0 - 0.1 * 2.0)
 
@@ -76,7 +77,7 @@ def test_one_trajectory_ensemble_equals_simulate_trajectory(kind):
     dt, n_steps, x = 0.01, 250, np.array([0.4, -1.3])
     ens = eng.simulate_ensemble(sc, x, dt, n_steps, 1, 77, np.arange(n_steps + 1) * dt)
     path = sample_path(sc.qwiener, sc.jumps, dt, n_steps, seed=77, traj_index=0)
-    hist = eng.simulate_trajectory(sc, x, path)
+    hist = simulate_trajectory(sc, x, path)
     assert np.array_equal(ens.states[:, 0], hist)
     assert not np.array_equal(hist[-1], hist[0])
 
@@ -94,10 +95,10 @@ def test_ou_terminal_moments(ou1d):
 def test_single_trajectory_reproduces_manual_stepping(ou1d):
     dt, n_steps = 0.01, 200
     path = sample_path(ou1d.qwiener, None, dt, n_steps, seed=321, traj_index=0)
-    hist = eng.simulate_trajectory(ou1d, np.array([0.5]), path)
+    hist = simulate_trajectory(ou1d, np.array([0.5]), path)
     x = np.array([0.5])
     for k in range(n_steps):
-        x = eng.step(ou1d, x, dt, gaussian_inc=path.gaussian[k])
+        x = step(ou1d, x, dt, gaussian_inc=path.gaussian[k])
     assert np.array_equal(hist[-1], x)
 
 
@@ -108,7 +109,7 @@ def test_ensemble_n1_matches_manual_stepping_bitwise(ou1d):
     path = sample_path(ou1d.qwiener, None, dt, n_steps, seed=321, traj_index=0)
     x = np.array([0.5])
     for k in range(n_steps):
-        x = eng.step(ou1d, x, dt, gaussian_inc=path.gaussian[k])
+        x = step(ou1d, x, dt, gaussian_inc=path.gaussian[k])
     assert np.array_equal(ens.states[-1][0], x)
 
 
@@ -155,7 +156,7 @@ def test_deterministic_p1_has_zero_sample_variance(ou2d_decoupled):
 
 
 def test_coupled_pair_tau_zero_is_identity(ou1d):
-    out = eng.coupled_pair(ou1d, np.array([1.0]), tau=0.0, dt=0.01, n_steps=100, seed=5)
+    out = coupled_pair(ou1d, np.array([1.0]), tau=0.0, dt=0.01, n_steps=100, seed=5)
     assert np.array_equal(out["x_path"], out["y_path"])
 
 
@@ -167,7 +168,7 @@ def test_coupled_pair_deterministic_flow_identity():
                       drift=eng.ConstantDrift([0.3, 0.1]))
     x = np.array([2.0, -1.0])
     dt, n_steps, tau = 0.01, 120, 0.4
-    out = eng.coupled_pair(sc, x, tau, dt, n_steps, seed=9)
+    out = coupled_pair(sc, x, tau, dt, n_steps, seed=9)
     ts = out["tau_steps"]
     xp, yp = out["x_path"], out["y_path"]
     for k in (0, 30, 120):
@@ -183,8 +184,8 @@ def test_coupled_ensemble_matches_coupled_pair(ou2d_decoupled):
                                         tau_steps, dt, n_steps, 3, 21,
                                         [n_steps * dt], keep_terminal=True)
     for i in range(3):
-        out = eng.coupled_pair(ou2d_decoupled, np.array([5.0, 7.0]), tau_steps * dt,
-                               dt, n_steps, seed=21, traj_index=i)
+        out = coupled_pair(ou2d_decoupled, np.array([5.0, 7.0]), tau_steps * dt,
+                           dt, n_steps, seed=21, traj_index=i)
         assert np.allclose(res.y_terminal[i], out["y_path"][-1], rtol=1e-12, atol=1e-13)
         assert np.allclose(res.x_terminal[i], out["x_path"][-1], rtol=1e-12, atol=1e-13)
 
@@ -526,6 +527,28 @@ def test_drivers_reject_empty_or_negative_sizes(ou1d, n_steps, n_traj, tau):
             eng.simulate_ensemble(ou1d, x, 0.01, n_steps, n_traj, 1, [0.0])
         with pytest.raises(ContractViolation):
             eng.simulate_pair_ensemble(ou1d, x, x, 0.01, n_steps, n_traj, 1, [0.0])
+
+
+@pytest.mark.parametrize("bad", [1e300, eng.BLOWUP_NORM, -np.inf, np.nan])
+@pytest.mark.parametrize("driver", ["ensemble", "per-trajectory", "pair", "coupled"])
+def test_drivers_reject_an_initial_state_past_the_blowup_bound(ou2d_decoupled, driver, bad):
+    # with zero steps no step's check runs, so only the initial check stops the run
+    sc, ok, x = ou2d_decoupled, np.array([5.0, 7.0]), np.array([bad, 7.0])
+    with pytest.raises(ContractViolation, match="blow-up bound"):
+        if driver == "ensemble":
+            eng.simulate_ensemble(sc, x, 0.01, 0, 2, 1, [0.0])
+        elif driver == "per-trajectory":
+            eng.simulate_ensemble(sc, np.stack([ok, x]), 0.01, 0, 2, 1, [0.0])
+        elif driver == "pair":
+            eng.simulate_pair_ensemble(sc, ok, x, 0.01, 0, 2, 1, [0.0])
+        else:
+            eng.simulate_coupled_ensemble(sc, x, 0, 0.01, 0, 2, 1, [0.0])
+
+
+def test_an_initial_state_just_below_the_blowup_bound_runs(ou2d_decoupled):
+    x = np.array([np.nextafter(eng.BLOWUP_NORM, 0.0), 7.0])
+    ens = eng.simulate_ensemble(ou2d_decoupled, x, 0.01, 0, 2, 1, [0.0])
+    assert np.array_equal(ens.states[0], [x, x])
 
 
 def test_lockstep_blocks_in_flight_match_single_thread(pinned):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from reference import sample_path, simulate_trajectory
 from spdelab import engine as eng
 from spdelab import hjmm
 from spdelab.errors import ContractViolation, HypothesisViolated
-from spdelab.noise import MarkSampler, POINT_MASS, sample_path
+from spdelab.noise import MarkSampler, POINT_MASS
 
 
 def test_lf_bound_example_values():
@@ -34,6 +35,35 @@ def test_lf_bound_contracts():
                  (1.0, 0.0, math.nan, 3.0, 5.0)]:
         with pytest.raises(ContractViolation):
             hjmm.lf_bound(*args)
+
+
+def _full_lf_bound(L_sigma, L_gamma, M, beta, beta_prime):
+    """The closed form with every term kept; overflows in ``beta**3`` past
+    beta ~ 5.6e102."""
+    pre = max(L_sigma, L_gamma) * math.sqrt(M) / beta
+    term3 = 0.0 if math.isinf(beta_prime) else \
+        math.sqrt((16.0 * (1.0 + 1.0 / math.sqrt(beta))**2 + 48.0) / (beta_prime - beta))
+    return pre * (math.sqrt(6.0 * M * math.sqrt(2.0)) + math.sqrt(8.0 / beta**3 + 16.0 / beta)
+                  + term3)
+
+
+@pytest.mark.parametrize("beta", [1e200, 1e308])
+def test_lf_bound_finite_at_huge_beta(beta):
+    assert math.isfinite(hjmm.lf_bound(1.0, 0.0, 1.0, beta, math.inf))
+    assert math.isfinite(hjmm.lf_bound(1.0, 0.0, 1.0, beta, math.nextafter(beta, math.inf)))
+
+
+def test_lf_bound_bit_identical_to_the_full_closed_form():
+    vol = hjmm.hjmm_example_volatility(hjmm.forward_space(3.0, n=64), beta_prime=1000.0)
+    cases = [(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0),                          # c09
+             (vol.L_sigma, vol.L_gamma, vol.M, 3.0, vol.beta_prime)]      # c10
+    edge = [1e100, math.nextafter(1e100, 0.0), math.nextafter(1e100, math.inf), 5e102]
+    for beta in [*np.geomspace(1e-6, 5e102, 1500).tolist(), *edge]:
+        for beta_prime in (math.inf, 2.0 * beta, beta + 1.0):
+            if beta_prime > beta:
+                cases.append((1.0, 0.5, 1.0 / 3.0, beta, beta_prime))
+    for args in cases:
+        assert hjmm.lf_bound(*args) == _full_lf_bound(*args), args
 
 
 def test_example_volatility_vanishes_on_constants():
@@ -191,6 +221,45 @@ def test_ergodicity_experiment_small_scale():
     assert rep.long_rate_max_dev == 0.0
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("the experiment simulated before checking its horizon")
+
+
+@pytest.mark.parametrize("horizon", [0.3, 1.25])
+def test_a_horizon_too_short_for_the_decay_fit_stops_before_simulating(monkeypatch, horizon):
+    # at dt = dx ~ 0.317, horizon 1.25 leaves 3 snapshots at or after fit_burn = 0.5
+    sp = hjmm.forward_space(3.0, n=64)
+    vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
+    h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
+    monkeypatch.setattr(hjmm, "simulate_ensemble", _no_simulation)
+    with pytest.raises(ContractViolation, match="horizon"):
+        hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=horizon, n_traj=4, seed=1)
+
+
+def test_a_start_at_the_long_rate_passes_without_a_fit():
+    sp = hjmm.forward_space(3.0, n=64)
+    vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
+    rep = hjmm.hjmm_ergodicity_experiment(sp, vol, np.full(sp.dim, 0.05), horizon=2.0,
+                                          n_traj=4, seed=1)
+    assert np.all(rep.decay_mean == 0.0) and math.isnan(rep.fitted_rate)
+    assert [(n, s) for n, s, _ in rep.verdicts] == [
+        ("decay-bound", "pass"), ("decay-rate", "pass"), ("long-rate-conserved", "pass")]
+
+
+def test_a_start_at_the_long_rate_that_moves_fails_the_rate():
+    # a factor that does not vanish at constants, declared as vanishing
+    sp = hjmm.forward_space(3.0, n=64)
+    bump = 0.01 * np.exp(-3.0 * sp.grid)
+    bump[-1] = 0.0
+    vol = hjmm.HjmmVolatility(sigma_factors=(lambda Y: np.broadcast_to(bump, Y.shape),),
+                              M=1e-4, L_sigma=0.1, beta_prime=1000.0,
+                              vanishing_at_constants=True)
+    rep = hjmm.hjmm_ergodicity_experiment(sp, vol, np.full(sp.dim, 0.05), horizon=2.0,
+                                          n_traj=4, seed=1)
+    assert rep.decay_mean[0] == 0.0 and rep.decay_mean[-1] > 0.0
+    assert ("decay-rate", "fail") in [(n, s) for n, s, _ in rep.verdicts]
+
+
 def test_w2_mode_reports_rate():
     # volatility NOT vanishing at constants: constant shift of the example factor
     sp = hjmm.forward_space(3.0, n=512)
@@ -326,7 +395,7 @@ def test_engine_step_bit_identical_to_reference_step(extra_factor):
     h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
     n_steps = 40
     path = sample_path(sc.qwiener, None, sp.dx, n_steps, 17)
-    got = eng.simulate_trajectory(sc, h0, path)
+    got = simulate_trajectory(sc, h0, path)
     X = h0[None, :].copy()
     for k in range(n_steps):
         fac = [_ref_example_volatility_rows(sp, X)]

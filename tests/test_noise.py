@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from reference import sample_path, shift_view
 from spdelab.errors import ContractViolation
 from spdelab.noise import (MarkSampler, POINT_MASS, GAUSSIAN_MARK, UNIFORM_MARK,
-                           additive_jumps, diagonal_qwiener, sample_path, shift_view,
-                           substream)
+                           additive_jumps, diagonal_qwiener, substream)
 from spdelab import hilbert as hb
 
 

@@ -1,7 +1,8 @@
 """Every public function, class and method of ``spdelab`` has a caller: its
-name is used in ``src/`` outside its own definition, or in ``bench/``. Every
-field of a dataclass is read: as ``obj.field`` in ``src/`` or ``bench/``, or as
-``self.field`` inside its own class.
+name is used in ``src/`` outside its own definition and outside type
+annotations, or in ``bench/``. Every field of a dataclass is read: as
+``obj.field`` in ``src/`` or ``bench/``, or as ``self.field`` inside its own
+class.
 
 The scan matches names, not bindings, so a name shared by two definitions
 counts as used for both; it catches code nothing reaches, not every unused
@@ -19,10 +20,9 @@ BENCH = sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
 
 # Called only from tests, and kept on purpose.
 TEST_ONLY = {
-    # one update of one state: the manual stepping the ensemble drivers are checked against
-    "engine.step",
-    # the one-trajectory coupling that the lockstep coupled driver is checked against
-    "engine.coupled_pair",
+    # the jump term of the HJM drift condition, which no scenario reaches; checked by
+    # test_drift_jump_part_matches_direct_evaluation and test_drift_jump_exponent_guard
+    "hjmm.FiniteMarkMeasure",
     # the only check of the paper's pairwise dissipativity inequality
     "engine.lyapunov_probe",
     "engine.lyapunov_bound",
@@ -49,12 +49,23 @@ def _parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
+def _walk(node):
+    """``ast.walk`` without type annotations: naming a type there calls nothing."""
+    yield node
+    for field, child in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for c in child if isinstance(child, list) else [child]:
+                if isinstance(c, ast.AST):
+                    yield from _walk(c)
+
+
 def _names(tree, bench=False):
-    """Identifiers a tree uses: names, attributes, imported names and keyword
-    arguments. bench reaches the package through module attributes, keyword
-    arguments and the (module, name) strings of its tracer targets, so for
-    it string constants count and bare names, its own definitions, do not."""
-    for n in ast.walk(tree):
+    """Identifiers a tree uses outside type annotations: names, attributes,
+    imported names and keyword arguments. bench reaches the package through
+    module attributes, keyword arguments and the (module, name) strings of its
+    tracer targets, so for it string constants count and bare names, its own
+    definitions, do not."""
+    for n in _walk(tree):
         if isinstance(n, ast.Name) and not bench:
             yield n.id
         elif isinstance(n, ast.Attribute):
