@@ -305,6 +305,11 @@ def cmd_hjmm(args) -> int:
     if not peak < engine.BLOWUP_NORM:     # nan and inf fail too
         raise SchemaError(f"--h0-long-rate, --h0-amplitude, --h0-decay: the initial curve "
                           f"reaches {peak:.3g}, past the blow-up bound {engine.BLOWUP_NORM:g}")
+    dist2 = space.norm2_rows((h0 - h0[-1])[None, :])[0]
+    if vol.vanishing_at_constants and 0.0 < dist2 <= hjmm.DECAY_FIT_FLOOR:
+        raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the long "
+                          f"rate is positive but not above the decay fit's floor "
+                          f"{hjmm.DECAY_FIT_FLOOR:g}")
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
         dt=args.dt, threads=args.threads)

@@ -32,7 +32,10 @@ or reduced, and every state that ends a noise chunk of _CHUNK_STEPS steps,
 is first checked against BLOWUP_NORM.
 
 Blocks: trajectories are stepped in blocks of one size (the last block may
-be shorter), and up to ``threads`` workers take the blocks in turn. Besides
+be shorter), and up to ``threads`` workers take the blocks in turn. The
+collapse takes its blocks in order on the calling thread: its work is the
+per-trajectory draw loop, which holds the interpreter lock, so a second
+thread would only add lock handoffs. Besides
 _MAX_BLOCK trajectories, a block has two caps. Its noise chunk and states
 fit in _BLOCK_CAP_BYTES (a collapse draw is at most a chunk's normals). And each system's states in it hold at most
 _BLOCK_STATE_VALUES = 2**16 numbers (512 KiB), so the few state-sized arrays
@@ -44,9 +47,13 @@ the noise modes and the number of systems, never on ``threads``.
 
 Determinism: every trajectory owns Philox substreams keyed by
 ``(master_seed, trajectory_index, stream)``: the Gaussian and jump streams
-when stepping, the segment stream alone on the collapse. Blocks and threads
-only change the evaluation schedule, never the numbers. Reductions across trajectories are assembled in fixed block order,
-and the block plan does not depend on the thread count.
+when stepping, the segment stream alone on the collapse. A block hashes its
+trajectories' keys in one ``stream_keys`` pass and draws from one generator,
+whose state is swapped per trajectory, so every trajectory reads exactly
+the numbers of its own ``substream``. Blocks and threads only change the
+evaluation schedule, never the numbers. Reductions across trajectories are
+assembled in fixed block order, and the block plan does not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -62,7 +69,8 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated, NumericalBlowup
 from .gdc import GdcCertificate
 from .hilbert import MATRIX_EXP, HilbertSpace, OperatorModel, Projection
-from .noise import JumpSpec, QWienerSpec, STREAM_GAUSS, STREAM_SEGMENT, jump_draw, substream
+from .noise import (JumpSpec, QWienerSpec, STREAM_GAUSS, STREAM_JUMP, STREAM_SEGMENT,
+                    jump_draw, stream_keys)
 
 BLOWUP_NORM = 1e12
 _CHUNK_STEPS = 2048
@@ -315,49 +323,67 @@ def _block_size(n_traj: int, n_modes: int, dim: int, n_systems: int) -> int:
 
 
 class _BlockNoise:
-    """Noise for a block of trajectories, one Philox generator each.
+    """Noise for a block of trajectories, from one Philox generator.
 
-    Stepping draws each trajectory's Gaussian increments from its
-    STREAM_GAUSS substream in chunk-sized pieces, which concatenate to
-    exactly the stream a one-shot ``sample_path`` would produce. The collapse
-    (``segments``) draws instead the standard normals of its segment noise
-    factors from the trajectory's STREAM_SEGMENT substream. Jump events are
+    Every trajectory's streams are keyed by one ``stream_keys`` pass per
+    block. Before it draws for a trajectory, the generator takes that
+    trajectory's saved state, or its key at counter 0, so each draw reads
+    the trajectory's own stream, as its ``substream`` would. Stepping draws
+    the STREAM_GAUSS increments in chunk-sized pieces, which concatenate to
+    exactly the stream a one-shot ``sample_path`` would produce. The
+    collapse (``segments``) draws instead the standard normals of its
+    segment noise factors from the STREAM_SEGMENT stream. Jump events are
     materialized up front (finite activity keeps them sparse), ordered by
     step, then by trajectory, then by draw.
     """
 
     def __init__(self, sc: Scenario, dt: float, n_steps: int, master_seed: int,
                  traj_ids: np.ndarray, segments: bool = False):
+        self._gen = gen = np.random.Generator(np.random.Philox(key=0))
+        fresh = gen.bit_generator.state           # counter 0, empty buffer
+
+        def start(key):
+            return {**fresh, "state": {"counter": fresh["state"]["counter"], "key": key}}
+
         qw = sc.qwiener
         self.m = qw.n_modes if qw is not None else 0
+        self.n_steps = n_steps
         if self.m:
             tag = STREAM_SEGMENT if segments else STREAM_GAUSS
-            self._gens = [substream(master_seed, ti, tag) for ti in traj_ids]
+            self._states = [start(k) for k in stream_keys(master_seed, traj_ids, tag)]
             self._std = qw.increment_std(dt)
         js = sc.jumps
         self.joffsets = None
         if js is not None and js.total_rate > 0:
-            draws = [jump_draw(js, dt, n_steps, master_seed, ti) for ti in traj_ids]
+            draws = []
+            for key in stream_keys(master_seed, traj_ids, STREAM_JUMP):
+                gen.bit_generator.state = start(key)
+                draws.append(jump_draw(js, dt, n_steps, gen))
             steps = np.concatenate([k for k, _ in draws])
             rows = np.repeat(np.arange(len(draws), dtype=np.int64), [len(k) for k, _ in draws])
             order = np.argsort(steps, kind="stable")
             self.jrows, self.jmarks = rows[order], np.concatenate([m for _, m in draws])[order]
             self.joffsets = np.searchsorted(steps[order], np.arange(n_steps + 1))
 
-    def normals(self, n: int) -> np.ndarray:
-        """The next ``n`` standard normals of each trajectory, ``(B, n)``."""
-        buf = np.empty((len(self._gens), n))
-        for b, gen in enumerate(self._gens):
+    def normals(self, n: int, more: bool) -> np.ndarray:
+        """The next ``n`` standard normals of each trajectory, ``(B, n)``.
+        With ``more``, a later draw follows, so each state is kept."""
+        gen, states = self._gen, self._states
+        bitgen, buf = gen.bit_generator, np.empty((len(states), n))
+        for b, st in enumerate(states):
+            bitgen.state = st
             gen.standard_normal(out=buf[b])
+            if more:
+                states[b] = bitgen.state
         return buf
 
     def gauss_chunk(self, k0: int, k1: int):
         """Increments of steps ``k0:k1``, time-major and scaled."""
         if not self.m:
             return None
-        buf = self.normals((k1 - k0) * self.m).reshape(len(self._gens), k1 - k0, self.m)
-        return np.multiply(buf.transpose(1, 0, 2), self._std,
-                           out=np.empty((k1 - k0, len(self._gens), self.m)))
+        B = len(self._states)
+        buf = self.normals((k1 - k0) * self.m, k1 < self.n_steps).reshape(B, k1 - k0, self.m)
+        return np.multiply(buf.transpose(1, 0, 2), self._std, out=np.empty((k1 - k0, B, self.m)))
 
     def jumps_at(self, k: int):
         if self.joffsets is None:
@@ -448,6 +474,8 @@ class _Lockstep:
             self.chunks.append([k0, k1, ends, draw])
             if draw:
                 head = self.chunks[-1]
+        # a trajectory's generator state is read back only if a later draw follows
+        self.last_draw = head[0] if head is not None else None
 
     def _collapse_weights(self, L: int):
         """Propagator power, noise factor ``R``, drift term and ``len(R)`` of
@@ -514,7 +542,7 @@ class _Lockstep:
             normals, off = None, 0
             for k0, k1, ends, draw in self.chunks:
                 if draw:
-                    normals, off = noise.normals(draw), 0
+                    normals, off = noise.normals(draw, k0 != self.last_draw), 0
                 chunk = None if fast else noise.gauss_chunk(k0, k1)
                 a = k0
                 for b in ends:
@@ -541,7 +569,7 @@ class _Lockstep:
 
         ranges = [(lo, min(lo + self.block, self.n_traj))
                   for lo in range(0, self.n_traj, self.block)]
-        if threads <= 1 or len(ranges) == 1:
+        if threads <= 1 or len(ranges) == 1 or fast:
             for lo, hi in ranges:
                 worker(lo, hi)
         else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import BudgetExceeded, ContractViolation
 
@@ -32,6 +31,13 @@ _MAX_WEIGHT_EXPONENT = 700.0  # largest beta x_max: e^700 and a sum of two stay 
 
 MATRIX_EXP = "matrix-exponential"
 GRID_SHIFT = "grid-shift"
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """SciPy's matrix exponential, imported at the first call so that
+    importing the package does not load SciPy."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True, eq=False)

@@ -369,6 +369,9 @@ class HjmmReport:
     verdicts: list
 
 
+DECAY_FIT_FLOOR = 1e-300     # the decay fit keeps points above max(start, this) * 1e-12
+
+
 def fit_snapshots(horizon: float, dt: float, spacing: float = 0.25, fit_burn: float = 0.5) -> int:
     """Snapshots at or after ``fit_burn``: the points of the decay fit."""
     return int(np.sum(snapshot_grid(horizon, dt, spacing) >= fit_burn))
@@ -414,7 +417,7 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     if vol.vanishing_at_constants:
         # started at the long rate, the series stays zero: nothing to fit
         mode, theoretical, at_floor = "vanishing", margin, mean[0] == 0.0
-        keep = (snap_times >= fit_burn) & (mean > max(mean[0], 1e-300) * 1e-12)
+        keep = (snap_times >= fit_burn) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)
         fitted = math.nan if at_floor else fit_exponential(snap_times[keep], mean[keep]).rate
         ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
         verdicts.append(("decay-bound", "pass" if ok_bound else "fail",

@@ -3,9 +3,12 @@ finite-activity compensated Poisson jumps, drawn per trajectory from
 counter-based substreams.
 
 Reproducibility contract: every random stream is a Philox generator keyed by
-``(master_seed, trajectory_index, stream_tag)`` through ``SeedSequence`` spawn
-keys, so regeneration never depends on execution order or worker count.
-There are three stream tags:
+``(master_seed, trajectory_index, stream_tag)``, so regeneration never
+depends on execution order or worker count. The key is bit for bit numpy's
+``SeedSequence(master_seed, spawn_key=(trajectory_index, stream_tag))``
+state, which a known-answer test pins; ``stream_keys`` computes it for a
+whole block in one pass, and ``substream`` builds one trajectory's generator
+from it. There are three stream tags:
 
 - STREAM_GAUSS: the per-step standard normals of the Q-Wiener increments;
 - STREAM_JUMP: the jump count, times and marks;
@@ -13,13 +16,15 @@ There are three stream tags:
   linear-additive collapse draws each segment's noise; a collapsed run reads
   it instead of STREAM_GAUSS.
 
-The engine draws them block by block; ``sample_path`` draws one trajectory's
-increments and jump events at once, as plain arrays.
+The engine draws them block by block, from one generator per block whose
+state it sets to each trajectory's key or saved state; ``sample_path`` draws
+one trajectory's increments and jump events at once, as plain arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,10 +40,73 @@ GAUSSIAN_MARK = "gaussian-mark"
 UNIFORM_MARK = "uniform-mark"
 
 
+_M32 = 0xFFFFFFFF
+# generate_state's hash constants, 0x8B51F9DD times 0x58F38DED^i
+_STATE_CONSTANTS = (0x8B51F9DD, 0x464A0A99, 0x819D14A5, 0xD369FDC1, 0x501638AD)
+
+
+def _hashmix(v, a, b):
+    """SeedSequence's hashmix of ``v`` under the hash constant ``a``, which
+    then steps to ``b``; ``v`` is a Python int or a uint64 array of words."""
+    v = (v ^ a) * b & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    r = (x * 0xCA01F9DD - y * 0x4973F715) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's four pool words once a spawned sequence has taken the
+    seed's words (zero-padded to the pool size), and the 9 hashmix constants
+    that the spawn key's two words use next."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    a = [0x43B0D7E5]                        # hashmix constants, one step per call
+    while len(a) < 4 * len(words) + 9:
+        a.append(a[-1] * 0x931E8875 & _M32)
+    pool = [_hashmix(w, a[i], a[i + 1]) for i, w in enumerate(words[:4])]
+    k = 4
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = _mix(pool[d], _hashmix(pool[s], a[k], a[k + 1]))
+                k += 1
+    for w in words[4:]:
+        for d in range(4):
+            pool[d] = _mix(pool[d], _hashmix(w, a[k], a[k + 1]))
+            k += 1
+    return tuple(pool), tuple(a[k:])
+
+
+def stream_keys(master_seed: int, traj_ids, tag: int) -> np.ndarray:
+    """Philox keys ``(B, 2)`` of the ``tag`` streams of trajectories ``traj_ids``.
+
+    Row ``j`` is bit for bit ``SeedSequence(master_seed, spawn_key=(traj_ids[j],
+    tag)).generate_state(2, np.uint64)``. numpy's hash fills its pool of four
+    words from the seed alone and then mixes in the spawn key, so the seed's
+    part is hashed once per seed and the trajectory words as one array pass."""
+    seed, tag = int(master_seed), int(tag)
+    ids = np.asarray(traj_ids, dtype=np.int64).reshape(-1)
+    if seed < 0 or not 0 <= tag <= _M32 or (ids.size and not 0 <= ids.min() <= ids.max() <= _M32):
+        raise ValueError("expected a non-negative seed, and trajectory ids and a tag below 2**32")
+    pool, a = _seed_pool(seed)
+
+    def col(v):                             # over the four pool words
+        return np.array(v, dtype=np.uint64)[:, None]
+
+    pool = _mix(col(pool), _hashmix(ids.astype(np.uint64), col(a[:4]), col(a[1:5])))
+    pool = _mix(pool, col([_hashmix(tag, a[4 + d], a[5 + d]) for d in range(4)]))
+    out = _hashmix(pool, col(_STATE_CONSTANTS[:4]), col(_STATE_CONSTANTS[1:]))
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+
+
 def substream(master_seed: int, traj_index: int, tag: int) -> np.random.Generator:
     """Counter-based generator for one (trajectory, stream) pair."""
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(traj_index), int(tag)))
-    return np.random.Generator(np.random.Philox(ss))
+    key = stream_keys(master_seed, [traj_index], tag)[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,10 +285,10 @@ def additive_jumps(total_rate: float, marks: MarkSampler) -> JumpSpec:
                     compensator_mean=compensator)
 
 
-def jump_draw(js: JumpSpec, dt: float, n_steps: int, seed: int, traj_index: int):
+def jump_draw(js: JumpSpec, dt: float, n_steps: int, gen: np.random.Generator):
     """One trajectory's jump events over ``n_steps`` steps, in draw order:
-    the step of each event and its mark, from the trajectory's jump stream."""
-    gen = substream(seed, traj_index, STREAM_JUMP)
+    the step of each event and its mark, from ``gen`` at the start of the
+    trajectory's STREAM_JUMP stream."""
     k = int(gen.poisson(js.total_rate * dt * n_steps))
     return np.floor(gen.random(k) * n_steps).astype(np.int64), js.marks.sample(gen, k)
 
@@ -241,7 +309,7 @@ def sample_path(qw: QWienerSpec | None, js: JumpSpec | None, dt: float,
     else:
         gauss = np.zeros((n_steps, 0))
     if js is not None and js.total_rate > 0:
-        pos, marks = jump_draw(js, dt, n_steps, seed, traj_index)
+        pos, marks = jump_draw(js, dt, n_steps, substream(seed, traj_index, STREAM_JUMP))
         order = np.argsort(pos, kind="stable")
         return gauss, pos[order], marks[order]
     return gauss, np.zeros(0, dtype=np.int64), np.zeros((0, js.marks.dim if js is not None else 0))

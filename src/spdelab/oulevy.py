@@ -24,13 +24,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .engine import ConstantDrift, ConstantSigma, Scenario, ScenarioFlags
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated
 from .gdc import ConvergenceFit, fit_convergence, make_certificate
 from .hilbert import (EUCLIDEAN, HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
-                      euclidean_space, matrix_operator, weighted_space,
+                      euclidean_space, expm, matrix_operator, weighted_space,
                       averaging_projection)
 from .noise import MarkSampler, QWienerSpec, additive_jumps
 

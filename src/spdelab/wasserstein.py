@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import math
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtri
 
 from .errors import BudgetExceeded, ContractViolation
 
@@ -68,6 +66,7 @@ def w2_assignment(a, b, budget: int = ASSIGNMENT_BUDGET) -> float:
             "use the 1-D sort estimator on a declared observable or subsample")
     diff = a.samples[:, None, :] - b.samples[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
@@ -79,6 +78,7 @@ def w2_1d_to_gaussian(samples, mean: float, std: float) -> float:
     n = len(s)
     if n == 0:
         raise ContractViolation("empty sample")
+    from scipy.special import ndtri
     q = mean + std * ndtri((np.arange(n) + 0.5) / n)
     return float(np.sqrt(np.mean((s - q) ** 2)))
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -105,6 +107,21 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
     assert (tmp_path / "a" / "simulate.csv").read_bytes() == \
         (tmp_path / "b" / "simulate.csv").read_bytes()
     assert (tmp_path / "a" / "manifest.json").read_bytes() != b""
+
+
+@pytest.mark.parametrize("command", ["simulate", "hjmm"])
+def test_a_negative_seed_is_one_error_line(tmp_path, capsys, command):
+    argv = [command, os.path.join(SCEN, "ou-decoupled-2d.json")] if command == "simulate" \
+        else [command, "--beta", "3", "--grid-n", "64"]
+    assert run_cli([*argv, "--seed", "-3", "--traj", "4", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "seed" in err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = "import sys, spdelab.cli; sys.exit(1 if 'scipy' in sys.modules else 0)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_w2_cli_roundtrip(tmp_path, capsys):
@@ -372,6 +389,24 @@ def test_hjmm_horizon_too_short_for_the_decay_fit_names_the_flag(tmp_path, capsy
     assert rc == 1
     assert _one_error_line(err) and "--horizon" in err
     assert not (tmp_path / "hjmm_decay.csv").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["1e-170", "1e-160", "1e-155", "1e-152", "1e-151",
+                                       "1e-150", "1e-145", "1e-140"])
+def test_hjmm_tiny_amplitudes_never_end_in_a_fit_error(tmp_path, capsys, amplitude):
+    # the squared distance underflows to 0 below about 1e-162 (no fit), and
+    # a positive one at or below 1e-300 is rejected before simulating
+    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4", "--horizon", "4",
+                  "--h0-long-rate", "0", "--h0-amplitude", amplitude, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "not enough positive values" not in err
+    if float(amplitude) in (1e-160, 1e-155):
+        assert rc == 1
+    if rc == 1:
+        assert _one_error_line(err) and "--h0-amplitude" in err
+        assert not (tmp_path / "hjmm_decay.csv").exists()
+    else:
+        assert rc == 0
 
 
 def test_hjmm_start_at_the_long_rate_passes(tmp_path, capsys):

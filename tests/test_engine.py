@@ -12,8 +12,8 @@ from spdelab import hilbert as hb
 from spdelab import cli, hjmm, scenarios
 from spdelab.errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
-from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, STREAM_SEGMENT,
-                           additive_jumps, diagonal_qwiener)
+from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, STREAM_GAUSS, STREAM_SEGMENT,
+                           additive_jumps, diagonal_qwiener, substream)
 from spdelab.wasserstein import ks_critical_value, ks_statistic
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -324,7 +324,6 @@ def test_lipschitz_audit_accepts_and_rejects(paper2x2):
 
 def test_chunked_noise_equals_one_shot_stream():
     # generator streams concatenate across chunk boundaries
-    from spdelab.noise import substream
     g1 = substream(12, 3, 0)
     a = np.concatenate([g1.standard_normal((700, 2)), g1.standard_normal((324, 2))])
     g2 = substream(12, 3, 0)
@@ -659,19 +658,73 @@ def test_segment_shorter_than_the_state_draws_fewer_normals():
     assert coef.var() == pytest.approx(1.0, rel=0.05)
 
 
-def test_collapsed_run_builds_one_generator_per_trajectory(ou2d_decoupled, monkeypatch):
+def test_collapsed_run_keys_each_trajectory_once(ou2d_decoupled, monkeypatch):
     calls = []
-    substream = eng.substream
+    stream_keys = eng.stream_keys
 
-    def counting(seed, traj, tag):
-        calls.append((traj, tag))
-        return substream(seed, traj, tag)
+    def counting(seed, traj_ids, tag):
+        calls.append((list(traj_ids), tag))
+        return stream_keys(seed, traj_ids, tag)
 
-    monkeypatch.setattr(eng, "substream", counting)
+    monkeypatch.setattr(eng, "stream_keys", counting)
     starts = [np.array([5.0, 7.0]), np.array([1.0, 3.0])]
     # 2,500 steps span two noise chunks, drawn in one call per trajectory
     eng.simulate_ensembles(ou2d_decoupled, starts, 1e-3, 2500, 300, 8, [1.0, 2.5])
-    assert sorted(calls) == [(i, STREAM_SEGMENT) for i in range(300)]
+    assert sorted(i for ids, _ in calls for i in ids) == list(range(300))
+    assert {tag for _, tag in calls} == {STREAM_SEGMENT}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["collapse", "stepping"])
+def test_block_draws_equal_each_trajectorys_substream_in_pieces(ou2d_decoupled, monkeypatch,
+                                                                 kind, threads):
+    # 16-step chunks: the collapse's budget of 16 normals splits its draws
+    # (a stop every 2 steps makes 8 two-normal segments per chunk), and 50
+    # steps of stepping span 4 chunks; blocks of 3 trajectories
+    monkeypatch.setattr(eng, "_CHUNK_STEPS", 16)
+    sc = ou2d_decoupled if kind == "collapse" else _jump_ou()
+    monkeypatch.setattr(eng, "_BLOCK_CAP_BYTES", 3 * 8 * (2 * 16 * sc.n_modes + 6 * sc.dim))
+    blocks = []
+
+    class Spy(eng._BlockNoise):
+        def __init__(self, sc, dt, n_steps, master_seed, traj_ids, segments=False):
+            super().__init__(sc, dt, n_steps, master_seed, traj_ids, segments)
+            self.ids, self.drawn = traj_ids, []
+            blocks.append(self)
+
+        def normals(self, n, more):
+            out = super().normals(n, more)
+            self.drawn.append(out)
+            return out
+
+    monkeypatch.setattr(eng, "_BlockNoise", Spy)
+    dt, n, traj, seed = 0.01, 50, 7, 29
+    times = np.arange(2, n + 1, 2) * dt
+    assert eng._Lockstep(sc, dt, [(np.ones(2), 0)], n, traj, seed, times).fast == (kind == "collapse")
+    eng.simulate_ensemble(sc, np.ones(2), dt, n, traj, seed, times, threads=threads)
+    tag = STREAM_SEGMENT if kind == "collapse" else STREAM_GAUSS
+    assert sorted(i for nb in blocks for i in nb.ids) == list(range(traj)) and len(blocks) == 3
+    for nb in blocks:
+        assert len(nb.drawn) >= (2 if kind == "collapse" else 3)
+        for b, ti in enumerate(nb.ids):
+            gen = substream(seed, ti, tag)
+            for piece in nb.drawn:
+                assert np.array_equal(piece[b], gen.standard_normal(piece.shape[1]))
+
+
+def test_jump_scenario_ensemble_equals_the_reference_for_every_trajectory():
+    # Gaussian noise and jumps over 2 full noise chunks and part of a third,
+    # 5 trajectories in one block
+    sc, x, dt, seed = _jump_ou(), np.array([1.5, -0.5]), 1e-3, 31
+    n = 2 * eng._CHUNK_STEPS + 404
+    times = [1.0, 2.5, n * dt]
+    assert eng._block_size(5, sc.n_modes, sc.dim, 1) == 5
+    ens = eng.simulate_ensemble(sc, x, dt, n, 5, seed, times)
+    for j in range(5):
+        path = sample_path(sc.qwiener, sc.jumps, dt, n, seed, traj_index=j)
+        assert len(path.jump_steps) > 0
+        hist = simulate_trajectory(sc, x, path)
+        assert np.array_equal(ens.states[:, j], hist[[1000, 2500, n]])
 
 
 # Two-sample KS at 10^5 trajectories per arm: the collapse under two segment

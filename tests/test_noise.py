@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from reference import sample_path, shift_view
+from spdelab.engine import MAX_TRAJ
 from spdelab.errors import ContractViolation
-from spdelab.noise import (MarkSampler, POINT_MASS, GAUSSIAN_MARK, UNIFORM_MARK,
-                           additive_jumps, diagonal_qwiener, substream)
+from spdelab.noise import (MarkSampler, POINT_MASS, GAUSSIAN_MARK, STREAM_GAUSS, STREAM_JUMP,
+                           STREAM_SEGMENT, UNIFORM_MARK, additive_jumps, diagonal_qwiener,
+                           stream_keys, substream)
 from spdelab import hilbert as hb
 
 
@@ -152,3 +154,25 @@ def test_qwiener_rejects_non_orthonormal_eigenvectors():
 def test_qwiener_rejects_negative_eigenvalues():
     with pytest.raises(ContractViolation):
         diagonal_qwiener([-0.5])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1, 2**130 + 99])
+def test_stream_keys_equal_seed_sequence_spawn_keys(seed):
+    ids = [0, 1, 65_536, MAX_TRAJ - 1]
+    for tag in (STREAM_GAUSS, STREAM_JUMP, STREAM_SEGMENT):
+        keys = stream_keys(seed, np.array(ids), tag)
+        assert keys.dtype == np.uint64 and keys.shape == (len(ids), 2)
+        for key, ti in zip(keys, ids):
+            ss = np.random.SeedSequence(seed, spawn_key=(ti, tag))
+            assert np.array_equal(key, ss.generate_state(2, np.uint64))
+            assert np.array_equal(substream(seed, ti, tag).bit_generator.random_raw(8),
+                                  np.random.Philox(ss).random_raw(8))
+
+
+def test_a_negative_seed_fails_as_seed_sequence_does():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-3, spawn_key=(0, STREAM_GAUSS))
+    with pytest.raises(ValueError):
+        stream_keys(-3, np.arange(2), STREAM_GAUSS)
+    with pytest.raises(ValueError):
+        substream(-3, 0, STREAM_GAUSS)
