@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, engine, hjmm, lab
 from .errors import (BudgetExceeded, CertificationFailed, ContractViolation,
                      HypothesisViolated, SchemaError, SpdelabError)
+from .gdc import DECAY_FIT_FLOOR
 from .oulevy import empirical_cf, limiting_cf, ou_engine_scenario
 from .scenarios import (build_hjmm_volatility, build_operator, build_ou_scenario,
                         build_projection, build_scenario, build_space,
@@ -306,10 +307,10 @@ def cmd_hjmm(args) -> int:
         raise SchemaError(f"--h0-long-rate, --h0-amplitude, --h0-decay: the initial curve "
                           f"reaches {peak:.3g}, past the blow-up bound {engine.BLOWUP_NORM:g}")
     dist2 = space.norm2_rows((h0 - h0[-1])[None, :])[0]
-    if vol.vanishing_at_constants and 0.0 < dist2 <= hjmm.DECAY_FIT_FLOOR:
+    if vol.vanishing_at_constants and 0.0 < dist2 <= DECAY_FIT_FLOOR:
         raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the long "
                           f"rate is positive but not above the decay fit's floor "
-                          f"{hjmm.DECAY_FIT_FLOOR:g}")
+                          f"{DECAY_FIT_FLOOR:g}")
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
         dt=args.dt, threads=args.threads)

@@ -81,6 +81,8 @@ MAX_THREADS = 64              # most worker threads of one run
 MAX_STEPS = 10**9             # most grid steps of one run
 MAX_TRAJ = 10**8              # most trajectories of one run
 LIP_SEED = 61_003
+LIP_PAIRS = 200               # random pairs of the Lipschitz audit
+LIP_SLACK = 1.01              # relative slack of the audited Lipschitz constants
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +182,34 @@ class Scenario:
         dc = self.sigma.columns(x) - self.sigma.columns(y)
         return float(self.qwiener.eigenvalues @ self.space.norm2_rows(dc.T))
 
-    def lipschitz_audit(self, n_pairs: int = 200, seed: int = LIP_SEED,
-                        scale: float = 1.0, slack: float = 1.01) -> dict:
+    def lipschitz_audit(self) -> dict:
         """Spot-check the declared squared-norm Lipschitz constants on random pairs."""
         if self.certificate is None:
             raise ContractViolation("lipschitz audit needs a certificate with declared constants")
         lip = self.certificate.lipschitz
-        gen = np.random.Generator(np.random.Philox(seed))
+        gen = np.random.Generator(np.random.Philox(LIP_SEED))
         space = self.space
         d = self.dim
-        X = scale * gen.standard_normal((n_pairs, d))
-        Y = scale * gen.standard_normal((n_pairs, d))
+        X = gen.standard_normal((LIP_PAIRS, d))
+        Y = gen.standard_normal((LIP_PAIRS, d))
         gap2 = space.norm2_rows(X - Y)
         report = {}
         if self.drift is not None:
             r = space.norm2_rows(self.drift(X) - self.drift(Y)) / gap2
             report["L_F"] = float(np.max(r))
-            if report["L_F"] > lip.L_F * slack + 1e-12:
+            if report["L_F"] > lip.L_F * LIP_SLACK + 1e-12:
                 raise HypothesisViolated("lipschitz-F", f"measured {report['L_F']:.4g} > declared {lip.L_F:.4g}")
         if self.sigma is not None and self.qwiener is not None:
             worst = max(self.sigma_gap2(x, y) / g2 for x, y, g2 in zip(X, Y, gap2))
             report["L_sigma"] = worst
-            if worst > lip.L_sigma * slack + 1e-12:
+            if worst > lip.L_sigma * LIP_SLACK + 1e-12:
                 raise HypothesisViolated("lipschitz-sigma", f"measured {worst:.4g} > declared {lip.L_sigma:.4g}")
         if self.jumps is not None and self.jumps.total_rate > 0:
             worst = 0.0
             for x, y, g2 in zip(X[:50], Y[:50], gap2[:50]):
                 worst = max(worst, self.jumps.second_moment_diff(space, x, y) / g2)
             report["L_gamma"] = worst
-            if worst > lip.L_gamma * slack + 1e-12:
+            if worst > lip.L_gamma * LIP_SLACK + 1e-12:
                 raise HypothesisViolated("lipschitz-gamma", f"measured {worst:.4g} > declared {lip.L_gamma:.4g}")
         return report
 
@@ -830,9 +831,6 @@ def obs_norm2(space: HilbertSpace, center=None):
     c = np.asarray(center, dtype=float)
     return lambda X: space.norm2_rows(X - c)
 
-def obs_projected_norm2(space: HilbertSpace, P: Projection, center=None):
+def obs_projected_norm2(space: HilbertSpace, P: Projection):
     m = P.matrix.T.copy()
-    if center is None:
-        return lambda X: space.norm2_rows(X @ m)
-    c = np.asarray(center, dtype=float)
-    return lambda X: space.norm2_rows((X - c) @ m)
+    return lambda X: space.norm2_rows(X @ m)

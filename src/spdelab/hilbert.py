@@ -26,6 +26,9 @@ from .errors import BudgetExceeded, ContractViolation
 EUCLIDEAN = "euclidean"
 HBETA_GRID = "hbeta-grid"
 
+PROJECTION_SEED = 7_101       # random probes of Projection.validate
+PROJECTION_PROBES = 100
+PROJECTION_TOL = 1e-10        # idempotency defect allowed per unit of probe size
 MAX_GRID_POINTS = 2**20       # most points of one forward-curve grid (8 MiB a curve)
 _MAX_WEIGHT_EXPONENT = 700.0  # largest beta x_max: e^700 and a sum of two stay finite
 
@@ -178,18 +181,17 @@ class Projection:
     def complement(self) -> "Projection":
         return Projection(np.eye(self.dim) - self.matrix)
 
-    def validate(self, space: HilbertSpace | None = None, tol: float = 1e-10,
-                 n_probes: int = 100, seed: int = 7_101) -> None:
+    def validate(self, space: HilbertSpace | None = None) -> None:
         """Check idempotency and self-adjointness on random probes."""
-        gen = np.random.Generator(np.random.Philox(seed))
-        X = gen.standard_normal((n_probes, self.dim))
+        gen = np.random.Generator(np.random.Philox(PROJECTION_SEED))
+        X = gen.standard_normal((PROJECTION_PROBES, self.dim))
         PX = self.apply(X)
         defect = np.abs(self.apply(PX) - PX).max(axis=1)
         scale = np.abs(X).max(axis=1) + 1.0
-        if np.any(defect > tol * scale):
+        if np.any(defect > PROJECTION_TOL * scale):
             raise ContractViolation("projection is not idempotent within tolerance")
         if space is not None:
-            Y = gen.standard_normal((n_probes, self.dim))
+            Y = gen.standard_normal((PROJECTION_PROBES, self.dim))
             lhs = space.inner_rows(PX, Y)
             rhs = space.inner_rows(X, self.apply(Y))
             norm = np.sqrt(space.norm2_rows(X) * space.norm2_rows(Y)) + 1.0

@@ -1,7 +1,7 @@
 """Forward-curve dynamics on the weighted grid space: the arbitrage-free
-drift built from the volatility factors, the explicit Lipschitz bound for
-that drift, the worked single-factor volatility, and the decay-to-long-rate
-experiment.
+drift ``sum_j sigma_j Sigma_j`` built from the volatility factors, the
+explicit Lipschitz bound for that drift, the worked single-factor
+volatility, and the decay-to-long-rate experiment.
 
 Grid conventions: curves live on a uniform grid over [0, x_max]; the long
 rate is the terminal grid value; curve-valued coefficients are clamped to
@@ -38,13 +38,15 @@ import numpy as np
 from .engine import (Scenario, ScenarioFlags, mean_stderr, obs_coordinate, obs_norm2,
                      simulate_ensemble, snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
-from .gdc import fit_exponential, make_certificate
+from .gdc import DECAY_FIT_FLOOR, RATE_BUDGET, fit_exponential, make_certificate
 from .hilbert import HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
-from .noise import MarkSampler, diagonal_qwiener
+from .noise import diagonal_qwiener
 from .wasserstein import w2_1d
 
 GRID_POINTS = 2048
-EXP_GUARD = 700.0
+NORM_SLACK = 1.01           # relative slack of the audited factor-norm bound
+SNAPSHOT_SPACING = 0.25     # time between the snapshots of the decay series
+FIT_BURN = 0.5              # the decay fit uses the snapshots from this time on
 
 
 def forward_space(beta: float, x_max: float | None = None, n: int = GRID_POINTS) -> HilbertSpace:
@@ -53,19 +55,6 @@ def forward_space(beta: float, x_max: float | None = None, n: int = GRID_POINTS)
     if x_max is None:
         x_max = 20.0 / beta * max(1.0, beta)
     return hbeta_grid_space(beta, x_max, n)
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteMarkMeasure:
-    """Finite measure mu = rate * law(marks) driving the jump part."""
-    rate: float
-    marks: MarkSampler | None = None
-
-    def quadrature(self):
-        if self.rate == 0 or self.marks is None:
-            return None
-        w, nodes = self.marks.quadrature()
-        return self.rate, w, nodes
 
 
 def _c_buffer(a, shape):
@@ -185,17 +174,15 @@ class HjmmVolatility:
     """Volatility factors with their declared bounds.
 
     ``sigma_factors`` are rowwise maps curve -> curve valued in the
-    zero-long-rate subspace; ``gamma(X, marks)`` likewise (or None). A factor
-    that also takes keyword arrays ``out`` and ``work`` (X's shape) writes
-    its value into ``out`` with ``work`` as scratch, which lets the engine
-    step without allocating; a plain ``f(X)`` factor is copied into ``out``.
-    ``M`` bounds the squared factor norm sum; ``phi(marks)`` dominates the
-    jump exponent.
+    zero-long-rate subspace. A factor that also takes keyword arrays ``out``
+    and ``work`` (X's shape) writes its value into ``out`` with ``work`` as
+    scratch, which lets the engine step without allocating; a plain ``f(X)``
+    factor is copied into ``out``. ``M`` bounds the squared factor norm sum.
+    ``L_gamma`` is the declared Lipschitz constant of a jump part; it enters
+    the certificate and ``lf_bound``, and the drift has no jump term.
     """
 
     sigma_factors: tuple
-    gamma: "callable | None" = None
-    phi: "callable | None" = None
     M: float = 0.0
     L_sigma: float = 0.0
     L_gamma: float = 0.0
@@ -220,17 +207,15 @@ def hjmm_example_volatility(space: HilbertSpace,
                           vanishing_at_constants=True)
 
 
-def hjmm_drift_rows(vol: HjmmVolatility, mu: FiniteMarkMeasure | None,
-                    space: HilbertSpace, X: np.ndarray,
+def hjmm_drift_rows(vol: HjmmVolatility, space: HilbertSpace, X: np.ndarray,
                     factors: list | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Arbitrage-free drift
 
-        F(h) = sum_j sigma_j(h) Sigma_j(h) - int gamma(h,nu)(e^{Gamma(h,nu)}-1) mu(dnu)
+        F(h) = sum_j sigma_j(h) Sigma_j(h)
 
-    with Sigma_j the running integral of sigma_j and Gamma the negative
-    running integral of gamma. ``out`` (X's shape, not overlapping X or the
-    factor values) receives the drift when given.
+    with Sigma_j the running integral of sigma_j. ``out`` (X's shape, not
+    overlapping X or the factor values) receives the drift when given.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dx = space.dx
@@ -246,22 +231,6 @@ def hjmm_drift_rows(vol: HjmmVolatility, mu: FiniteMarkMeasure | None,
             out += s * cumtrapz_rows(s, dx)
     else:
         out.fill(0.0)
-    quad = mu.quadrature() if mu is not None else None
-    if quad is not None and vol.gamma is not None:
-        rate, w, nodes = quad
-        for wq, nq in zip(w, nodes):
-            gq = vol.gamma(X, np.tile(nq, (X.shape[0], 1)))
-            expo = -cumtrapz_rows(gq, dx)
-            bound = np.abs(expo).max()
-            if vol.phi is not None:
-                cap = float(np.max(vol.phi(nq[None, :])))
-                if bound > cap + 1e-12:
-                    raise HypothesisViolated("bounded-jump-exponent",
-                                             f"|Gamma| = {bound:.3g} exceeds phi = {cap:.3g}")
-            if bound > EXP_GUARD or not np.isfinite(bound):
-                raise HypothesisViolated("bounded-jump-exponent",
-                                         f"jump exponent magnitude {bound:.3g} overflows")
-            out -= rate * wq * gq * np.expm1(expo)
     return out
 
 
@@ -296,7 +265,7 @@ class HjmmModel:
         n = len(self._factors)
         scratch, *vals = work.arrays(n + 1, X.shape)
         factors = [f(X, v, scratch) for f, v in zip(self._factors, vals)]
-        drift = hjmm_drift_rows(self.vol, None, self.space, X, factors=factors, out=scratch)
+        drift = hjmm_drift_rows(self.vol, self.space, X, factors=factors, out=scratch)
         if xi is None:
             return drift, 0.0
         noise = np.multiply(factors[0], xi[:, :1], out=factors[0])
@@ -305,15 +274,14 @@ class HjmmModel:
         return drift, noise
 
     def drift_rows(self, X):
-        return hjmm_drift_rows(self.vol, None, self.space, X)
+        return hjmm_drift_rows(self.vol, self.space, X)
 
     def columns(self, x):
         X = np.asarray(x, dtype=float)[None, :]
         return np.column_stack([f(X)[0] for f in self.vol.sigma_factors])
 
 
-def audit_volatility(vol: HjmmVolatility, space: HilbertSpace, probes,
-                     slack: float = 1.01) -> dict:
+def audit_volatility(vol: HjmmVolatility, space: HilbertSpace, probes) -> dict:
     """Check the declared factor-norm bound and the zero-long-rate range on
     probe curves."""
     report = {"norm2_max": 0.0, "terminal_max": 0.0}
@@ -325,7 +293,7 @@ def audit_volatility(vol: HjmmVolatility, space: HilbertSpace, probes,
             total += float(space.norm2_rows(v)[0])
             report["terminal_max"] = max(report["terminal_max"], abs(float(v[0, -1])))
         report["norm2_max"] = max(report["norm2_max"], total)
-    if report["norm2_max"] > vol.M * slack + 1e-12:
+    if report["norm2_max"] > vol.M * NORM_SLACK + 1e-12:
         raise HypothesisViolated("volatility-norm-bound",
                                  f"sum ||sigma_j(h)||^2 = {report['norm2_max']:.4g} "
                                  f"exceeds M = {vol.M:.4g}")
@@ -369,20 +337,14 @@ class HjmmReport:
     verdicts: list
 
 
-DECAY_FIT_FLOOR = 1e-300     # the decay fit keeps points above max(start, this) * 1e-12
-
-
-def fit_snapshots(horizon: float, dt: float, spacing: float = 0.25, fit_burn: float = 0.5) -> int:
-    """Snapshots at or after ``fit_burn``: the points of the decay fit."""
-    return int(np.sum(snapshot_grid(horizon, dt, spacing) >= fit_burn))
+def fit_snapshots(horizon: float, dt: float) -> int:
+    """Snapshots at or after ``FIT_BURN``: the points of the decay fit."""
+    return int(np.sum(snapshot_grid(horizon, dt, SNAPSHOT_SPACING) >= FIT_BURN))
 
 
 def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
                                horizon: float, n_traj: int, seed: int,
                                dt: float | None = None,
-                               snapshot_spacing: float = 0.25,
-                               fit_burn: float = 0.5,
-                               rate_budget: float = 0.85,
                                threads: int = 1) -> HjmmReport:
     """Simulate the curve dynamics and check the decay of
     E ||X_t - h0(inf)||^2 against the certified contraction margin.
@@ -401,10 +363,10 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     if dt is None:
         dt = space.dx
     n_steps = int(round(horizon / dt))
-    snap_times = snapshot_grid(horizon, dt, snapshot_spacing)
-    if vol.vanishing_at_constants and fit_snapshots(horizon, dt, snapshot_spacing, fit_burn) < 4:
+    snap_times = snapshot_grid(horizon, dt, SNAPSHOT_SPACING)
+    if vol.vanishing_at_constants and fit_snapshots(horizon, dt) < 4:
         raise ContractViolation(f"horizon {horizon!r} leaves fewer than 4 snapshots at or "
-                                f"after fit_burn {fit_burn!r} for the decay fit")
+                                f"after fit_burn {FIT_BURN!r} for the decay fit")
     target = np.full(space.dim, h0[-1])
     obs = {"dist2": obs_norm2(space, center=target), "long_rate": obs_coordinate(space.dim - 1),
            "short_rate": obs_coordinate(0)}
@@ -417,7 +379,7 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     if vol.vanishing_at_constants:
         # started at the long rate, the series stays zero: nothing to fit
         mode, theoretical, at_floor = "vanishing", margin, mean[0] == 0.0
-        keep = (snap_times >= fit_burn) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)
+        keep = (snap_times >= FIT_BURN) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)
         fitted = math.nan if at_floor else fit_exponential(snap_times[keep], mean[keep]).rate
         ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
         verdicts.append(("decay-bound", "pass" if ok_bound else "fail",
@@ -430,7 +392,7 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         # the snapshot-to-snapshot distance
         half = n_traj // 2
         floor = w2_1d(sr[-1][:half], sr[-1][half:2 * half]) if half >= 8 else 0.0
-        keep = (snap_times[:-1] >= fit_burn) & (w2_snap > max(2.0 * floor, 1e-14))
+        keep = (snap_times[:-1] >= FIT_BURN) & (w2_snap > max(2.0 * floor, 1e-14))
         at_floor = keep.sum() < 4
         fitted = math.nan if at_floor else \
             fit_exponential(snap_times[:-1][keep], w2_snap[keep]).rate
@@ -442,8 +404,8 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
                        f"before a rate could be fitted")
     else:
-        ok_rate = fitted >= rate_budget * theoretical
-        rate_detail = f"fitted {fitted:.4g} vs budgeted {rate_budget:.2f} x {theoretical:.4g}"
+        ok_rate = fitted >= RATE_BUDGET * theoretical
+        rate_detail = f"fitted {fitted:.4g} vs budgeted {RATE_BUDGET:.2f} x {theoretical:.4g}"
     verdicts.append(("decay-rate", "pass" if ok_rate else "fail", rate_detail))
     verdicts.append(("long-rate-conserved", "pass" if lr_dev == 0.0 else "fail",
                      f"max |P1 X_t - h0(inf)| = {lr_dev:.3g}"))

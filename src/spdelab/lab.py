@@ -19,14 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Scenario, mean_stderr, obs_norm2, simulate_coupled_ensemble,
+from .engine import (MAX_STEPS, Scenario, mean_stderr, obs_norm2, simulate_coupled_ensemble,
                      simulate_ensemble, simulate_ensembles, simulate_pair_ensemble,
                      snapshot_grid)
-from .errors import ContractViolation, HypothesisViolated
-from .gdc import ConvergenceFit, fit_exponential
-from .wasserstein import EmpiricalLaw, w2_1d, w2_assignment
+from .errors import BudgetExceeded, ContractViolation, HypothesisViolated
+from .gdc import DECAY_FIT_FLOOR, RATE_BUDGET, ConvergenceFit, fit_exponential
+from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
 PROBE_SEED = 52_009
+VANISHING_PROBES = 32       # random probes of the p1-in-kernel audit
+P1_CHECK_TRAJ = 64          # trajectories of the deterministic-P1 audit
+SAME_FLOOR = 0.05           # assignment W2 below which two limits are the same
+SHIFT_TOL = 0.02            # error allowed in the W2 separation of distinct limits
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class ConvergenceReport:
         return any(v.status == "diverges" for v in self.verdicts)
 
 
-def audit_vanishing_hypotheses(sc: Scenario, x, n_probes: int = 32) -> None:
+def audit_vanishing_hypotheses(sc: Scenario, x) -> None:
     """Checks the structural hypotheses of the vanishing-coefficient decay:
     the flag itself, ran(P1) inside ker(A), and all coefficients vanishing at
     the anchor point P1 x."""
@@ -68,7 +72,7 @@ def audit_vanishing_hypotheses(sc: Scenario, x, n_probes: int = 32) -> None:
     a = sc.op.generator_matrix()
     gen = np.random.Generator(np.random.Philox(PROBE_SEED))
     probes = np.vstack([np.asarray(x, dtype=float),
-                        gen.standard_normal((n_probes, sc.dim))])
+                        gen.standard_normal((VANISHING_PROBES, sc.dim))])
     kerdef = np.sqrt(space.norm2_rows(sc.P1.apply(probes) @ a.T)).max()
     if kerdef > 1e-10:
         raise HypothesisViolated("p1-in-kernel",
@@ -93,7 +97,7 @@ def audit_vanishing_hypotheses(sc: Scenario, x, n_probes: int = 32) -> None:
 
 def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
                                n_traj: int, seed: int, snapshot_spacing: float = 0.25,
-                               rate_budget: float = 0.85, threads: int = 1) -> ConvergenceReport:
+                               threads: int = 1) -> ConvergenceReport:
     """Decay of E ||X_t - P1 x||^2 against the certified envelope
     e^{-eps t} ||P0 x||^2, plus an exponential-rate fit."""
     audit_vanishing_hypotheses(sc, x)
@@ -120,18 +124,17 @@ def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
         rep.verdicts.append(Verdict("rate", "pass" if flat else "fail", "decay-rate",
                                     "started at the invariant point; no decay to fit"))
         return rep
-    usable = mean > max(mean[0], 1e-300) * 1e-12
+    usable = mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12
     fit = fit_exponential(times[usable], mean[usable])
     rep.fitted["decay"] = fit
-    ok_rate = fit.rate >= rate_budget * cert.epsilon
+    ok_rate = fit.rate >= RATE_BUDGET * cert.epsilon
     rep.verdicts.append(Verdict("rate", "pass" if ok_rate else "fail", "decay-rate",
-                                f"fitted {fit.rate:.4g} vs {rate_budget:.2f} x eps = "
-                                f"{rate_budget * cert.epsilon:.4g}"))
+                                f"fitted {fit.rate:.4g} vs {RATE_BUDGET:.2f} x eps = "
+                                f"{RATE_BUDGET * cert.epsilon:.4g}"))
     return rep
 
 
-def audit_deterministic_p1(sc: Scenario, x, dt: float, horizon: float, seed: int,
-                           n_check: int = 64):
+def audit_deterministic_p1(sc: Scenario, x, dt: float, horizon: float, seed: int):
     """Verifies that P1 X_t carries no randomness: across a small ensemble the
     projected trajectories must agree bit for bit. Returns the snapshot times,
     every 0.25 (or every step if dt is longer), and the deterministic
@@ -140,7 +143,7 @@ def audit_deterministic_p1(sc: Scenario, x, dt: float, horizon: float, seed: int
         raise HypothesisViolated("deterministic-p1",
                                  "scenario does not declare a deterministic P1 part")
     times = snapshot_grid(horizon, dt, 0.25)
-    ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), n_check, seed, times)
+    ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), P1_CHECK_TRAJ, seed, times)
     p1 = ens.states @ sc.P1.matrix.T
     spread = np.abs(p1 - p1[:, :1, :]).max()
     if spread != 0.0:
@@ -151,9 +154,25 @@ def audit_deterministic_p1(sc: Scenario, x, dt: float, horizon: float, seed: int
 
 def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
                                n_traj: int, seed: int, snapshot_spacing: float = 0.25,
-                               rate_budget: float = 0.85, threads: int = 1) -> ConvergenceReport:
+                               threads: int = 1) -> ConvergenceReport:
     """Cauchy diagnostic sqrt(E ||Y_t^{x,tau} - X_{t+tau}^x||^2) for each tau,
-    an upper bound for the Wasserstein gap between p_t and p_{t+tau}."""
+    an upper bound for the Wasserstein gap between p_t and p_{t+tau}.
+
+    Every tau is checked before anything is simulated: it must be finite,
+    >= 0 and a multiple of dt, and T + tau must stay within MAX_STEPS steps.
+    """
+    n_steps = int(round(T / dt))
+    shifts = []                         # (tau, its grid steps)
+    for tau in tau_list:
+        if not (math.isfinite(tau) and tau >= 0):
+            raise ContractViolation(f"tau_list: every tau must be finite and >= 0, got {tau!r}")
+        if not n_steps + tau / dt <= MAX_STEPS:
+            raise BudgetExceeded(f"tau_list: T + tau = {T + tau!r} is over the budget of "
+                                 f"{MAX_STEPS} steps of dt")
+        k = int(round(tau / dt))
+        if abs(k * dt - tau) > 1e-9 * max(1.0, tau):
+            raise ContractViolation(f"tau_list: every tau must be a multiple of dt, got {tau!r}")
+        shifts.append((tau, k))
     cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     p1_times, p1_path = audit_deterministic_p1(sc, x, dt, T, seed + 1)
@@ -169,19 +188,15 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
                             times=times,
                             theoretical={"epsilon": cert.epsilon, "delta_fit": delta_fit,
                                          "rate": theoretical})
-    n_steps = int(round(T / dt))
-    for tau in tau_list:
-        tau_steps = int(round(tau / dt))
-        if abs(tau_steps * dt - tau) > 1e-9 * max(1.0, tau):
-            raise ContractViolation("every tau must be a multiple of dt")
-        res = simulate_coupled_ensemble(sc, x, tau_steps, dt, n_steps, n_traj,
+    for tau, k in shifts:
+        res = simulate_coupled_ensemble(sc, x, k, dt, n_steps, n_traj,
                                         seed, times, threads=threads)
         gap2_mean, gap2_se = mean_stderr(res.coupling_gap2)
         diag = np.sqrt(gap2_mean)
         key = f"diag_tau={tau:g}"
         rep.stats[key] = diag
         rep.stderr[key] = gap2_se
-        if tau_steps == 0:
+        if k == 0:
             ok = bool(np.all(diag == 0.0))
             rep.verdicts.append(Verdict(key, "pass" if ok else "fail", "coupling-identity",
                                         "zero shift must reproduce the same path"))
@@ -193,17 +208,16 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
             continue
         fit = fit_exponential(times, diag)
         rep.fitted[key] = fit
-        ok = fit.rate >= rate_budget * theoretical
+        ok = fit.rate >= RATE_BUDGET * theoretical
         rep.verdicts.append(Verdict(key, "pass" if ok else "fail", "cauchy-decay",
-                                    f"fitted {fit.rate:.4g} vs {rate_budget:.2f} x "
+                                    f"fitted {fit.rate:.4g} vs {RATE_BUDGET:.2f} x "
                                     f"{theoretical:.4g}"))
     return rep
 
 
 def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj: int,
                                  seed: int, snapshot_spacing: float = 0.5,
-                                 w2_budget: int = 512, same_floor: float = 0.05,
-                                 shift_tol: float = 0.02, threads: int = 1) -> ConvergenceReport:
+                                 threads: int = 1) -> ConvergenceReport:
     """Same P1 part: common-noise contraction and a terminal assignment-W2
     floor. Distinct P1 parts: the limiting laws separate by exactly the
     projected shift along its direction; both ensembles read one noise draw."""
@@ -231,13 +245,13 @@ def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj
         rep.verdicts.append(Verdict("contraction", "pass" if ok else "fail",
                                     "pairwise-contraction",
                                     "common-noise gap within e^{-eps t} envelope"))
-        nb = min(w2_budget, n_traj)
+        nb = min(ASSIGNMENT_BUDGET, n_traj)
         w2 = w2_assignment(EmpiricalLaw(res.x_terminal[:nb]),
                            EmpiricalLaw(res.y_terminal[:nb]))
         rep.stats["terminal_w2"] = np.array([w2])
-        ok = w2 < same_floor
+        ok = w2 < SAME_FLOOR
         rep.verdicts.append(Verdict("terminal-w2", "pass" if ok else "fail", "same-limit",
-                                    f"assignment W2 = {w2:.4g} vs floor {same_floor:g} "
+                                    f"assignment W2 = {w2:.4g} vs floor {SAME_FLOOR:g} "
                                     f"at N = {nb}"))
         return rep
     v = shift / shift_norm
@@ -252,7 +266,7 @@ def affine_uniqueness_experiment(sc: Scenario, x, y, T: float, dt: float, n_traj
                     for i in range(len(times))])
     rep.stats["p1_w2"] = sep
     err = abs(sep[-1] - shift_norm)
-    ok = err <= shift_tol
+    ok = err <= SHIFT_TOL
     rep.verdicts.append(Verdict("p1-separation", "pass" if ok else "fail",
                                 "distinct-limit-shift",
                                 f"terminal W2 of the shift coordinate = {sep[-1]:.4g}, "

@@ -38,6 +38,7 @@ HYP_COV = "ou-covariance-in-ker-P"
 HYP_JUMPS = "ou-jump-measure-on-ker-P"
 HYP_TOL = 1e-10
 MAX_QUAD_NODES = 1_000_000     # most quadrature steps t_cut / quad_step
+CONV_PROBE_SEED = 11_311       # random probes of the semigroup convergence fit
 _MARK_BLOCK = 1 << 18         # phase-matrix entries per block of rows
 
 
@@ -163,7 +164,7 @@ class OuScenario:
 
 
 def make_ou_scenario(op: OperatorModel, P: Projection, triplet: LevyTriplet,
-                     t_grid=None, probes=None, scenario_id: str = "ou") -> OuScenario:
+                     t_grid=None, scenario_id: str = "ou") -> OuScenario:
     """Assemble and audit an OU scenario; fits the semigroup convergence rate."""
     if op.semigroup_mode != MATRIX_EXP:
         raise ContractViolation("the OU machinery needs a matrix generator")
@@ -172,9 +173,8 @@ def make_ou_scenario(op: OperatorModel, P: Projection, triplet: LevyTriplet,
     P.validate(space)
     if t_grid is None:
         t_grid = np.linspace(0.25, 6.0, 16)
-    if probes is None:
-        gen = np.random.Generator(np.random.Philox(11_311))
-        probes = list(np.eye(space.dim)) + list(gen.standard_normal((3, space.dim)))
+    gen = np.random.Generator(np.random.Philox(CONV_PROBE_SEED))
+    probes = list(np.eye(space.dim)) + list(gen.standard_normal((3, space.dim)))
     conv = fit_convergence(op, P, t_grid, probes)
     sc = OuScenario(op=op, P=P, triplet=triplet, conv=conv, scenario_id=scenario_id)
     sc.audit_hypotheses()
@@ -289,7 +289,7 @@ def empirical_cf(samples, u, space: HilbertSpace | None = None):
     return val, 1.0 / math.sqrt(X.shape[0])
 
 
-def ou_engine_scenario(sc: OuScenario, scenario_id: str | None = None) -> Scenario:
+def ou_engine_scenario(sc: OuScenario) -> Scenario:
     """Wire the OU dynamics into the time stepper.
 
     The compensated-jump form absorbs the uncompensated big jumps into the
@@ -315,11 +315,10 @@ def ou_engine_scenario(sc: OuScenario, scenario_id: str | None = None) -> Scenar
     return Scenario(op=sc.op, P1=sc.P, qwiener=qw, drift=drift, sigma=sigma,
                     jumps=jumps, certificate=cert,
                     flags=ScenarioFlags(vanishing_on_H1=False, deterministic_P1=True),
-                    scenario_id=scenario_id or sc.scenario_id)
+                    scenario_id=sc.scenario_id)
 
 
-def kolmogorov_instance(q_matrix, eta, triplet: LevyTriplet,
-                        t_grid=None, probes=None) -> OuScenario:
+def kolmogorov_instance(q_matrix, eta, triplet: LevyTriplet, t_grid=None) -> OuScenario:
     """OU scenario for a stochastically perturbed finite-state Kolmogorov
     equation: state space L^2(eta), averaging projection, generator q_matrix."""
     q = np.asarray(q_matrix, dtype=float)
@@ -345,5 +344,4 @@ def kolmogorov_instance(q_matrix, eta, triplet: LevyTriplet,
     space = weighted_space(eta)
     op = matrix_operator(space, q)
     proj = averaging_projection(eta)
-    return make_ou_scenario(op, proj, triplet, t_grid=t_grid, probes=probes,
-                            scenario_id="kolmogorov")
+    return make_ou_scenario(op, proj, triplet, t_grid=t_grid, scenario_id="kolmogorov")

@@ -90,40 +90,40 @@ def _matrix(doc, path, rows=None, cols=None):
 # section builders
 
 
-def build_space(doc, path="space") -> HilbertSpace:
-    _check_keys(doc, path, ["kind"], ["dim", "weights", "beta", "x_max", "n"])
+def build_space(doc) -> HilbertSpace:
+    _check_keys(doc, "space", ["kind"], ["dim", "weights", "beta", "x_max", "n"])
     kind = doc["kind"]
     if kind == "euclidean":
         if "weights" in doc:
-            w = _vector(doc["weights"], f"{path}.weights")
+            w = _vector(doc["weights"], "space.weights")
             return weighted_space(w)
-        dim = _integer(doc.get("dim"), f"{path}.dim", 1)
+        dim = _integer(doc.get("dim"), "space.dim", 1)
         return euclidean_space(dim)
     if kind == "hbeta-grid":
-        beta = _number(doc.get("beta"), f"{path}.beta", 1e-12)
-        n = _integer(doc.get("n", hjmm.GRID_POINTS), f"{path}.n", 2)
-        x_max = _number(doc["x_max"], f"{path}.x_max", 1e-12) if "x_max" in doc else \
+        beta = _number(doc.get("beta"), "space.beta", 1e-12)
+        n = _integer(doc.get("n", hjmm.GRID_POINTS), "space.n", 2)
+        x_max = _number(doc["x_max"], "space.x_max", 1e-12) if "x_max" in doc else \
             20.0 / beta * max(1.0, beta)
         return hbeta_grid_space(beta, x_max, n)
-    raise SchemaError(f"{path}.kind: unknown space kind {kind!r}")
+    raise SchemaError(f"space.kind: unknown space kind {kind!r}")
 
 
-def build_operator(doc, space, path="operator"):
-    _check_keys(doc, path, ["mode"], ["generator"])
+def build_operator(doc, space):
+    _check_keys(doc, "operator", ["mode"], ["generator"])
     if doc["mode"] == "matrix-exponential":
-        gen = _matrix(doc.get("generator"), f"{path}.generator", space.dim, space.dim)
+        gen = _matrix(doc.get("generator"), "operator.generator", space.dim, space.dim)
         return matrix_operator(space, gen)
     if doc["mode"] == "grid-shift":
-        _require("generator" not in doc, f"{path}.generator",
+        _require("generator" not in doc, "operator.generator",
                  "grid-shift mode derives its generator")
         return shift_operator(space)
-    raise SchemaError(f"{path}.mode: unknown semigroup mode {doc['mode']!r}")
+    raise SchemaError(f"operator.mode: unknown semigroup mode {doc['mode']!r}")
 
 
-def build_projection(doc, space, path="projection") -> Projection:
-    _check_keys(doc, path, [], ["matrix", "builder", "coords", "weights"])
+def build_projection(doc, space) -> Projection:
+    _check_keys(doc, "projection", [], ["matrix", "builder", "coords", "weights"])
     if "matrix" in doc:
-        p = Projection(_matrix(doc["matrix"], f"{path}.matrix", space.dim, space.dim))
+        p = Projection(_matrix(doc["matrix"], "projection.matrix", space.dim, space.dim))
     else:
         builder = doc.get("builder")
         if builder == "coordinates":
@@ -131,7 +131,7 @@ def build_projection(doc, space, path="projection") -> Projection:
             _require(isinstance(coords, list)
                      and all(isinstance(c, int) and not isinstance(c, bool)
                              and 0 <= c < space.dim for c in coords),
-                     f"{path}.coords", f"expected an array of indices in [0, {space.dim})")
+                     "projection.coords", f"expected an array of indices in [0, {space.dim})")
             p = coordinate_projection(space.dim, coords)
         elif builder == "long-rate":
             p = long_rate_projection(space)
@@ -140,9 +140,9 @@ def build_projection(doc, space, path="projection") -> Projection:
         elif builder == "identity":
             p = identity_projection(space.dim)
         elif builder == "averaging":
-            p = averaging_projection(_vector(doc.get("weights"), f"{path}.weights", space.dim))
+            p = averaging_projection(_vector(doc.get("weights"), "projection.weights", space.dim))
         else:
-            raise SchemaError(f"{path}.builder: unknown projection builder {builder!r}")
+            raise SchemaError(f"projection.builder: unknown projection builder {builder!r}")
     p.validate(space)
     return p
 
@@ -161,16 +161,16 @@ def build_marks(doc, path) -> MarkSampler:
     raise SchemaError(f"{path}.kind: unknown mark distribution {kind!r}")
 
 
-def build_drift(doc, space, path="coefficients.F"):
-    _check_keys(doc, path, ["builder"], ["value", "matrix", "offset", "amplitude"])
+def build_drift(doc, space):
+    _check_keys(doc, "coefficients.F", ["builder"], ["value", "matrix", "offset", "amplitude"])
     b = doc["builder"]
     if b == "zero":
         return None
     if b == "constant":
-        return engine.ConstantDrift(_vector(doc.get("value"), f"{path}.value", space.dim))
+        return engine.ConstantDrift(_vector(doc.get("value"), "coefficients.F.value", space.dim))
     if b == "linear":
-        m = _matrix(doc.get("matrix"), f"{path}.matrix", space.dim, space.dim)
-        off = _vector(doc["offset"], f"{path}.offset", space.dim) if "offset" in doc \
+        m = _matrix(doc.get("matrix"), "coefficients.F.matrix", space.dim, space.dim)
+        off = _vector(doc["offset"], "coefficients.F.offset", space.dim) if "offset" in doc \
             else np.zeros(space.dim)
         mt = m.T.copy()
 
@@ -179,13 +179,13 @@ def build_drift(doc, space, path="coefficients.F"):
 
         return drift
     if b == "sine":
-        amp = _number(doc.get("amplitude"), f"{path}.amplitude")
+        amp = _number(doc.get("amplitude"), "coefficients.F.amplitude")
 
         def drift(X, _a=amp):
             return _a * np.sin(X)
 
         return drift
-    raise SchemaError(f"{path}.builder: unknown drift builder {b!r}")
+    raise SchemaError(f"coefficients.F.builder: unknown drift builder {b!r}")
 
 
 class TabulatedSigma:
@@ -207,51 +207,51 @@ class TabulatedSigma:
         return self.columns_matrix * self._gain(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def build_sigma(doc, space, p1: Projection, path="coefficients.sigma"):
+def build_sigma(doc, space, p1: Projection):
     """Returns (sigma_model, qwiener) or (None, None). Unwrapped ``constant`` and
     ``tabulated`` columns are one ``engine.ConstantSigma``, which the collapse takes."""
-    _check_keys(doc, path, ["builder"], ["columns", "eigenvalues", "tensors", "offsets",
-                                         "vanishing_wrapper"])
+    _check_keys(doc, "coefficients.sigma", ["builder"],
+                ["columns", "eigenvalues", "tensors", "offsets", "vanishing_wrapper"])
     b = doc["builder"]
     if b == "zero":
         return None, None
     if b in ("constant", "tabulated"):
-        cols = _matrix(doc.get("columns"), f"{path}.columns", space.dim)
+        cols = _matrix(doc.get("columns"), "coefficients.sigma.columns", space.dim)
         m = cols.shape[1]
-        lam = _vector(doc["eigenvalues"], f"{path}.eigenvalues", m) if "eigenvalues" in doc \
-            else np.ones(m)
-        if _boolean(doc.get("vanishing_wrapper", False), f"{path}.vanishing_wrapper"):
+        lam = _vector(doc["eigenvalues"], "coefficients.sigma.eigenvalues", m) \
+            if "eigenvalues" in doc else np.ones(m)
+        if _boolean(doc.get("vanishing_wrapper", False), "coefficients.sigma.vanishing_wrapper"):
             return (TabulatedSigma(space, cols, p1),
                     diagonal_qwiener(lam, embedding=np.zeros((space.dim, m))))
         return engine.ConstantSigma(cols), diagonal_qwiener(lam, embedding=cols)
     if b == "linear-modes":
         raw = doc.get("tensors")
-        _require(isinstance(raw, list) and raw, f"{path}.tensors",
+        _require(isinstance(raw, list) and raw, "coefficients.sigma.tensors",
                  "expected an (m, dim, dim) array")
-        tensors = np.array([_matrix(t, f"{path}.tensors[{i}]", space.dim, space.dim)
+        tensors = np.array([_matrix(t, f"coefficients.sigma.tensors[{i}]", space.dim, space.dim)
                             for i, t in enumerate(raw)])
         m = tensors.shape[0]
-        offsets = _matrix(doc["offsets"], f"{path}.offsets", m, space.dim) if "offsets" in doc \
-            else np.zeros((m, space.dim))
-        lam = _vector(doc["eigenvalues"], f"{path}.eigenvalues", m) if "eigenvalues" in doc \
-            else np.ones(m)
+        offsets = _matrix(doc["offsets"], "coefficients.sigma.offsets", m, space.dim) \
+            if "offsets" in doc else np.zeros((m, space.dim))
+        lam = _vector(doc["eigenvalues"], "coefficients.sigma.eigenvalues", m) \
+            if "eigenvalues" in doc else np.ones(m)
         return (engine.LinearSigma(tensors, offsets),
                 diagonal_qwiener(lam, embedding=np.zeros((space.dim, m))))
-    raise SchemaError(f"{path}.builder: unknown diffusion builder {b!r}")
+    raise SchemaError(f"coefficients.sigma.builder: unknown diffusion builder {b!r}")
 
 
-def build_jumps(doc, space, path="coefficients.gamma"):
-    _check_keys(doc, path, ["builder"], ["rate", "marks"])
+def build_jumps(doc, space):
+    _check_keys(doc, "coefficients.gamma", ["builder"], ["rate", "marks"])
     b = doc["builder"]
     if b == "none":
         return None
     if b == "additive":
-        rate = _number(doc.get("rate"), f"{path}.rate", 0.0)
-        marks = build_marks(doc.get("marks"), f"{path}.marks")
-        _require(marks.dim == space.dim, f"{path}.marks",
+        rate = _number(doc.get("rate"), "coefficients.gamma.rate", 0.0)
+        marks = build_marks(doc.get("marks"), "coefficients.gamma.marks")
+        _require(marks.dim == space.dim, "coefficients.gamma.marks",
                  "additive marks must match the space dimension")
         return additive_jumps(rate, marks)
-    raise SchemaError(f"{path}.builder: unknown jump builder {b!r}")
+    raise SchemaError(f"coefficients.gamma.builder: unknown jump builder {b!r}")
 
 
 SCENARIO_KEYS = (["id", "space", "operator", "projection"],
@@ -387,14 +387,14 @@ def build_ou_scenario(doc) -> OuScenario:
 SUBCOMMAND_SECTIONS = ("simulate", "ou-limit", "lab")
 
 
-def experiment_section(doc, allowed, subcommand: str | None = None,
-                       path="experiment") -> dict:
+def experiment_section(doc, allowed, subcommand: str | None = None) -> dict:
     """The experiment parameters, either flat or namespaced per subcommand so
     one scenario document can drive several of them."""
     exp = doc.get("experiment", {})
+    path = "experiment"
     _require(isinstance(exp, dict), path, "expected an object")
     if exp and set(exp).issubset(SUBCOMMAND_SECTIONS):
         exp = exp.get(subcommand, {}) if subcommand else {}
-        path = f"{path}.{subcommand}"
+        path = f"experiment.{subcommand}"
     _check_keys(exp, path, [], allowed)
     return exp

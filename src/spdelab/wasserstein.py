@@ -53,16 +53,16 @@ def w2_1d(a, b) -> float:
     return float(np.sqrt(np.mean((xs - ys) ** 2)))
 
 
-def w2_assignment(a, b, budget: int = ASSIGNMENT_BUDGET) -> float:
+def w2_assignment(a, b) -> float:
     """Exact W2 between equal-count empirical laws via optimal assignment."""
     a, b = _as_law(a), _as_law(b)
     if a.dim != b.dim:
         raise ContractViolation("sample dimensions differ")
     if a.n != b.n:
         raise ContractViolation("the assignment solver needs equal sample counts")
-    if a.n > budget:
+    if a.n > ASSIGNMENT_BUDGET:
         raise BudgetExceeded(
-            f"assignment solver budget is {budget} samples, got {a.n}; "
+            f"assignment solver budget is {ASSIGNMENT_BUDGET} samples, got {a.n}; "
             "use the 1-D sort estimator on a declared observable or subsample")
     diff = a.samples[:, None, :] - b.samples[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)

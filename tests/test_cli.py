@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spdelab import cli, engine, scenarios
+from spdelab import cli, engine, lab, scenarios
 from spdelab.errors import SchemaError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -647,3 +647,151 @@ def test_hjmm_flags_keep_the_exit_contract(tmp_path, capsys, flags):
     if any(v in ("nan", "-inf", "x") or (v == "inf" and f != "--beta-prime")
            for f, v in flags.items()):
         assert rc == 1 and any(f in err for f in flags), err
+
+
+def _limit_existence_document(**lab_section):
+    """The shipped ou-decoupled-2d.json with a limit-existence lab section."""
+    section = {"kind": "limit-existence", "x": [5.0, 7.0], "T": 8.0, "dt": 0.002,
+               "traj": 4000, "seed": 20405}
+    return _mutated_document("experiment.lab", {**section, **lab_section})
+
+
+@pytest.mark.parametrize("taus", [[0.5, 1.0, 0.0015], [-0.5], [0.5, 1e30]],
+                         ids=["not-a-multiple", "negative", "over-the-step-budget"])
+def test_limit_existence_checks_every_tau_before_simulating(tmp_path, capsys, monkeypatch,
+                                                            taus):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before tau_list was checked")
+
+    for name in ("simulate_ensemble", "simulate_coupled_ensemble"):
+        monkeypatch.setattr(lab, name, no_simulation)
+    f = tmp_path / "taus.json"
+    f.write_text(json.dumps(_limit_existence_document(tau_list=taus)))
+    rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert "tau_list" in err
+
+
+# Property test of the lab input contract: a limit-existence experiment with
+# one or two of its keys mutated (wrong types, non-finite, huge and negative
+# values, ragged arrays) ends in exit 0-3, exit 1 comes with exactly one error
+# line, and there is never a traceback. A lone key set to a malformed value
+# ends in exit 1 naming that key, and a trajectory count over the budget in
+# exit 1. The base run takes 100 steps of 4 trajectories; the drawn values
+# keep every valid run that small (dt >= 0.002, T and tau at most 2, traj at
+# most 6).
+
+_LAB_FLOAT = st.one_of(st.floats(-2.0, 2.0),
+                       st.sampled_from([0.0015, 1e30, -1e30, math.inf, math.nan]))
+_LAB_MUTATIONS = {
+    "tau_list": st.one_of(st.lists(_LAB_FLOAT, max_size=3),
+                          st.lists(st.one_of(_JUNK, st.lists(st.floats(), max_size=2)),
+                                   min_size=1, max_size=2),
+                          _JUNK),
+    "T": st.one_of(_LAB_FLOAT, _JUNK),
+    "dt": st.one_of(st.sampled_from([0.002, 0.01, 0.25, 1e-12, 0.0, -0.01, math.nan, 1e30]),
+                    _JUNK),
+    "traj": st.one_of(st.integers(-2, 6), st.floats(0, 4), st.just(10**9), _JUNK),
+    "x": st.one_of(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+                   st.lists(st.one_of(st.floats(), _JUNK), max_size=3),
+                   st.just([[1.0, 2.0], [3.0]]), st.just([1e300, 0.0]), _JUNK),
+    "spacing": st.one_of(_LAB_FLOAT, _JUNK),
+}
+_LAB_MUTATION = st.lists(st.sampled_from(sorted(_LAB_MUTATIONS)), min_size=1, max_size=2,
+                         unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _LAB_MUTATIONS[k] for k in keys}))
+
+
+def _finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _malformed_lab_value(key, v):
+    """Values the lab checks reject whatever the other keys hold."""
+    if key == "traj":
+        return not (isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+    if key == "x":
+        return not (isinstance(v, list) and len(v) == 2 and all(map(_finite_number, v)))
+    if key == "tau_list":
+        return not (isinstance(v, list) and all(_finite_number(t) and t >= 0 for t in v))
+    return not (_finite_number(v) and v > 0)        # T, dt and spacing
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_LAB_MUTATION)
+@example(mutation={"tau_list": [0.5, 1.0, 0.0015]})
+@example(mutation={"tau_list": [-0.5]})
+@example(mutation={"tau_list": [0.5, 1e30]})
+@example(mutation={"traj": 10**9})
+@example(mutation={"x": [math.nan, 0.0]})
+@example(mutation={"x": [1e300, 0.0]})
+def test_mutated_limit_existence_keeps_the_exit_contract(tmp_path, capsys, mutation):
+    doc = _limit_existence_document(T=1.0, dt=0.01, traj=4, tau_list=[0.25], spacing=0.25)
+    doc["experiment"]["lab"].update(mutation)
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert _one_error_line(err)
+    assert "Traceback" not in err
+    [(key, value)] = mutation.items() if len(mutation) == 1 else [(None, None)]
+    if key is not None and _malformed_lab_value(key, value):
+        assert rc == 1 and (key if key == "tau_list" else f"experiment.{key}") in err, err
+    if mutation.get("traj") == 10**9:
+        assert rc == 1, err
+
+
+# The same contract for certify, on the gdc and lipschitz sections of the
+# shipped gdc-example-2x2.json with one or two keys mutated. These sections
+# take finite numbers >= 0 (gdc.tol >= 1e-15) and no other key, so a mutation
+# outside that ends in exit 1 naming a mutated key.
+
+_CERT_NUMBER = st.one_of(st.floats(-2.0, 4.0),
+                         st.sampled_from([1e-300, 1e-15, 1e-12, 1e30, 1e300, -1e300,
+                                          math.inf, math.nan]),
+                         st.integers(-3, 3))
+_CERT_MUTATIONS = {f"{section}.{key}": st.one_of(_CERT_NUMBER, _JUNK)
+                   for section, keys in (("gdc", ("lambda0", "lambda1", "tol")),
+                                         ("lipschitz", ("L_F", "L_sigma", "L_gamma")))
+                   for key in keys}
+_CERT_MUTATIONS["gdc.extra"] = _CERT_NUMBER
+_CERT_MUTATION = st.lists(st.sampled_from(sorted(_CERT_MUTATIONS)), min_size=1, max_size=2,
+                          unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _CERT_MUTATIONS[k] for k in keys}))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_CERT_MUTATION)
+@example(mutation={"gdc.lambda1": -1.0})
+@example(mutation={"gdc.lambda0": 0.3, "gdc.lambda1": -0.5})
+@example(mutation={"lipschitz.L_F": -1.0})
+@example(mutation={"gdc.tol": 1e-300})
+@example(mutation={"gdc.extra": 1})
+@example(mutation={"gdc.lambda1": 1e300})      # bisects up to adjacent doubles near 1e287
+def test_mutated_certificate_sections_keep_the_exit_contract(tmp_path, capsys, mutation):
+    with open(os.path.join(SCEN, "gdc-example-2x2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for path, value in mutation.items():
+        section, key = path.split(".")
+        doc.setdefault(section, {})[key] = value
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert _one_error_line(err)
+    assert "Traceback" not in err
+    if any(path == "gdc.extra" or not (_finite_number(v) and v >= 0)
+           or (path == "gdc.tol" and v < 1e-15) for path, v in mutation.items()):
+        assert rc == 1 and any(path in err for path in mutation), err

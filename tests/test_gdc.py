@@ -23,6 +23,13 @@ def test_certify_scaled_identity():
     assert lam0 == pytest.approx(2.0, abs=1e-8)
 
 
+def test_certify_stops_when_tol_is_below_the_double_spacing():
+    # near 10 adjacent doubles are 1.8e-15 apart, so the interval never
+    # shrinks to tol = 1e-15; the bisection ends at adjacent doubles
+    lam0 = certify_lambda0(-10.0 * np.eye(2), P_SECOND, lambda1=0.0, tol=1e-15)
+    assert lam0 == pytest.approx(10.0, abs=1e-11)
+
+
 def test_certify_matches_grid_search_oracle():
     # random symmetric generator, rank-one projection onto an eigenvector
     gen = np.random.Generator(np.random.Philox(97))
@@ -93,8 +100,7 @@ def test_make_certificate_fails_when_lambda0_below_sqrt_lf():
 
 def test_quadratic_form_audit_on_certificate():
     cert = make_certificate(A_BLOCK, P_SECOND, lambda1=1.5)
-    worst = quadratic_form_audit(A_BLOCK, P_SECOND, cert.lambda0, cert.lambda1,
-                                 n_probes=1000)
+    worst = quadratic_form_audit(A_BLOCK, P_SECOND, cert.lambda0, cert.lambda1)
     assert worst <= 1e-8
 
 

@@ -7,7 +7,6 @@ from reference import sample_path, simulate_trajectory
 from spdelab import engine as eng
 from spdelab import hjmm
 from spdelab.errors import ContractViolation, HypothesisViolated
-from spdelab.noise import MarkSampler, POINT_MASS
 
 
 def test_lf_bound_example_values():
@@ -94,7 +93,7 @@ def test_example_volatility_norm_bound():
 def test_drift_zero_volatility():
     sp = hjmm.forward_space(2.0, n=256)
     vol = hjmm.HjmmVolatility(sigma_factors=(), M=0.0)
-    rows = hjmm.hjmm_drift_rows(vol, None, sp, np.zeros((3, sp.dim)))
+    rows = hjmm.hjmm_drift_rows(vol, sp, np.zeros((3, sp.dim)))
     assert np.all(rows == 0.0)
 
 
@@ -103,7 +102,7 @@ def test_drift_closed_form_single_factor():
     fac = np.exp(-sp.beta * sp.grid)
     vol = hjmm.HjmmVolatility(sigma_factors=(lambda X: np.broadcast_to(fac, X.shape),),
                               M=1.0)
-    drift = hjmm.hjmm_drift_rows(vol, None, sp, np.zeros(sp.dim)[None])[0]
+    drift = hjmm.hjmm_drift_rows(vol, sp, np.zeros(sp.dim)[None])[0]
     resid = abs(drift[-1])
     want = np.exp(-3.0 * sp.grid) * (1.0 - np.exp(-3.0 * sp.grid)) / 3.0
     assert np.abs(drift - want).max() <= 1e-4
@@ -113,44 +112,10 @@ def test_drift_closed_form_single_factor():
 def test_drift_vanishes_on_constant_curves_with_example_volatility():
     sp = hjmm.forward_space(3.0, n=512)
     vol = hjmm.hjmm_example_volatility(sp)
-    drift = hjmm.hjmm_drift_rows(vol, None, sp, np.full(sp.dim, 0.07)[None])[0]
+    drift = hjmm.hjmm_drift_rows(vol, sp, np.full(sp.dim, 0.07)[None])[0]
     resid = abs(drift[-1])
     assert np.all(drift == 0.0)
     assert resid == 0.0
-
-
-def test_drift_jump_part_matches_direct_evaluation():
-    sp = hjmm.forward_space(2.0, n=256)
-    shape = np.exp(-2.0 * sp.grid)
-    shape[-1] = 0.0
-
-    def gamma(X, M):
-        return M[:, :1] * shape
-
-    vol = hjmm.HjmmVolatility(sigma_factors=(), gamma=gamma,
-                              phi=lambda m: np.abs(m[:, 0]) * 0.51, M=1.0)
-    mu = hjmm.FiniteMarkMeasure(rate=1.5, marks=MarkSampler(POINT_MASS,
-                                                            point=np.array([0.3])))
-    h = 0.05 + 0.02 * np.exp(-3.0 * sp.grid)
-    drift = hjmm.hjmm_drift_rows(vol, mu, sp, h[None])[0]
-    g = 0.3 * shape
-    expo = -hjmm.cumtrapz_rows(g[None, :], sp.dx)[0]
-    want = -1.5 * g * np.expm1(expo)
-    assert np.abs(drift - want).max() <= 1e-12
-
-
-def test_drift_jump_exponent_guard():
-    sp = hjmm.forward_space(2.0, n=256)
-
-    def gamma(X, M):
-        return np.broadcast_to(M[:, :1] * 40.0, X.shape)
-
-    vol = hjmm.HjmmVolatility(sigma_factors=(), gamma=gamma,
-                              phi=lambda m: np.abs(m[:, 0]) * 1e-6, M=1.0)
-    mu = hjmm.FiniteMarkMeasure(rate=1.0, marks=MarkSampler(POINT_MASS,
-                                                            point=np.array([1.0])))
-    with pytest.raises(HypothesisViolated):
-        hjmm.hjmm_drift_rows(vol, mu, sp, np.zeros(sp.dim)[None])
 
 
 def test_drift_lipschitz_audit_against_bound():
@@ -164,8 +129,8 @@ def test_drift_lipschitz_audit_against_bound():
         decays = 2.0 + 3.0 * gen.random((2, 3))
         h1 = 0.05 + sum(a * np.exp(-b * sp.grid) for a, b in zip(amps[0], decays[0]))
         h2 = 0.05 + sum(a * np.exp(-b * sp.grid) for a, b in zip(amps[1], decays[1]))
-        f1 = hjmm.hjmm_drift_rows(vol, None, sp, h1[None, :])[0]
-        f2 = hjmm.hjmm_drift_rows(vol, None, sp, h2[None, :])[0]
+        f1 = hjmm.hjmm_drift_rows(vol, sp, h1[None, :])[0]
+        f2 = hjmm.hjmm_drift_rows(vol, sp, h2[None, :])[0]
         gap = sp.norm(h1 - h2)
         if gap > 0:
             worst = max(worst, sp.norm(f1 - f2) / gap)
@@ -205,7 +170,7 @@ def test_pure_transport_decays_at_least_at_beta():
     vol = hjmm.HjmmVolatility(sigma_factors=(), M=0.0, vanishing_at_constants=True)
     h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
     rep = hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=3.0, n_traj=1,
-                                          seed=3, snapshot_spacing=0.25)
+                                          seed=3)
     # deterministic transport: E||X_t - h(inf)||^2 = ||S(t) P0 h0||^2, rate >= beta
     assert rep.fitted_rate >= sp.beta * 0.95
     assert rep.long_rate_max_dev == 0.0
@@ -227,7 +192,7 @@ def _no_simulation(*args, **kwargs):
 
 @pytest.mark.parametrize("horizon", [0.3, 1.25])
 def test_a_horizon_too_short_for_the_decay_fit_stops_before_simulating(monkeypatch, horizon):
-    # at dt = dx ~ 0.317, horizon 1.25 leaves 3 snapshots at or after fit_burn = 0.5
+    # at dt = dx ~ 0.317, horizon 1.25 leaves 3 snapshots at or after FIT_BURN = 0.5
     sp = hjmm.forward_space(3.0, n=64)
     vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
     h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
@@ -368,9 +333,9 @@ def test_drift_rows_bit_identical_to_reference():
     vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
     s = _ref_example_volatility_rows(sp, X)
     want = _ref_sigma_drift_rows([s], sp.dx)
-    assert _same_bits(hjmm.hjmm_drift_rows(vol, None, sp, X), want)
+    assert _same_bits(hjmm.hjmm_drift_rows(vol, sp, X), want)
     out = np.full_like(X, np.nan)
-    got = hjmm.hjmm_drift_rows(vol, None, sp, X, factors=[s], out=out)
+    got = hjmm.hjmm_drift_rows(vol, sp, X, factors=[s], out=out)
     assert got is out and _same_bits(got, want)
     # two factors, one of them negative (its products at x = 0 are -0.0)
     bump = -np.exp(-2.0 * sp.grid)
@@ -378,7 +343,7 @@ def test_drift_rows_bit_identical_to_reference():
     two = hjmm.HjmmVolatility(sigma_factors=(vol.sigma_factors[0],
                                              lambda Y: np.broadcast_to(bump, Y.shape)))
     want2 = _ref_sigma_drift_rows([s, np.broadcast_to(bump, X.shape)], sp.dx)
-    assert _same_bits(hjmm.hjmm_drift_rows(two, None, sp, X), want2)
+    assert _same_bits(hjmm.hjmm_drift_rows(two, sp, X), want2)
 
 
 @pytest.mark.parametrize("extra_factor", [False, True])

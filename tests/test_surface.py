@@ -2,7 +2,10 @@
 name is used in ``src/`` outside its own definition and outside type
 annotations, or in ``bench/``. Every field of a dataclass is read: as
 ``obj.field`` in ``src/`` or ``bench/``, or as ``self.field`` inside its own
-class.
+class. Every defaulted parameter of a public function, method or public
+class's ``__init__`` is passed, by keyword or by position, by some call in
+``src/`` or ``bench/``; one that never is has a single value in use and
+belongs in a named constant.
 
 The scan matches names, not bindings, so a name shared by two definitions
 counts as used for both; it catches code nothing reaches, not every unused
@@ -11,6 +14,7 @@ override.
 
 import ast
 import glob
+import math
 import os
 from collections import Counter
 
@@ -20,9 +24,6 @@ BENCH = sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
 
 # Called only from tests, and kept on purpose.
 TEST_ONLY = {
-    # the jump term of the HJM drift condition, which no scenario reaches; checked by
-    # test_drift_jump_part_matches_direct_evaluation and test_drift_jump_exponent_guard
-    "hjmm.FiniteMarkMeasure",
     # the only check of the paper's pairwise dissipativity inequality
     "engine.lyapunov_probe",
     "engine.lyapunov_bound",
@@ -41,6 +42,15 @@ FIELDS_TEST_ONLY = {
     "gdc.ConvergenceFit.n_points",
     # the truncation time of the characteristic-function quadrature
     "oulevy.CfValue.t_cut",
+}
+
+
+# Defaulted parameters passed only by tests, and kept on purpose.
+PARAMS_TEST_ONLY = {
+    # the tests compare terminal states with the one-trajectory reference
+    "engine.simulate_coupled_ensemble.keep_terminal",
+    # the fast-chain tests fit the semigroup rate on a grid of their own
+    "oulevy.kolmogorov_instance.t_grid",
 }
 
 
@@ -145,3 +155,52 @@ def test_every_dataclass_field_is_read():
     unread = _unread_fields()
     assert unread - FIELDS_TEST_ONLY == set(), "fields nothing in src/ or bench/ reads"
     assert FIELDS_TEST_ONLY - unread == set(), "kept fields that src/ or bench/ now read"
+
+
+def _callables(module, tree):
+    """``(qualified name, called name, definition, leading parameters a call
+    does not pass)`` of each public function and method, and of each public
+    class's ``__init__``, which a call reaches by the class name."""
+    for qualname, node in _public_definitions(module, tree):
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and m.name == "__init__":
+                    yield qualname, node.name, m, 1
+        else:
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            method = qualname.count(".") == 2
+            yield qualname, node.name, node, int(method and not static)
+
+
+def _unpassed_defaults():
+    positional = Counter()          # most positional arguments of any call, per name
+    keywords = set()                # (called name, keyword)
+    for p in [*SRC, *BENCH]:
+        for n in ast.walk(_parse(p)):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in n.args)
+            positional[name] = max(positional[name], math.inf if starred else len(n.args))
+            keywords.update((name, k.arg) for k in n.keywords if k.arg)
+    found = set()
+    for module, tree in ((os.path.basename(p)[:-3], _parse(p)) for p in SRC):
+        for qualname, name, fn, skip in _callables(module, tree):
+            a = fn.args
+            params = a.posonlyargs + a.args
+            first = len(params) - len(a.defaults)
+            for i, arg in enumerate(params[first:], start=first):
+                if (name, arg.arg) not in keywords and positional[name] <= i - skip:
+                    found.add(f"{qualname}.{arg.arg}")
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None and (name, arg.arg) not in keywords:
+                    found.add(f"{qualname}.{arg.arg}")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = _unpassed_defaults()
+    assert unpassed - PARAMS_TEST_ONLY == set(), "defaults no call in src/ or bench/ overrides"
+    assert PARAMS_TEST_ONLY - unpassed == set(), "kept parameters that src/ or bench/ now pass"
