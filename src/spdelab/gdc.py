@@ -82,7 +82,9 @@ def certify_lambda0(A, P1: Projection, lambda1: float = 0.0, tol: float = 1e-9,
     if lambda1 < 0 or tol <= 0:
         raise ContractViolation("lambda1 must be >= 0 and tol > 0")
     sym, qp0, qp1, D = _form_matrices(A, P1, space)
-    scale = np.linalg.norm(sym, 2) + lambda1 * np.linalg.norm(qp1, 2) + 1.0
+    # the feasibility slack scales with the form alone: one that grew with
+    # lambda1 ||P1|| would accept a lambda0 far above the true one
+    scale = np.linalg.norm(sym, 2) + 1.0
 
     def feasible(lam0: float) -> bool:
         m = sym + lam0 * qp0 - lambda1 * qp1

@@ -40,7 +40,7 @@ from .engine import (Scenario, ScenarioFlags, mean_stderr, obs_coordinate, obs_n
 from .errors import ContractViolation, HypothesisViolated
 from .gdc import DECAY_FIT_FLOOR, RATE_BUDGET, fit_exponential, make_certificate
 from .hilbert import HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
-from .noise import diagonal_qwiener
+from .noise import QWienerSpec
 from .wasserstein import w2_1d
 
 GRID_POINTS = 2048
@@ -313,7 +313,7 @@ def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
                             L_F=L_F, L_sigma=vol.L_sigma, L_gamma=vol.L_gamma,
                             lambda0=space.beta / 2.0, audit=False)
     n = vol.n_factors
-    qw = diagonal_qwiener(np.ones(n), embedding=np.zeros((space.dim, n))) if n else None
+    qw = QWienerSpec(np.ones(n)) if n else None
     return Scenario(op=shift_operator(space), P1=long_rate_projection(space),
                     qwiener=qw, drift=model.drift_rows, sigma=model,
                     certificate=cert,

@@ -61,6 +61,13 @@ class ConvergenceReport:
         return any(v.status == "diverges" for v in self.verdicts)
 
 
+def _require_fit_points(times, T: float, spacing: float) -> None:
+    """A decay fit needs 4 snapshots (see ``fit_exponential``); checked before simulating."""
+    if len(times) < 4:
+        raise ContractViolation(f"T = {T!r} with spacing {spacing!r} gives {len(times)} "
+                                "snapshots; the decay fit needs at least 4")
+
+
 def audit_vanishing_hypotheses(sc: Scenario, x) -> None:
     """Checks the structural hypotheses of the vanishing-coefficient decay:
     the flag itself, ran(P1) inside ker(A), and all coefficients vanishing at
@@ -88,8 +95,8 @@ def audit_vanishing_hypotheses(sc: Scenario, x) -> None:
         if v > 1e-12:
             raise HypothesisViolated("coefficients-vanish-at-anchor",
                                      f"||sigma(P1 x)|| column norm = {v:.3e}")
-    if sc.jumps is not None and sc.jumps.total_rate > 0:
-        v = math.sqrt(sc.jumps.second_moment(space, anchor))
+    if sc.jumps is not None:
+        v = math.sqrt(sc.jumps.second_moment(space))
         if v > 1e-12:
             raise HypothesisViolated("coefficients-vanish-at-anchor",
                                      f"jump second moment at P1 x = {v:.3e}")
@@ -104,12 +111,14 @@ def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
     cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     anchor = sc.P1.apply(x)
+    p0x2 = sc.space.norm2(x - anchor)
     times = snapshot_grid(horizon, dt, snapshot_spacing)
+    if p0x2 != 0.0:         # a start at the anchor has no decay to fit
+        _require_fit_points(times, horizon, snapshot_spacing)
     obs = {"dist2": obs_norm2(sc.space, center=anchor)}
     ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), n_traj, seed,
                             times, observables=obs, threads=threads)
     mean, se = mean_stderr(ens.observables["dist2"])
-    p0x2 = sc.space.norm2(x - anchor)
     bound = p0x2 * np.exp(-cert.epsilon * times)
     rep = ConvergenceReport(scenario_id=sc.scenario_id, experiment="vanishing-coefficients",
                             times=times,
@@ -160,6 +169,7 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
 
     Every tau is checked before anything is simulated: it must be finite,
     >= 0 and a multiple of dt, and T + tau must stay within MAX_STEPS steps.
+    With some tau > 0 the snapshot grid must hold the 4 points a fit needs.
     """
     n_steps = int(round(T / dt))
     shifts = []                         # (tau, its grid steps)
@@ -173,11 +183,13 @@ def limit_existence_experiment(sc: Scenario, x, tau_list, T: float, dt: float,
         if abs(k * dt - tau) > 1e-9 * max(1.0, tau):
             raise ContractViolation(f"tau_list: every tau must be a multiple of dt, got {tau!r}")
         shifts.append((tau, k))
+    times = snapshot_grid(T, dt, snapshot_spacing)
+    if any(k > 0 for _, k in shifts):     # each fits its diagnostic
+        _require_fit_points(times, T, snapshot_spacing)
     cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     p1_times, p1_path = audit_deterministic_p1(sc, x, dt, T, seed + 1)
     p1_dev = np.sqrt(sc.space.norm2_rows(p1_path - p1_path[-1]))
-    times = snapshot_grid(T, dt, snapshot_spacing)
     if p1_dev.max() <= 1e-12:
         theoretical = cert.epsilon / 2.0
         delta_fit = math.inf
@@ -282,6 +294,7 @@ def counterexample_experiment(sc: Scenario, x, T: float, dt: float, n_traj: int,
     exponential second moment (anti-dissipative block)."""
     x = np.asarray(x, dtype=float)
     times = snapshot_grid(T, dt, snapshot_spacing)
+    _require_fit_points(times, T, snapshot_spacing)
     n_steps = int(round(T / dt))
     ens = simulate_ensemble(sc, x, dt, n_steps, n_traj, seed, times, threads=threads)
     p1 = ens.states @ sc.P1.matrix.T

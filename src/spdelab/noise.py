@@ -1,6 +1,7 @@
 """Driving noise: Q-Wiener increments in a truncated eigenbasis and
-finite-activity compensated Poisson jumps, drawn per trajectory from
-counter-based substreams.
+finite-activity compensated additive Poisson jumps, drawn per trajectory
+from counter-based substreams. Each ingredient is plain data: a QWienerSpec
+holds the mode variances, a JumpSpec the jump rate and mark law.
 
 Reproducibility contract: every random stream is a Philox generator keyed by
 ``(master_seed, trajectory_index, stream_tag)``, so regeneration never
@@ -34,6 +35,7 @@ STREAM_GAUSS = 0
 STREAM_JUMP = 1
 STREAM_SEGMENT = 2
 QUAD_SEED = 90_210            # fixed seed for Monte-Carlo mark quadratures
+QUAD_NODES = 4096             # nodes of a continuous mark law's quadrature
 
 POINT_MASS = "point-mass"
 GAUSSIAN_MARK = "gaussian-mark"
@@ -119,7 +121,6 @@ class MarkSampler:
     cov_diag: np.ndarray | None = None     # gaussian-mark variances
     lo: np.ndarray | None = None           # uniform-mark bounds
     hi: np.ndarray | None = None
-    quad_nodes: int = 4096
 
     def __post_init__(self):
         if self.kind == POINT_MASS:
@@ -179,39 +180,23 @@ class MarkSampler:
         if self.kind == POINT_MASS:
             return np.array([1.0]), self.point[None, :]
         gen = np.random.Generator(np.random.Philox(QUAD_SEED))
-        nodes = self.sample(gen, self.quad_nodes)
-        w = np.full(self.quad_nodes, 1.0 / self.quad_nodes)
+        nodes = self.sample(gen, QUAD_NODES)
+        w = np.full(QUAD_NODES, 1.0 / QUAD_NODES)
         return w, nodes
 
 
 @dataclass(frozen=True, eq=False)
 class QWienerSpec:
-    """Trace-class covariance in a truncated eigenbasis.
-
-    ``embedding @ eigenvectors`` gives the per-mode columns the diffusion
-    multiplies; stored increments carry variance ``dt * eigenvalue`` per mode.
-    """
+    """Trace-class covariance, diagonal in its modes: stored increments carry
+    variance ``dt * eigenvalue`` per mode; the diffusion's columns place them."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    embedding: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        vec = np.asarray(self.eigenvectors, dtype=float)
-        emb = np.asarray(self.embedding, dtype=float)
         if np.any(lam < 0):
             raise ContractViolation("Q eigenvalues must be nonnegative")
-        if vec.ndim != 2 or vec.shape[1] != len(lam):
-            raise ContractViolation("eigenvector matrix must have one column per eigenvalue")
-        gram = vec.T @ vec
-        if np.abs(gram - np.eye(len(lam))).max() > 1e-10:
-            raise ContractViolation("Q eigenvectors must be orthonormal columns")
-        if emb.shape[1] != vec.shape[0]:
-            raise ContractViolation("embedding must map the eigenbasis space")
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
-        object.__setattr__(self, "embedding", emb)
 
     @property
     def n_modes(self) -> int:
@@ -221,68 +206,29 @@ class QWienerSpec:
         return np.sqrt(self.eigenvalues * dt)
 
 
-def diagonal_qwiener(eigenvalues, embedding=None) -> QWienerSpec:
-    lam = np.asarray(eigenvalues, dtype=float)
-    m = len(lam)
-    if embedding is None:
-        embedding = np.eye(m)
-    return QWienerSpec(eigenvalues=lam, eigenvectors=np.eye(m), embedding=np.asarray(embedding, dtype=float))
+diagonal_qwiener = QWienerSpec      # every Q here is diagonal in its modes
 
 
 @dataclass(frozen=True, eq=False)
 class JumpSpec:
-    """Finite-activity marked jumps: total rate, mark law and the jump map.
-
-    ``gamma(X, marks)`` is vectorized over rows. ``compensator_mean`` returns
-    ``integral gamma(x, nu) mu(d nu)`` rowwise; when omitted it is evaluated
-    with the mark law's quadrature, which is exact for atomic marks.
-    """
+    """Finite-activity additive jumps ``gamma(x, nu) = nu``: a positive total
+    rate and the mark law. A scenario without jumps has no JumpSpec."""
 
     total_rate: float
     marks: MarkSampler
-    gamma: "callable"
-    compensator_mean: "callable | None" = None
 
     def __post_init__(self):
-        if self.total_rate < 0:
-            raise ContractViolation("jump rate must be nonnegative")
+        if not 0 < self.total_rate:
+            raise ContractViolation("jump rate must be positive (no jumps is None, not a JumpSpec)")
 
     def compensator_rows(self, X: np.ndarray) -> np.ndarray:
-        if self.compensator_mean is not None:
-            return self.compensator_mean(X)
+        """``integral nu mu(d nu)``, the rate times the mark mean, on every row."""
+        return np.broadcast_to(self.total_rate * self.marks.mark_mean(), X.shape)
+
+    def second_moment(self, space) -> float:
+        """integral ||nu||^2 mu(d nu) by the mark quadrature."""
         w, nodes = self.marks.quadrature()
-        acc = None
-        for wq, nq in zip(w, nodes):
-            g = self.gamma(X, np.tile(nq, (X.shape[0], 1)))
-            acc = wq * g if acc is None else acc + wq * g
-        return self.total_rate * acc
-
-    def second_moment(self, space, x) -> float:
-        """integral ||gamma(x, nu)||^2 mu(d nu) by the mark quadrature."""
-        w, nodes = self.marks.quadrature()
-        X = np.tile(np.asarray(x, dtype=float), (len(nodes), 1))
-        return float(self.total_rate * (w @ space.norm2_rows(self.gamma(X, nodes))))
-
-    def second_moment_diff(self, space, x, y) -> float:
-        w, nodes = self.marks.quadrature()
-        Xr = np.tile(np.asarray(x, dtype=float), (len(nodes), 1))
-        Yr = np.tile(np.asarray(y, dtype=float), (len(nodes), 1))
-        diff = self.gamma(Xr, nodes) - self.gamma(Yr, nodes)
-        return float(self.total_rate * (w @ space.norm2_rows(diff)))
-
-
-def additive_jumps(total_rate: float, marks: MarkSampler) -> JumpSpec:
-    """Jumps ``gamma(x, nu) = nu`` with the closed-form compensator."""
-    mean = marks.mark_mean()
-
-    def gamma(X, M):
-        return M
-
-    def compensator(X):
-        return np.broadcast_to(total_rate * mean, X.shape)
-
-    return JumpSpec(total_rate=total_rate, marks=marks, gamma=gamma,
-                    compensator_mean=compensator)
+        return float(self.total_rate * (w @ space.norm2_rows(nodes)))
 
 
 def jump_draw(js: JumpSpec, dt: float, n_steps: int, gen: np.random.Generator):
@@ -308,8 +254,8 @@ def sample_path(qw: QWienerSpec | None, js: JumpSpec | None, dt: float,
         gauss *= qw.increment_std(dt)
     else:
         gauss = np.zeros((n_steps, 0))
-    if js is not None and js.total_rate > 0:
+    if js is not None:
         pos, marks = jump_draw(js, dt, n_steps, substream(seed, traj_index, STREAM_JUMP))
         order = np.argsort(pos, kind="stable")
         return gauss, pos[order], marks[order]
-    return gauss, np.zeros(0, dtype=np.int64), np.zeros((0, js.marks.dim if js is not None else 0))
+    return gauss, np.zeros(0, dtype=np.int64), np.zeros((0, 0))

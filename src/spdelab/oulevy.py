@@ -31,7 +31,7 @@ from .gdc import ConvergenceFit, fit_convergence, make_certificate
 from .hilbert import (EUCLIDEAN, HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
                       euclidean_space, expm, matrix_operator, weighted_space,
                       averaging_projection)
-from .noise import MarkSampler, QWienerSpec, additive_jumps
+from .noise import JumpSpec, QWienerSpec
 
 HYP_DRIFT = "ou-drift-in-ker-P"
 HYP_COV = "ou-covariance-in-ker-P"
@@ -53,20 +53,17 @@ def _op_norm(space: HilbertSpace, m: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class LevyTriplet:
     """Drift, Gaussian covariance (as an operator on H) and a finite jump
-    measure ``mu = jump_rate * law(marks)``."""
+    measure ``mu = jumps.total_rate * law(jumps.marks)`` (None: no jumps)."""
 
     drift: np.ndarray
     cov: np.ndarray
-    jump_rate: float = 0.0
-    jump_marks: MarkSampler | None = None
+    jumps: JumpSpec | None = None
 
     def __post_init__(self):
         b = np.asarray(self.drift, dtype=float)
         q = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if q.shape != (len(b), len(b)):
             raise ContractViolation("covariance must be square, matching the drift")
-        if self.jump_rate < 0 or (self.jump_rate > 0 and self.jump_marks is None):
-            raise ContractViolation("a positive jump rate needs a mark distribution")
         object.__setattr__(self, "drift", b)
         object.__setattr__(self, "cov", q)
 
@@ -77,11 +74,11 @@ class LevyTriplet:
         sigma_eucl = self.euclidean_covariance(space)
         if np.linalg.eigvalsh(0.5 * (sigma_eucl + sigma_eucl.T)).min() < -1e-10:
             raise ContractViolation("covariance is not positive semidefinite")
-        if self.jump_rate > 0:
-            w, nodes = self.jump_marks.quadrature()
+        if self.jumps is not None:
+            w, nodes = self.jumps.marks.quadrature()
             nz = np.sqrt(space.norm2_rows(nodes))
             big = nz > 1.0
-            if not np.isfinite(self.jump_rate * float(w[big] @ np.log1p(nz[big]))):
+            if not np.isfinite(self.jumps.total_rate * float(w[big] @ np.log1p(nz[big]))):
                 raise ContractViolation("log moment of big jumps is not finite")
 
     def euclidean_covariance(self, space: HilbertSpace) -> np.ndarray:
@@ -91,9 +88,9 @@ class LevyTriplet:
         return self.cov / space.weight[None, :]
 
     def jump_quadrature(self, space: HilbertSpace):
-        if self.jump_rate == 0:
+        if self.jumps is None:
             return None
-        w, nodes = self.jump_marks.quadrature()
+        w, nodes = self.jumps.marks.quadrature()
         small = np.sqrt(space.norm2_rows(nodes)) <= 1.0
         return w, nodes, small
 
@@ -126,7 +123,7 @@ def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None):
         for lo in range(0, len(U), rows):
             phase = U[lo:lo + rows] @ zw.T
             vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
-            val[lo:lo + rows] += t.jump_rate * (vals @ w)
+            val[lo:lo + rows] += t.jumps.total_rate * (vals @ w)
     return complex(val[0]) if np.ndim(u) == 1 else val
 
 
@@ -156,7 +153,7 @@ class OuScenario:
         pq = _op_norm(space, self.P.matrix @ self.triplet.cov)
         if pq > HYP_TOL:
             raise HypothesisViolated(HYP_COV, f"||P Q|| = {pq:.3e}")
-        if self.triplet.jump_rate > 0:
+        if self.triplet.jumps is not None:
             _, nodes, _ = self.triplet.jump_quadrature(space)
             worst = float(np.sqrt(space.norm2_rows(self.P.apply(nodes))).max())
             if worst > HYP_TOL:
@@ -206,8 +203,8 @@ def _tail_constants(sc: OuScenario) -> tuple[float, float]:
     if quad is not None:
         w, nodes, small = quad
         nz = np.sqrt(space.norm2_rows(nodes))
-        a1 += m * t.jump_rate * float(w[~small] @ nz[~small])
-        a2 += 0.5 * m * m * t.jump_rate * float(w[small] @ nz[small] ** 2)
+        a1 += m * t.jumps.total_rate * float(w[~small] @ nz[~small])
+        a2 += 0.5 * m * m * t.jumps.total_rate * float(w[small] @ nz[small] ** 2)
     return a1, a2
 
 
@@ -294,26 +291,24 @@ def ou_engine_scenario(sc: OuScenario) -> Scenario:
 
     The compensated-jump form absorbs the uncompensated big jumps into the
     constant drift: F = b + int_{||z||>1} z mu(dz), all jumps compensated.
+    The covariance's eigenvectors are the diffusion's columns.
     """
     space = sc.space
     t = sc.triplet
     b_eff = t.drift.copy()
-    jumps = None
-    if t.jump_rate > 0:
+    if t.jumps is not None:
         w, nodes, small = t.jump_quadrature(space)
-        b_eff = b_eff + t.jump_rate * ((w * ~small) @ nodes)
-        jumps = additive_jumps(t.jump_rate, t.jump_marks)
+        b_eff = b_eff + t.jumps.total_rate * ((w * ~small) @ nodes)
     sigma_eucl = t.euclidean_covariance(space)
     vals, vecs = np.linalg.eigh(0.5 * (sigma_eucl + sigma_eucl.T))
     keep = vals > 1e-12 * max(vals.max(), 1.0) if vals.size else np.zeros(0, bool)
     lam, cols = vals[keep], vecs[:, keep]
-    qw = QWienerSpec(eigenvalues=lam, eigenvectors=np.eye(int(keep.sum())),
-                     embedding=cols) if keep.any() else None
+    qw = QWienerSpec(lam) if keep.any() else None
     sigma = ConstantSigma(cols) if keep.any() else None
     drift = ConstantDrift(b_eff) if np.any(b_eff != 0.0) else None
     cert = make_certificate(sc.op.generator, sc.P, lambda1=0.0, space=space)
     return Scenario(op=sc.op, P1=sc.P, qwiener=qw, drift=drift, sigma=sigma,
-                    jumps=jumps, certificate=cert,
+                    jumps=t.jumps, certificate=cert,
                     flags=ScenarioFlags(vanishing_on_H1=False, deterministic_P1=True),
                     scenario_id=sc.scenario_id)
 

@@ -21,8 +21,7 @@ from .hilbert import (HilbertSpace, Projection, averaging_projection,
                       coordinate_projection, euclidean_space, hbeta_grid_space,
                       identity_projection, long_rate_projection, matrix_operator,
                       shift_operator, weighted_space)
-from .noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, UNIFORM_MARK,
-                    additive_jumps, diagonal_qwiener)
+from .noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS, QWienerSpec, UNIFORM_MARK
 from .oulevy import LevyTriplet, OuScenario, make_ou_scenario
 
 
@@ -221,9 +220,8 @@ def build_sigma(doc, space, p1: Projection):
         lam = _vector(doc["eigenvalues"], "coefficients.sigma.eigenvalues", m) \
             if "eigenvalues" in doc else np.ones(m)
         if _boolean(doc.get("vanishing_wrapper", False), "coefficients.sigma.vanishing_wrapper"):
-            return (TabulatedSigma(space, cols, p1),
-                    diagonal_qwiener(lam, embedding=np.zeros((space.dim, m))))
-        return engine.ConstantSigma(cols), diagonal_qwiener(lam, embedding=cols)
+            return TabulatedSigma(space, cols, p1), QWienerSpec(lam)
+        return engine.ConstantSigma(cols), QWienerSpec(lam)
     if b == "linear-modes":
         raw = doc.get("tensors")
         _require(isinstance(raw, list) and raw, "coefficients.sigma.tensors",
@@ -235,12 +233,12 @@ def build_sigma(doc, space, p1: Projection):
             if "offsets" in doc else np.zeros((m, space.dim))
         lam = _vector(doc["eigenvalues"], "coefficients.sigma.eigenvalues", m) \
             if "eigenvalues" in doc else np.ones(m)
-        return (engine.LinearSigma(tensors, offsets),
-                diagonal_qwiener(lam, embedding=np.zeros((space.dim, m))))
+        return engine.LinearSigma(tensors, offsets), QWienerSpec(lam)
     raise SchemaError(f"coefficients.sigma.builder: unknown diffusion builder {b!r}")
 
 
 def build_jumps(doc, space):
+    """The document's additive jumps, or None for ``none`` and for rate 0."""
     _check_keys(doc, "coefficients.gamma", ["builder"], ["rate", "marks"])
     b = doc["builder"]
     if b == "none":
@@ -250,7 +248,7 @@ def build_jumps(doc, space):
         marks = build_marks(doc.get("marks"), "coefficients.gamma.marks")
         _require(marks.dim == space.dim, "coefficients.gamma.marks",
                  "additive marks must match the space dimension")
-        return additive_jumps(rate, marks)
+        return JumpSpec(rate, marks) if rate > 0 else None
     raise SchemaError(f"coefficients.gamma.builder: unknown jump builder {b!r}")
 
 
@@ -378,9 +376,9 @@ def build_ou_scenario(doc) -> OuScenario:
     cov = _matrix(ou_doc["cov"], "ou.cov", space.dim, space.dim) if "cov" in ou_doc \
         else np.zeros((space.dim, space.dim))
     rate = _number(ou_doc.get("jump_rate", 0.0), "ou.jump_rate", 0.0)
-    marks = build_marks(ou_doc["marks"], "ou.marks") if rate > 0 else None
+    jumps = JumpSpec(rate, build_marks(ou_doc.get("marks"), "ou.marks")) if rate > 0 else None
     t_grid = _vector(ou_doc["t_grid"], "ou.t_grid") if "t_grid" in ou_doc else None
-    triplet = LevyTriplet(drift=b, cov=cov, jump_rate=rate, jump_marks=marks)
+    triplet = LevyTriplet(drift=b, cov=cov, jumps=jumps)
     return make_ou_scenario(op, p, triplet, t_grid=t_grid, scenario_id=doc["id"])
 
 

@@ -32,6 +32,18 @@ def test_certify_block_example(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("lambda1", [1e6, 1e9, 1e12, 1e14, 1e300])
+def test_certify_block_example_at_large_lambda1(tmp_path, capsys, lambda1):
+    doc = scenarios.load_document(os.path.join(SCEN, "gdc-example-2x2.json"))
+    doc["gdc"]["lambda1"] = lambda1
+    f = tmp_path / "large.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli(["certify", str(f), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    assert cert["lambda0"] == pytest.approx(1.0 - 1.0 / (4.0 * (lambda1 - 1.0)), abs=1e-10)
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert run_cli(["frobnicate"]) == 1
     capsys.readouterr()
@@ -107,6 +119,27 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
     assert (tmp_path / "a" / "simulate.csv").read_bytes() == \
         (tmp_path / "b" / "simulate.csv").read_bytes()
     assert (tmp_path / "a" / "manifest.json").read_bytes() != b""
+
+
+def test_ou_jump_rate_without_marks_is_one_error_line(tmp_path, capsys):
+    f = tmp_path / "no-marks.json"
+    f.write_text(json.dumps(_mutated_document("ou.jump_rate", 1.5)))
+    assert run_cli(["ou-limit", str(f), "--traj", "4", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "ou.marks" in err
+
+
+def test_simulate_with_jump_rate_zero_is_simulate_without_jumps(tmp_path, capsys):
+    zero = {"builder": "additive", "rate": 0.0,
+            "marks": {"kind": "gaussian-mark", "mean": [0.3, 0.0], "cov_diag": [0.25, 0.0]}}
+    for name, gamma in (("none", {"builder": "none"}), ("zero", zero)):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(_mutated_document("coefficients.gamma", gamma)))
+        assert run_cli(["simulate", str(f), "--traj", "300",
+                        "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "none" / "simulate.csv").read_bytes() == \
+        (tmp_path / "zero" / "simulate.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["simulate", "hjmm"])
@@ -672,6 +705,40 @@ def test_limit_existence_checks_every_tau_before_simulating(tmp_path, capsys, mo
     assert rc == 1
     assert _one_error_line(err)
     assert "tau_list" in err
+
+
+def _vanishing_document():
+    """ou-decoupled-2d.json under the vanishing wrapper, started off its anchor."""
+    doc = _mutated_document("experiment.lab", {"kind": "vanishing", "x": [5.0, 7.0],
+                                               "dt": 0.01, "traj": 4})
+    doc["coefficients"]["sigma"]["vanishing_wrapper"] = True
+    doc["flags"]["vanishing_on_H1"] = True
+    return doc
+
+
+@pytest.mark.parametrize("document, horizon", [
+    pytest.param(lambda: _limit_existence_document(tau_list=[0.0, 0.5, 1.0]), "0.5",
+                 id="limit-existence"),
+    pytest.param(lambda: scenarios.load_document(
+        os.path.join(SCEN, "counterexample-antidissipative.json")), "1", id="counterexample"),
+    pytest.param(_vanishing_document, "0.5", id="vanishing"),
+])
+def test_lab_decay_fits_check_their_snapshots_before_simulating(tmp_path, capsys, monkeypatch,
+                                                                document, horizon):
+    # a horizon with fewer than 4 snapshots leaves a decay fit too few points
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the snapshot count was checked")
+
+    for name in ("simulate_ensemble", "simulate_ensembles", "simulate_coupled_ensemble",
+                 "simulate_pair_ensemble"):
+        monkeypatch.setattr(lab, name, no_simulation)
+    f = tmp_path / "short.json"
+    f.write_text(json.dumps(document()))
+    rc = run_cli(["lab", str(f), "--horizon", horizon, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err)
+    assert f"T = {float(horizon)!r}" in err and "spacing" in err
 
 
 # Property test of the lab input contract: a limit-existence experiment with

@@ -13,7 +13,7 @@ from spdelab import cli, hjmm, scenarios
 from spdelab.errors import ContractViolation, HypothesisViolated, NumericalBlowup
 from spdelab.gdc import make_certificate
 from spdelab.noise import (GAUSSIAN_MARK, MarkSampler, POINT_MASS, STREAM_GAUSS, STREAM_SEGMENT,
-                           additive_jumps, diagonal_qwiener, substream)
+                           JumpSpec, diagonal_qwiener, substream)
 from spdelab.wasserstein import ks_critical_value, ks_statistic
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -36,7 +36,7 @@ def test_step_euler_on_constant_drift():
 
 def test_step_applies_jumps_at_left_state():
     op = hb.matrix_operator(hb.euclidean_space(1), [[0.0]])
-    js = additive_jumps(1.0, MarkSampler(POINT_MASS, point=np.array([2.0])))
+    js = JumpSpec(1.0, MarkSampler(POINT_MASS, point=np.array([2.0])))
     sc = eng.Scenario(op=op, P1=hb.Projection(np.zeros((1, 1))), jumps=js)
     got = step(sc, np.array([1.0]), 0.1, jump_marks=np.array([[2.0], [2.0]]))
     # two jumps of +2, compensator 1.0*2.0 per unit time
@@ -73,7 +73,7 @@ def test_one_trajectory_ensemble_equals_simulate_trajectory(kind):
                             cov_diag=np.array([0.3, 0.1]))
         sc = eng.Scenario(op=op, P1=p0, qwiener=diagonal_qwiener([1.0]),
                           sigma=PlainSigma([[0.5], [0.2]]),
-                          drift=lambda X: 0.1 * np.sin(X), jumps=additive_jumps(25.0, marks))
+                          drift=lambda X: 0.1 * np.sin(X), jumps=JumpSpec(25.0, marks))
     dt, n_steps, x = 0.01, 250, np.array([0.4, -1.3])
     ens = eng.simulate_ensemble(sc, x, dt, n_steps, 1, 77, np.arange(n_steps + 1) * dt)
     path = sample_path(sc.qwiener, sc.jumps, dt, n_steps, seed=77, traj_index=0)
@@ -228,25 +228,6 @@ def test_lyapunov_inequality_on_random_pairs(paper2x2):
         assert val <= bound + 1e-8
 
 
-def test_lyapunov_with_jumps_uses_quadrature():
-    a = -2.0 * np.eye(1)
-    op = hb.matrix_operator(hb.euclidean_space(1), a)
-    cert = make_certificate(a, hb.Projection(np.zeros((1, 1))), lambda1=0.0,
-                            L_gamma=0.25)
-
-    def gamma(X, M):
-        return 0.5 * X    # per-mark jump proportional to the state
-
-    js = additive_jumps(1.0, MarkSampler(POINT_MASS, point=np.array([1.0])))
-    js = type(js)(total_rate=1.0, marks=js.marks, gamma=gamma, compensator_mean=None)
-    sc = eng.Scenario(op=op, P1=hb.Projection(np.zeros((1, 1))), jumps=js,
-                      certificate=cert)
-    x, y = np.array([2.0]), np.array([0.0])
-    val = eng.lyapunov_probe(sc, x, y)
-    # 2 <A d, d> + rate ||0.5 d||^2 = -4 * 4 + 0.25 * 4
-    assert val == pytest.approx(-16.0 + 1.0, rel=1e-12)
-
-
 def test_stability_check_equal_points(paper2x2):
     rep = eng.stability_check(paper2x2, [1.0, 2.0], [1.0, 2.0], 0.01, 50, 32, 7,
                               snapshot_times=[0.25, 0.5])
@@ -299,7 +280,7 @@ def test_jump_scenario_compensation_keeps_mean():
     # pure-jump OU: compensated jumps leave the mean on the deterministic flow
     a = np.array([[-1.0]])
     op = hb.matrix_operator(hb.euclidean_space(1), a)
-    js = additive_jumps(5.0, MarkSampler(POINT_MASS, point=np.array([0.3])))
+    js = JumpSpec(5.0, MarkSampler(POINT_MASS, point=np.array([0.3])))
     cert = make_certificate(a, hb.Projection(np.zeros((1, 1))), lambda1=0.0)
     sc = eng.Scenario(op=op, P1=hb.Projection(np.zeros((1, 1))), jumps=js,
                       certificate=cert)
@@ -427,7 +408,7 @@ N_PINNED = 2500
 def _jump_ou():
     """diag(-1, 0) with Gaussian noise and Gaussian-mark jumps on coordinate 0."""
     a = np.diag([-1.0, 0.0])
-    js = additive_jumps(2.0, MarkSampler(GAUSSIAN_MARK, mean=np.zeros(2),
+    js = JumpSpec(2.0, MarkSampler(GAUSSIAN_MARK, mean=np.zeros(2),
                                          cov_diag=np.array([0.25, 0.0])))
     return eng.Scenario(op=hb.matrix_operator(hb.euclidean_space(2), a),
                         P1=hb.coordinate_projection(2, [1]), qwiener=diagonal_qwiener([1.0]),

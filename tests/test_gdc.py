@@ -17,6 +17,14 @@ def test_certify_block_example():
     assert lam0 == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("lambda1", [1e6, 1e9, 1e12, 1e14, 1e300])
+def test_certify_block_example_at_large_lambda1(lambda1):
+    # Sym(A) + l0 (I - P1) - l1 P1 = [[l0 - 1, 1/2], [1/2, 1 - l1]] is negative
+    # semidefinite iff l0 <= 1 - 1 / (4 (l1 - 1)): below 1 however large l1 is
+    lam0 = certify_lambda0(A_BLOCK, P_SECOND, lambda1=lambda1, tol=1e-10)
+    assert lam0 == pytest.approx(1.0 - 1.0 / (4.0 * (lambda1 - 1.0)), abs=1e-10)
+
+
 def test_certify_scaled_identity():
     a = -2.0 * np.eye(3)
     lam0 = certify_lambda0(a, hb.Projection(np.zeros((3, 3))), lambda1=0.0)

@@ -5,17 +5,25 @@ from reference import sample_path, shift_view
 from spdelab.engine import MAX_TRAJ
 from spdelab.errors import ContractViolation
 from spdelab.noise import (MarkSampler, POINT_MASS, GAUSSIAN_MARK, STREAM_GAUSS, STREAM_JUMP,
-                           STREAM_SEGMENT, UNIFORM_MARK, additive_jumps, diagonal_qwiener,
+                           STREAM_SEGMENT, UNIFORM_MARK, JumpSpec, diagonal_qwiener,
                            stream_keys, substream)
 from spdelab import hilbert as hb
+from spdelab.scenarios import build_jumps
 
 
 def make_jumps(rate=2.0, z=(1.0, -0.5)):
-    return additive_jumps(rate, MarkSampler(POINT_MASS, point=np.array(z)))
+    return JumpSpec(rate, MarkSampler(POINT_MASS, point=np.array(z)))
 
 
 def test_no_jumps_when_rate_zero():
-    p = sample_path(diagonal_qwiener([1.0, 2.0]), make_jumps(rate=0.0), 0.01, 50, seed=1)
+    # no jumps is None: a JumpSpec needs a positive rate, and a document's
+    # rate 0 builds none
+    with pytest.raises(ContractViolation):
+        make_jumps(rate=0.0)
+    doc = {"builder": "additive", "rate": 0.0,
+           "marks": {"kind": "point-mass", "point": [1.0, -0.5]}}
+    assert build_jumps(doc, hb.euclidean_space(2)) is None
+    p = sample_path(diagonal_qwiener([1.0, 2.0]), None, 0.01, 50, seed=1)
     assert len(p.jump_steps) == 0
 
 
@@ -136,19 +144,9 @@ def test_mark_samplers_and_quadrature():
 def test_jump_spec_moments_against_closed_form():
     sp = hb.euclidean_space(2)
     js = make_jumps(rate=2.0, z=(1.0, -0.5))
-    x = np.zeros(2)
-    assert js.second_moment(sp, x) == pytest.approx(2.0 * 1.25)
-    assert js.second_moment_diff(sp, x, np.ones(2)) == pytest.approx(0.0)
+    assert js.second_moment(sp) == pytest.approx(2.0 * 1.25)
     comp = js.compensator_rows(np.zeros((3, 2)))
     assert np.allclose(comp, 2.0 * np.array([1.0, -0.5]))
-
-
-def test_qwiener_rejects_non_orthonormal_eigenvectors():
-    with pytest.raises(ContractViolation):
-        from spdelab.noise import QWienerSpec
-        QWienerSpec(eigenvalues=np.array([1.0, 1.0]),
-                    eigenvectors=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                    embedding=np.eye(2))
 
 
 def test_qwiener_rejects_negative_eigenvalues():

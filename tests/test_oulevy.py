@@ -9,7 +9,7 @@ from spdelab import hilbert as hb
 from spdelab import oulevy as ou
 from spdelab.errors import BudgetExceeded, ContractViolation, HypothesisViolated
 from spdelab.gdc import ConvergenceFit
-from spdelab.noise import GAUSSIAN_MARK, MarkSampler, POINT_MASS
+from spdelab.noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS
 
 
 def decoupled_scenario():
@@ -34,8 +34,8 @@ def test_levy_exponent_pure_gaussian():
 
 def test_levy_exponent_big_atom():
     z0 = np.array([2.0, 0.0])
-    t = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)), jump_rate=0.7,
-                       jump_marks=MarkSampler(POINT_MASS, point=z0))
+    t = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)),
+                       jumps=JumpSpec(0.7, MarkSampler(POINT_MASS, point=z0)))
     u = np.array([0.3, 0.9])
     want = 0.7 * (np.exp(1j * 0.6) - 1.0)
     assert ou.levy_exponent(t, u) == pytest.approx(want, abs=1e-12)
@@ -43,8 +43,8 @@ def test_levy_exponent_big_atom():
 
 def test_levy_exponent_small_atom_is_compensated():
     z0 = np.array([0.5])
-    t = ou.LevyTriplet(drift=np.zeros(1), cov=np.zeros((1, 1)), jump_rate=2.0,
-                       jump_marks=MarkSampler(POINT_MASS, point=z0))
+    t = ou.LevyTriplet(drift=np.zeros(1), cov=np.zeros((1, 1)),
+                       jumps=JumpSpec(2.0, MarkSampler(POINT_MASS, point=z0)))
     u = np.array([1.0])
     want = 2.0 * (np.exp(0.5j) - 1.0 - 0.5j)
     assert ou.levy_exponent(t, u) == pytest.approx(want, abs=1e-12)
@@ -98,8 +98,8 @@ def test_hypothesis_audits_fire():
     bad_cov = ou.LevyTriplet(drift=np.zeros(2), cov=np.diag([0.0, 1.0]))
     with pytest.raises(HypothesisViolated):
         ou.make_ou_scenario(op, p, bad_cov)
-    bad_marks = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)), jump_rate=1.0,
-                               jump_marks=MarkSampler(POINT_MASS, point=np.array([0.0, 2.0])))
+    bad_marks = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)), jumps=JumpSpec(
+        1.0, MarkSampler(POINT_MASS, point=np.array([0.0, 2.0]))))
     with pytest.raises(HypothesisViolated):
         ou.make_ou_scenario(op, p, bad_marks)
 
@@ -125,8 +125,8 @@ def test_cf_agreement_with_simulation_including_jumps():
     a = 1.0
     op = hb.matrix_operator(hb.euclidean_space(1), [[-a]])
     p = hb.Projection(np.zeros((1, 1)))
-    trip = ou.LevyTriplet(drift=np.zeros(1), cov=np.array([[0.25]]), jump_rate=2.0,
-                          jump_marks=MarkSampler(POINT_MASS, point=np.array([0.4])))
+    trip = ou.LevyTriplet(drift=np.zeros(1), cov=np.array([[0.25]]),
+                          jumps=JumpSpec(2.0, MarkSampler(POINT_MASS, point=np.array([0.4]))))
     sc = ou.make_ou_scenario(op, p, trip, t_grid=np.linspace(0.2, 4.0, 12))
     esc = ou.ou_engine_scenario(sc)
     T, dt, n = 12.0, 2e-3, 20_000
@@ -252,7 +252,7 @@ def _ref_levy_exponent(t, u, space=None):
         w, nodes, small = quad
         phase = space.inner_rows(nodes, np.broadcast_to(u, nodes.shape))
         vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
-        val += t.jump_rate * complex(w @ vals)
+        val += t.jumps.total_rate * complex(w @ vals)
     return complex(val)
 
 
@@ -316,8 +316,7 @@ def _weighted_kolmogorov_triplet(marks):
     _, eta = _reversible_chain(4, 4, 2.0)
     a = gen.standard_normal((4, 4))
     cov = 0.3 * (a @ a.T) * eta[None, :]      # Q = Sigma D is self-adjoint in L^2(eta)
-    trip = ou.LevyTriplet(drift=gen.standard_normal(4), cov=cov, jump_rate=1.3,
-                          jump_marks=marks)
+    trip = ou.LevyTriplet(drift=gen.standard_normal(4), cov=cov, jumps=JumpSpec(1.3, marks))
     space = hb.weighted_space(eta)
     trip.validate(space)
     rows = gen.standard_normal((300, 4)) * np.exp(gen.uniform(-4.0, 2.0, (300, 1)))
