@@ -25,10 +25,8 @@ from .errors import (BudgetExceeded, CertificationFailed, ContractViolation,
                      HypothesisViolated, SchemaError, SpdelabError)
 from .gdc import DECAY_FIT_FLOOR
 from .oulevy import empirical_cf, limiting_cf, ou_engine_scenario
-from .scenarios import (build_hjmm_volatility, build_operator, build_ou_scenario,
-                        build_projection, build_scenario, build_space,
-                        experiment_section, load_document, _certificate_section,
-                        _number, _vector, _integer)
+from .scenarios import (build_hjmm_volatility, build_ou_scenario, build_scenario,
+                        experiment_section, load_document, _number, _vector, _integer)
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
 EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_VERDICT = 0, 1, 2, 3
@@ -136,9 +134,9 @@ def _resolve_observables(names, sc):
 
 def cmd_certify(args) -> int:
     doc = load_document(args.scenario)
-    space = build_space(doc["space"])
-    op = build_operator(doc["operator"], space)
-    cert = _certificate_section(doc, space, op, build_projection(doc["projection"], space))
+    sc = build_scenario(doc)
+    sc.lipschitz_audit()
+    cert = sc.certificate
     out = _out_dir(args, doc["id"])
     record = {
         "lambda0": cert.lambda0, "lambda1": cert.lambda1, "alpha": cert.alpha,
@@ -291,26 +289,27 @@ def cmd_hjmm(args) -> int:
     if args.volatility == "example":
         vol = hjmm.hjmm_example_volatility(space, beta_prime=args.beta_prime)
     elif args.volatility == "zero":
-        vol = hjmm.HjmmVolatility(sigma_factors=(), M=0.0, L_sigma=0.0, L_gamma=0.0,
-                                  beta_prime=args.beta_prime, vanishing_at_constants=True)
+        vol = hjmm.HjmmVolatility(sigma_factors=(), beta_prime=args.beta_prime)
     else:
         if not args.volatility_file:
             raise SchemaError("--volatility file needs --volatility-file")
         vol = build_hjmm_volatility(_read_json(args.volatility_file), space,
                                     path="volatility-file")
-    if vol.vanishing_at_constants and hjmm.fit_snapshots(args.horizon, args.dt or space.dx) < 4:
-        raise SchemaError(f"--horizon: {args.horizon!r} leaves too few snapshots for the decay fit")
     with np.errstate(over="ignore", invalid="ignore"):
         h0 = args.h0_long_rate + args.h0_amplitude * np.exp(-args.h0_decay * space.grid)
         peak = np.abs(h0).max()
     if not peak < engine.BLOWUP_NORM:     # nan and inf fail too
         raise SchemaError(f"--h0-long-rate, --h0-amplitude, --h0-decay: the initial curve "
                           f"reaches {peak:.3g}, past the blow-up bound {engine.BLOWUP_NORM:g}")
+    vanishing = hjmm.vanishes_at_constant(vol, space, h0[-1])
+    if vanishing and hjmm.fit_snapshots(args.horizon, args.dt or space.dx) < 4:
+        raise SchemaError(f"--horizon: {args.horizon!r} leaves too few snapshots for the decay fit")
     dist2 = space.norm2_rows((h0 - h0[-1])[None, :])[0]
-    if vol.vanishing_at_constants and 0.0 < dist2 <= DECAY_FIT_FLOOR:
+    if vanishing and 0.0 < dist2 <= DECAY_FIT_FLOOR:
         raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the long "
                           f"rate is positive but not above the decay fit's floor "
                           f"{DECAY_FIT_FLOOR:g}")
+    hjmm.audit_volatility(vol, space, [h0])
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
         dt=args.dt, threads=args.threads)
@@ -355,6 +354,7 @@ def cmd_lab(args) -> int:
     seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     spacing = _number(exp.get("spacing", 0.25), "experiment.spacing", dt)
     x = _vector(exp.get("x", [0.0] * sc.dim), "experiment.x", sc.dim)
+    sc.lipschitz_audit()
     if kind == "vanishing":
         rep = lab.vanishing_coeff_experiment(sc, x, dt, T, n_traj, seed,
                                              snapshot_spacing=spacing, threads=args.threads)

@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -140,15 +140,10 @@ class LinearSigma:
 
 
 @dataclass(eq=False)
-class ScenarioFlags:
-    vanishing_on_H1: bool = False
-    deterministic_P1: bool = False
-
-
-@dataclass(eq=False)
 class Scenario:
     """One SPDE instance: operator, coefficients, noise and its certificate;
-    ``qwiener`` holds the mode variances, ``sigma.columns(x)`` each mode's direction."""
+    ``qwiener`` holds the mode variances, ``sigma.columns(x)`` each mode's direction.
+    It declares no structural hypothesis: the lab's audits measure them."""
 
     op: OperatorModel
     P1: Projection
@@ -157,7 +152,6 @@ class Scenario:
     sigma: "object | None" = None            # .apply(X, xi), .columns(x), optional .fused
     jumps: JumpSpec | None = None
     certificate: GdcCertificate | None = None
-    flags: ScenarioFlags = field(default_factory=ScenarioFlags)
     scenario_id: str = "scenario"
 
     @property

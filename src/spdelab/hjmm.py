@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (Scenario, ScenarioFlags, mean_stderr, obs_coordinate, obs_norm2,
-                     simulate_ensemble, snapshot_grid)
+from .engine import (Scenario, mean_stderr, obs_coordinate, obs_norm2, simulate_ensemble,
+                     snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
 from .gdc import DECAY_FIT_FLOOR, RATE_BUDGET, fit_exponential, make_certificate
 from .hilbert import HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
@@ -187,7 +187,6 @@ class HjmmVolatility:
     L_sigma: float = 0.0
     L_gamma: float = 0.0
     beta_prime: float = math.inf
-    vanishing_at_constants: bool = False
 
     @property
     def n_factors(self) -> int:
@@ -203,8 +202,7 @@ def hjmm_example_volatility(space: HilbertSpace,
         return example_volatility_rows(space, X, out=out, work=work, decay=decay)
 
     return HjmmVolatility(sigma_factors=(factor,), M=1.0 / space.beta, L_sigma=1.0,
-                          L_gamma=0.0, beta_prime=beta_prime,
-                          vanishing_at_constants=True)
+                          L_gamma=0.0, beta_prime=beta_prime)
 
 
 def hjmm_drift_rows(vol: HjmmVolatility, space: HilbertSpace, X: np.ndarray,
@@ -316,10 +314,7 @@ def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
     qw = QWienerSpec(np.ones(n)) if n else None
     return Scenario(op=shift_operator(space), P1=long_rate_projection(space),
                     qwiener=qw, drift=model.drift_rows, sigma=model,
-                    certificate=cert,
-                    flags=ScenarioFlags(vanishing_on_H1=vol.vanishing_at_constants,
-                                        deterministic_P1=True),
-                    scenario_id=scenario_id)
+                    certificate=cert, scenario_id=scenario_id)
 
 
 @dataclass(eq=False)
@@ -337,6 +332,13 @@ class HjmmReport:
     verdicts: list
 
 
+def vanishes_at_constant(vol: HjmmVolatility, space: HilbertSpace, level: float) -> bool:
+    """Whether every factor is zero on the constant curve at ``level``: its
+    norm is at most 1e-12, the rule of lab's anchor audit. One row per factor."""
+    X = np.full((1, space.dim), float(level))
+    return all(space.norm(f(X)[0]) <= 1e-12 for f in vol.sigma_factors)
+
+
 def fit_snapshots(horizon: float, dt: float) -> int:
     """Snapshots at or after ``FIT_BURN``: the points of the decay fit."""
     return int(np.sum(snapshot_grid(horizon, dt, SNAPSHOT_SPACING) >= FIT_BURN))
@@ -349,9 +351,11 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     """Simulate the curve dynamics and check the decay of
     E ||X_t - h0(inf)||^2 against the certified contraction margin.
 
-    With volatilities vanishing at constants the decay series itself is
-    checked; otherwise snapshot-to-snapshot Wasserstein distances of the
-    short-rate observable are fitted against half the margin.
+    The mode is measured, never declared: ``vanishing`` when every factor is
+    zero on the constant curve at h0's long rate (``vanishes_at_constant``),
+    and then the decay series itself is checked; otherwise ``w2``, and
+    snapshot-to-snapshot Wasserstein distances of the short-rate observable
+    are fitted against half the margin.
     """
     L_F = lf_bound(vol.L_sigma, vol.L_gamma, vol.M, space.beta, vol.beta_prime)
     margin = contraction_margin(space.beta, L_F, vol.L_sigma, vol.L_gamma)
@@ -364,7 +368,8 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         dt = space.dx
     n_steps = int(round(horizon / dt))
     snap_times = snapshot_grid(horizon, dt, SNAPSHOT_SPACING)
-    if vol.vanishing_at_constants and fit_snapshots(horizon, dt) < 4:
+    vanishing = vanishes_at_constant(vol, space, h0[-1])
+    if vanishing and fit_snapshots(horizon, dt) < 4:
         raise ContractViolation(f"horizon {horizon!r} leaves fewer than 4 snapshots at or "
                                 f"after fit_burn {FIT_BURN!r} for the decay fit")
     target = np.full(space.dim, h0[-1])
@@ -376,7 +381,7 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
     bound = mean[0] * np.exp(-margin * snap_times)
     lr_dev = float(np.abs(ens.observables["long_rate"] - h0[-1]).max())
     verdicts = []
-    if vol.vanishing_at_constants:
+    if vanishing:
         # started at the long rate, the series stays zero: nothing to fit
         mode, theoretical, at_floor = "vanishing", margin, mean[0] == 0.0
         keep = (snap_times >= FIT_BURN) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConstantDrift, ConstantSigma, Scenario, ScenarioFlags
+from .engine import ConstantDrift, ConstantSigma, Scenario
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated
 from .gdc import ConvergenceFit, fit_convergence, make_certificate
 from .hilbert import (EUCLIDEAN, HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
@@ -131,8 +131,8 @@ def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None):
 class OuScenario:
     """Operator with a certified convergent semigroup plus the driving triplet.
 
-    The hypothesis flags are recomputed from the data at construction, never
-    trusted from the caller.
+    The structural hypotheses are recomputed from the data at construction,
+    never trusted from the caller.
     """
 
     op: OperatorModel
@@ -308,9 +308,7 @@ def ou_engine_scenario(sc: OuScenario) -> Scenario:
     drift = ConstantDrift(b_eff) if np.any(b_eff != 0.0) else None
     cert = make_certificate(sc.op.generator, sc.P, lambda1=0.0, space=space)
     return Scenario(op=sc.op, P1=sc.P, qwiener=qw, drift=drift, sigma=sigma,
-                    jumps=t.jumps, certificate=cert,
-                    flags=ScenarioFlags(vanishing_on_H1=False, deterministic_P1=True),
-                    scenario_id=sc.scenario_id)
+                    jumps=t.jumps, certificate=cert, scenario_id=sc.scenario_id)
 
 
 def kolmogorov_instance(q_matrix, eta, triplet: LevyTriplet, t_grid=None) -> OuScenario:

@@ -253,16 +253,13 @@ def build_jumps(doc, space):
 
 
 SCENARIO_KEYS = (["id", "space", "operator", "projection"],
-                 ["coefficients", "lipschitz", "gdc", "flags", "ou", "hjmm",
-                  "experiment"])
+                 ["coefficients", "lipschitz", "gdc", "ou", "hjmm", "experiment"])
 
 
 def build_hjmm_volatility(doc, space, path="hjmm"):
     """Volatility declarations for forward-curve scenarios: the worked
     single-factor example, the zero volatility, or user-tabulated factors."""
-    _check_keys(doc, path, ["volatility"],
-                ["beta_prime", "factors", "M", "L_sigma", "L_gamma",
-                 "vanishing_at_constants"])
+    _check_keys(doc, path, ["volatility"], ["beta_prime", "factors", "M", "L_sigma", "L_gamma"])
     kind = doc["volatility"]
     if kind in ("example", "zero"):
         for k in doc:
@@ -272,10 +269,7 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
     if kind == "example":
         return hjmm.hjmm_example_volatility(space, beta_prime=bp)
     if kind == "zero":
-        return hjmm.HjmmVolatility(sigma_factors=(), M=0.0, beta_prime=bp,
-                                   vanishing_at_constants=True)
-    vanishing = _boolean(doc.get("vanishing_at_constants", False),
-                         f"{path}.vanishing_at_constants")
+        return hjmm.HjmmVolatility(sigma_factors=(), beta_prime=bp)
     if kind == "tabulated":
         raw = doc.get("factors")
         _require(isinstance(raw, list) and raw, f"{path}.factors",
@@ -294,28 +288,8 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
             M=_number(doc.get("M", 0.0), f"{path}.M", 0.0),
             L_sigma=_number(doc.get("L_sigma", 0.0), f"{path}.L_sigma", 0.0),
             L_gamma=_number(doc.get("L_gamma", 0.0), f"{path}.L_gamma", 0.0),
-            beta_prime=bp,
-            vanishing_at_constants=vanishing)
+            beta_prime=bp)
     raise SchemaError(f"{path}.volatility: unknown volatility {kind!r}")
-
-
-def _certificate_section(doc, space, op, p1):
-    """Certify the operator with the document's ``lipschitz`` and ``gdc``
-    sections; a grid-shift operator without ``gdc.lambda0`` gets beta / 2."""
-    lip = doc.get("lipschitz", {})
-    _check_keys(lip, "lipschitz", [], ["L_F", "L_sigma", "L_gamma"])
-    gdc_doc = doc.get("gdc", {})
-    _check_keys(gdc_doc, "gdc", [], ["lambda0", "lambda1", "tol"])
-    lambda0 = _number(gdc_doc["lambda0"], "gdc.lambda0", 0.0) if "lambda0" in gdc_doc else None
-    gen = op.generator if op.semigroup_mode == "matrix-exponential" else None
-    if gen is None and lambda0 is None:
-        lambda0 = space.beta / 2.0
-    return make_certificate(gen, p1, _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0),
-                            L_F=_number(lip.get("L_F", 0.0), "lipschitz.L_F", 0.0),
-                            L_sigma=_number(lip.get("L_sigma", 0.0), "lipschitz.L_sigma", 0.0),
-                            L_gamma=_number(lip.get("L_gamma", 0.0), "lipschitz.L_gamma", 0.0),
-                            tol=_number(gdc_doc.get("tol", 1e-9), "gdc.tol", 1e-15),
-                            space=space, lambda0=lambda0)
 
 
 def load_document(path_or_text) -> dict:
@@ -335,15 +309,18 @@ def load_document(path_or_text) -> dict:
 
 
 def build_scenario(doc) -> engine.Scenario:
-    """Assemble an engine scenario (with its certificate) from a document."""
+    """Assemble an engine scenario and its one certificate from a document: from
+    the ``hjmm`` section alone, or from the ``lipschitz`` and ``gdc`` sections
+    (a grid-shift operator without ``gdc.lambda0`` gets beta / 2)."""
     space = build_space(doc["space"])
     op = build_operator(doc["operator"], space)
     p1 = build_projection(doc["projection"], space)
     if "hjmm" in doc:
         _require(space.kind == "hbeta-grid", "$.hjmm",
                  "forward-curve coefficients need an hbeta-grid space")
-        _require("coefficients" not in doc, "$.coefficients",
-                 "the hjmm section supplies all coefficients")
+        for key in ("coefficients", "lipschitz", "gdc"):
+            _require(key not in doc, f"$.{key}",
+                     "the hjmm section supplies all coefficients and constants")
         vol = build_hjmm_volatility(doc["hjmm"], space)
         return hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
     coeff = doc.get("coefficients", {})
@@ -351,16 +328,22 @@ def build_scenario(doc) -> engine.Scenario:
     drift = build_drift(coeff["F"], space) if "F" in coeff else None
     sigma, qw = build_sigma(coeff["sigma"], space, p1) if "sigma" in coeff else (None, None)
     jumps = build_jumps(coeff["gamma"], space) if "gamma" in coeff else None
-    flags_doc = doc.get("flags", {})
-    _check_keys(flags_doc, "flags", [], ["vanishing_on_H1", "deterministic_P1"])
-    flags = engine.ScenarioFlags(
-        vanishing_on_H1=_boolean(flags_doc.get("vanishing_on_H1", False), "flags.vanishing_on_H1"),
-        deterministic_P1=_boolean(flags_doc.get("deterministic_P1", False),
-                                  "flags.deterministic_P1"))
+    lip = doc.get("lipschitz", {})
+    _check_keys(lip, "lipschitz", [], ["L_F", "L_sigma", "L_gamma"])
+    gdc_doc = doc.get("gdc", {})
+    _check_keys(gdc_doc, "gdc", [], ["lambda0", "lambda1", "tol"])
+    lambda0 = _number(gdc_doc["lambda0"], "gdc.lambda0", 0.0) if "lambda0" in gdc_doc else None
+    gen = op.generator if op.semigroup_mode == "matrix-exponential" else None
+    if gen is None and lambda0 is None:
+        lambda0 = space.beta / 2.0
+    cert = make_certificate(gen, p1, _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0),
+                            L_F=_number(lip.get("L_F", 0.0), "lipschitz.L_F", 0.0),
+                            L_sigma=_number(lip.get("L_sigma", 0.0), "lipschitz.L_sigma", 0.0),
+                            L_gamma=_number(lip.get("L_gamma", 0.0), "lipschitz.L_gamma", 0.0),
+                            tol=_number(gdc_doc.get("tol", 1e-9), "gdc.tol", 1e-15),
+                            space=space, lambda0=lambda0)
     return engine.Scenario(op=op, P1=p1, qwiener=qw, drift=drift, sigma=sigma,
-                           jumps=jumps, certificate=_certificate_section(doc, space, op, p1),
-                           flags=flags,
-                           scenario_id=doc["id"])
+                           jumps=jumps, certificate=cert, scenario_id=doc["id"])
 
 
 def build_ou_scenario(doc) -> OuScenario:

@@ -47,7 +47,6 @@ def decoupled_scenario():
     return eng.Scenario(op=op, P1=p1, qwiener=diagonal_qwiener([1.0]),
                         sigma=eng.ConstantSigma(np.array([[1.0], [0.0]])),
                         certificate=cert,
-                        flags=eng.ScenarioFlags(deterministic_P1=True),
                         scenario_id="ou2d-decoupled")
 
 

@@ -28,8 +28,6 @@ def ou2d_decoupled():
     return eng.Scenario(op=op, P1=p1, qwiener=diagonal_qwiener([1.0]),
                         sigma=eng.ConstantSigma(np.array([[1.0], [0.0]])),
                         certificate=cert,
-                        flags=eng.ScenarioFlags(vanishing_on_H1=False,
-                                                deterministic_P1=True),
                         scenario_id="ou2d-decoupled")
 
 

@@ -487,14 +487,10 @@ def _mutated_document(path, value):
                  id="coords-out-of-range"),
     pytest.param("simulate", "projection.coords", [True], "projection.coords",
                  id="coords-boolean"),
-    pytest.param("simulate", "flags.vanishing_on_H1", "no", "flags.vanishing_on_H1",
-                 id="flag-string"),
-    pytest.param("simulate", "flags.deterministic_P1", 1, "flags.deterministic_P1",
-                 id="flag-number"),
+    pytest.param("simulate", "flags", {"deterministic_P1": True}, "$.flags: unknown key",
+                 id="flags"),
     pytest.param("simulate", "coefficients.sigma.vanishing_wrapper", "no",
                  "coefficients.sigma.vanishing_wrapper", id="vanishing-wrapper-string"),
-    pytest.param("simulate", "hjmm.vanishing_at_constants", "no", "hjmm.vanishing_at_constants",
-                 id="vanishing-at-constants-string"),
     pytest.param("ou-limit", "experiment.ou-limit.probes", 5, "experiment.probes",
                  id="probes-number"),
     pytest.param("ou-limit", "experiment.ou-limit.t_cut", 0, "experiment.t_cut",
@@ -513,7 +509,7 @@ def test_simulate_checks_the_observables_key(tmp_path, capsys, command, path, va
 
 @pytest.mark.parametrize("kind", ["example", "zero"])
 @pytest.mark.parametrize("key,value", [("factors", [[1.0]]), ("M", 5.0), ("L_sigma", 9.0),
-                                       ("L_gamma", 0.5), ("vanishing_at_constants", False)])
+                                       ("L_gamma", 0.5)])
 def test_fixed_volatility_rejects_declared_constants(tmp_path, capsys, kind, key, value):
     # the example and zero volatilities fix their constants; a declared one
     # would not be the one certified
@@ -708,11 +704,12 @@ def test_limit_existence_checks_every_tau_before_simulating(tmp_path, capsys, mo
 
 
 def _vanishing_document():
-    """ou-decoupled-2d.json under the vanishing wrapper, started off its anchor."""
+    """ou-decoupled-2d.json under the vanishing wrapper, started off its anchor;
+    the wrapped diffusion depends on the state, with a measured L_sigma of 0.987."""
     doc = _mutated_document("experiment.lab", {"kind": "vanishing", "x": [5.0, 7.0],
                                                "dt": 0.01, "traj": 4})
     doc["coefficients"]["sigma"]["vanishing_wrapper"] = True
-    doc["flags"]["vanishing_on_H1"] = True
+    doc["lipschitz"] = {"L_sigma": 1.0}
     return doc
 
 
@@ -862,3 +859,205 @@ def test_mutated_certificate_sections_keep_the_exit_contract(tmp_path, capsys, m
     if any(path == "gdc.extra" or not (_finite_number(v) and v >= 0)
            or (path == "gdc.tol" and v < 1e-15) for path, v in mutation.items()):
         assert rc == 1 and any(path in err for path in mutation), err
+
+
+# Hypotheses are measured on the scenario that runs, and a document has one
+# certificate: the one of build_scenario.
+
+def _forward_curve_document(**sections):
+    """The small forward-curve document (beta 3, n 64, example volatility)."""
+    return {**_mutated_document("hjmm.volatility", "example"), **sections}
+
+
+def test_certify_a_forward_curve_document_writes_the_scenario_epsilon(tmp_path, capsys):
+    doc = _forward_curve_document()
+    f = tmp_path / "fc.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli(["certify", str(f), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    assert cert["epsilon"] == scenarios.build_scenario(doc).certificate.epsilon
+    assert cert["epsilon"] == 0.169810982570741
+
+
+@pytest.mark.parametrize("section", [{"lipschitz": {"L_F": 1.0}}, {"gdc": {"lambda1": 1.0}}],
+                         ids=["lipschitz", "gdc"])
+def test_a_forward_curve_document_rejects_declared_constants(tmp_path, capsys, section):
+    # the hjmm section supplies the certificate's constants
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(_forward_curve_document(**section)))
+    rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and f"$.{next(iter(section))}" in err
+
+
+def test_the_hjmm_mode_is_measured_from_the_factors(tmp_path, capsys):
+    # an all-zero tabulated factor vanishes at every constant curve, a
+    # non-zero one at none
+    grid = np.linspace(0.0, 20.0, 64)
+    modes = []
+    for name, factor in (("zero", np.zeros(64)), ("bump", 0.01 * np.exp(-3.0 * grid))):
+        vol = tmp_path / f"{name}.json"
+        vol.write_text(json.dumps({"volatility": "tabulated", "M": 1e-3, "L_sigma": 0.1,
+                                   "factors": [factor.tolist()]}))
+        rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "16", "--horizon", "3",
+                      "--volatility", "file", "--volatility-file", str(vol),
+                      "--out", str(tmp_path / name)])
+        assert rc in (0, 3)
+        summary = (tmp_path / name / "hjmm_summary.csv").read_text().splitlines()
+        modes.append(summary[1].split(",")[-1])
+    capsys.readouterr()
+    assert modes == ["vanishing", "w2"]
+
+
+def test_a_vanishing_run_on_constant_noise_ends_in_exit_two(tmp_path, capsys):
+    # guard: with no flag to declare, the anchor audit alone rejects it (the
+    # deterministic-p1 guard is test_unmet_hypothesis_prints_its_prefix_once)
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(_mutated_document(
+        "experiment.lab", {"kind": "vanishing", "x": [1.0, 1.0], "T": 1.0, "dt": 0.01})))
+    rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("hypothesis violated: coefficients-vanish-at-anchor")
+
+
+def test_certify_audits_the_declared_lipschitz_constants(tmp_path, capsys):
+    doc = scenarios.load_document(os.path.join(SCEN, "gdc-example-2x2.json"))
+    doc["coefficients"] = {"F": {"builder": "sine", "amplitude": 5.0}}
+    f = tmp_path / "sine.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("hypothesis violated: lipschitz-F")
+
+
+def test_lab_audits_the_declared_lipschitz_constants(tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the Lipschitz audit")
+
+    monkeypatch.setattr(lab, "simulate_ensemble", no_simulation)
+    doc = _vanishing_document()
+    del doc["lipschitz"]
+    f = tmp_path / "undeclared.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--horizon", "2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("hypothesis violated: lipschitz-sigma")
+
+
+def test_hjmm_audits_a_file_volatility(tmp_path, capsys):
+    grid = np.linspace(0.0, 20.0, 64)
+    vol = tmp_path / "vol.json"
+    vol.write_text(json.dumps({"volatility": "tabulated", "M": 1e-6,
+                               "factors": [(0.05 * np.exp(-3.0 * grid)).tolist()]}))
+    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4", "--horizon", "3",
+                  "--volatility", "file", "--volatility-file", str(vol),
+                  "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("hypothesis violated: volatility-norm-bound")
+    assert not (tmp_path / "o" / "hjmm_decay.csv").exists()
+
+
+def test_a_moving_p1_part_too_short_to_fit_names_T(tmp_path, capsys, monkeypatch):
+    # P1 X_t = e^t moves; on the P1 audit's 0.25 grid T = 0.75 leaves 3
+    # positive deviations from P1 X_T, one short of the fit
+    def no_coupling(*args, **kwargs):
+        raise AssertionError("coupled before the P1 fit was checked")
+
+    monkeypatch.setattr(lab, "simulate_coupled_ensemble", no_coupling)
+    doc = scenarios.load_document(os.path.join(SCEN, "gdc-example-2x2.json"))
+    doc["coefficients"] = {"sigma": {"builder": "constant", "columns": [[1.0], [0.0]]}}
+    doc["experiment"] = {"kind": "limit-existence", "x": [1.0, 1.0], "T": 0.75, "dt": 0.01,
+                         "spacing": 0.1, "tau_list": [0.5], "traj": 8}
+    f = tmp_path / "moving.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and "T = 0.75" in err
+
+
+# Property test of the lab input contract on the two counterexample
+# documents: one or two mutations anywhere in a document (a key set to a
+# wrong type, NaN, a huge number or a ragged array; a key removed; an extra
+# key added) end in exit 0-3, exit 1 comes with exactly one error line, and
+# there is never a traceback. The base run takes 40 steps of 4 trajectories.
+
+_CE_BASE = {name: {**scenarios.load_document(os.path.join(SCEN, f"{name}.json")),
+                   "experiment": {"kind": "counterexample", "x": [1.0, 1.0], "T": 2.0,
+                                  "dt": 0.05, "traj": 4, "seed": 808, "spacing": 0.5}}
+            for name in ("counterexample-antidissipative", "counterexample-kernel-noise")}
+_CE_VALUE = st.one_of(_JUNK, st.floats(-3.0, 3.0),
+                      st.sampled_from([math.nan, 1e300, -1e300, [[1.0, 2.0], [3.0]],
+                                       [1.0, math.nan], [1e300, 0.0], [[1e300]],
+                                       "limit-existence", "vanishing", "affine-uniqueness"]))
+
+
+def _paths(node, prefix=()):
+    """Every dotted path into a document, parents before children."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+def _ce_mutations(name):
+    paths = list(_paths(_CE_BASE[name]))
+    objects = [()] + [p for p in paths if isinstance(_node(_CE_BASE[name], p), dict)]
+    one = st.one_of(st.tuples(st.just("set"), st.sampled_from(paths), _CE_VALUE),
+                    st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+                    st.tuples(st.just("extra"), st.sampled_from(objects), _CE_VALUE))
+    return st.tuples(st.just(name), st.lists(one, min_size=1, max_size=2))
+
+
+def _node(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _apply(doc, op, path, value):
+    """The mutation applied in place; a path an earlier mutation removed is skipped."""
+    try:
+        parent = _node(doc, path[:-1]) if path else None
+        if op == "extra":
+            _node(doc, path)["extra"] = value
+        elif op == "set":
+            parent[path[-1]] = value
+        else:
+            del parent[path[-1]]
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(sorted(_CE_BASE)).flatmap(_ce_mutations))
+@example(case=("counterexample-kernel-noise", [("set", ("experiment", "kind"),
+                                                "limit-existence")]))
+@example(case=("counterexample-antidissipative", [("set", ("operator", "generator", 0, 0),
+                                                   1e300)]))
+@example(case=("counterexample-antidissipative", [("set", ("gdc", "lambda1"), math.nan)]))
+@example(case=("counterexample-kernel-noise", [("delete", ("coefficients", "sigma",
+                                                           "columns"), None)]))
+def test_mutated_counterexamples_keep_the_exit_contract(tmp_path, capsys, case):
+    name, mutations = case
+    doc = json.loads(json.dumps(_CE_BASE[name]))
+    for op, path, value in mutations:
+        _apply(doc, op, path, value)
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert _one_error_line(err), err
+    assert "Traceback" not in err

@@ -167,7 +167,7 @@ def test_contraction_margin_hypothesis_guard():
 
 def test_pure_transport_decays_at_least_at_beta():
     sp = hjmm.forward_space(3.0, n=1024)
-    vol = hjmm.HjmmVolatility(sigma_factors=(), M=0.0, vanishing_at_constants=True)
+    vol = hjmm.HjmmVolatility(sigma_factors=(), M=0.0)
     h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
     rep = hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=3.0, n_traj=1,
                                           seed=3)
@@ -212,15 +212,17 @@ def test_a_start_at_the_long_rate_passes_without_a_fit():
 
 
 def test_a_start_at_the_long_rate_that_moves_fails_the_rate():
-    # a factor that does not vanish at constants, declared as vanishing
+    # a factor that does not vanish at constants runs the measured w2 mode,
+    # never the no-fit pass of a start at the long rate: the curves spread
+    # out from it, and their snapshot-to-snapshot W2 grows
     sp = hjmm.forward_space(3.0, n=64)
     bump = 0.01 * np.exp(-3.0 * sp.grid)
     bump[-1] = 0.0
     vol = hjmm.HjmmVolatility(sigma_factors=(lambda Y: np.broadcast_to(bump, Y.shape),),
-                              M=1e-4, L_sigma=0.1, beta_prime=1000.0,
-                              vanishing_at_constants=True)
+                              M=1e-4, L_sigma=0.1, beta_prime=1000.0)
     rep = hjmm.hjmm_ergodicity_experiment(sp, vol, np.full(sp.dim, 0.05), horizon=2.0,
                                           n_traj=4, seed=1)
+    assert rep.mode == "w2"
     assert rep.decay_mean[0] == 0.0 and rep.decay_mean[-1] > 0.0
     assert ("decay-rate", "fail") in [(n, s) for n, s, _ in rep.verdicts]
 
@@ -235,8 +237,7 @@ def test_w2_mode_reports_rate():
         return hjmm.example_volatility_rows(sp, X) + 0.02 * base
 
     vol = hjmm.HjmmVolatility(sigma_factors=(factor,), M=1.2 / sp.beta, L_sigma=1.0,
-                              L_gamma=0.0, beta_prime=1000.0,
-                              vanishing_at_constants=False)
+                              L_gamma=0.0, beta_prime=1000.0)
     h0 = 0.05 + 0.02 * np.exp(-2.0 * sp.grid)
     rep = hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=6.0, n_traj=512,
                                           seed=10)

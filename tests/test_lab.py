@@ -20,8 +20,6 @@ def vanishing_multiplicative_scenario():
                             offsets=np.zeros((1, 2)))
     return eng.Scenario(op=op, P1=p1, qwiener=diagonal_qwiener([1.0]), sigma=sigma,
                         certificate=cert,
-                        flags=eng.ScenarioFlags(vanishing_on_H1=True,
-                                                deterministic_P1=True),
                         scenario_id="vanish-mult")
 
 
@@ -31,8 +29,6 @@ def linear_deterministic_scenario():
     op = hb.matrix_operator(hb.euclidean_space(2), a)
     cert = make_certificate(a, p1, lambda1=0.0)
     return eng.Scenario(op=op, P1=p1, certificate=cert,
-                        flags=eng.ScenarioFlags(vanishing_on_H1=True,
-                                                deterministic_P1=True),
                         scenario_id="vanish-linear")
 
 
@@ -67,21 +63,17 @@ def test_vanishing_audit_names_kernel_violation():
     p1 = hb.coordinate_projection(2, [1])
     op = hb.matrix_operator(hb.euclidean_space(2), a)
     cert = make_certificate(a, p1, lambda1=1.5)
-    sc = eng.Scenario(op=op, P1=p1, certificate=cert,
-                      flags=eng.ScenarioFlags(vanishing_on_H1=True,
-                                              deterministic_P1=True))
+    sc = eng.Scenario(op=op, P1=p1, certificate=cert)
     with pytest.raises(HypothesisViolated) as exc:
         lab.vanishing_coeff_experiment(sc, np.array([1.0, 1.0]), 1e-2, 1.0, 2, 1)
     assert exc.value.hypothesis == "p1-in-kernel"
 
 
 def test_vanishing_audit_names_anchor_violation(ou2d_decoupled):
-    sc = ou2d_decoupled
-    sc.flags.vanishing_on_H1 = True   # lie: constant noise does not vanish at P1 x
+    # constant noise does not vanish at P1 x
     with pytest.raises(HypothesisViolated) as exc:
-        lab.vanishing_coeff_experiment(sc, np.array([1.0, 1.0]), 1e-2, 1.0, 2, 1)
+        lab.vanishing_coeff_experiment(ou2d_decoupled, np.array([1.0, 1.0]), 1e-2, 1.0, 2, 1)
     assert exc.value.hypothesis == "coefficients-vanish-at-anchor"
-    sc.flags.vanishing_on_H1 = False
 
 
 def test_limit_existence_ou_rate(ou2d_decoupled):
@@ -103,7 +95,6 @@ def test_limit_existence_detects_divergence():
     sc = eng.Scenario(op=op, P1=p1, qwiener=diagonal_qwiener([1.0]),
                       sigma=eng.ConstantSigma(np.array([[1.0], [0.0]])),
                       certificate=cert,
-                      flags=eng.ScenarioFlags(deterministic_P1=True),
                       scenario_id="antidissipative")
     rep = lab.limit_existence_experiment(sc, np.array([1.0, 1.0]), [0.5], T=6.0,
                                          dt=1e-3, n_traj=200, seed=5)
@@ -214,8 +205,7 @@ def test_limit_existence_fits_delta_on_the_sampled_times():
                       qwiener=diagonal_qwiener([1.0]),
                       sigma=eng.ConstantSigma(np.array([[1.0], [0.0]])),
                       drift=lambda X: X @ m.T,
-                      certificate=make_certificate(a, p1, lambda1=0.0, L_F=0.25),
-                      flags=eng.ScenarioFlags(deterministic_P1=True))
+                      certificate=make_certificate(a, p1, lambda1=0.0, L_F=0.25))
     x = np.array([1.0, 2.0])
     delta = [lab.limit_existence_experiment(sc, x, [0.0], T=8.0, dt=dt, n_traj=8,
                                             seed=3).theoretical["delta_fit"]
