@@ -24,7 +24,7 @@ from . import __version__, engine, hjmm, lab
 from .errors import (BudgetExceeded, CertificationFailed, ContractViolation,
                      HypothesisViolated, SchemaError, SpdelabError)
 from .gdc import DECAY_FIT_FLOOR
-from .oulevy import empirical_cf, limiting_cf, ou_engine_scenario
+from .oulevy import empirical_cf, limiting_cf
 from .scenarios import (build_hjmm_volatility, build_ou_scenario, build_scenario,
                         experiment_section, load_document, _number, _vector, _integer)
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
@@ -227,10 +227,11 @@ def cmd_w2(args) -> int:
 
 def cmd_ou_limit(args) -> int:
     doc = load_document(args.scenario)
-    ou_sc = build_ou_scenario(doc)
+    ou = build_ou_scenario(doc)
+    sc = ou.scenario
     exp = _experiment(args, doc, ["x", "probes", "t_cut", "quad_step", "horizon", "dt", "traj",
                                   "seed"], "ou-limit")
-    dim = ou_sc.space.dim
+    dim = sc.dim
     x = _vector(exp.get("x", [0.0] * dim), "experiment.x", dim)
     probes = exp.get("probes", [list(row) for row in np.eye(dim)])
     if not isinstance(probes, list):
@@ -241,21 +242,20 @@ def cmd_ou_limit(args) -> int:
         raise SchemaError("experiment.t_cut: must be > 0")
     quad_step = _number(exp.get("quad_step", 0.005), "experiment.quad_step", 1e-9)
     dt = _number(exp.get("dt", 0.005), "experiment.dt", 1e-12)
-    rate = ou_sc.conv.rate
+    rate = ou.conv.rate
     horizon = _number(exp.get("horizon", 30.0 / rate if np.isfinite(rate) else 1.0),
                       "experiment.horizon", dt)
     n_traj = _integer(exp.get("traj", 20000), "experiment.traj", 1)
     seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     # the quadratures check their arguments before the simulation runs
-    cfs = [limiting_cf(ou_sc, x, u, t_cut=t_cut, quad_step=quad_step) for u in us]
+    cfs = [limiting_cf(ou, x, u, t_cut=t_cut, quad_step=quad_step) for u in us]
     n_steps = _steps(horizon, dt, "experiment.horizon")
-    sc = ou_engine_scenario(ou_sc)
     ens = engine.simulate_ensemble(sc, x, dt, n_steps, n_traj, seed, [n_steps * dt],
                                    threads=args.threads)
     samples = ens.states[-1]
     rows = []
     for u, cf in zip(us, cfs):
-        emp, se = empirical_cf(samples, u, ou_sc.space)
+        emp, se = empirical_cf(samples, u, sc.space)
         rows.append((json.dumps(list(u)), cf.value.real, cf.value.imag,
                      emp.real, emp.imag, cf.tail_bound, cf.quad_error, se,
                      abs(cf.value - emp)))

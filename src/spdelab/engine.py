@@ -166,6 +166,17 @@ class Scenario:
     def n_modes(self) -> int:
         return self.qwiener.n_modes if self.qwiener is not None else 0
 
+    @property
+    def state_dependent(self) -> str | None:
+        """The first coefficient that may depend on the state, by its document
+        key (``F`` or ``sigma``), or None when both are constant; additive
+        jumps never depend on it."""
+        if self.drift is not None and not isinstance(self.drift, ConstantDrift):
+            return "F"
+        if self.sigma is not None and not isinstance(self.sigma, ConstantSigma):
+            return "sigma"
+        return None
+
     def contractive_certificate(self) -> GdcCertificate:
         """The certificate if epsilon > 0, the stability-estimate hypothesis."""
         if self.certificate is None or not self.certificate.contractive:
@@ -290,10 +301,8 @@ class _Runtime:
         """True when one chunk of steps collapses to a single contraction:
         state-independent coefficients, no jumps, dense propagator."""
         sc = self.sc
-        return (self.jumps is None
-                and (sc.drift is None or isinstance(sc.drift, ConstantDrift))
-                and (sc.sigma is None or isinstance(sc.sigma, ConstantSigma))
-                and self.sc.op.semigroup_mode == MATRIX_EXP)
+        return (self.jumps is None and sc.state_dependent is None
+                and sc.op.semigroup_mode == MATRIX_EXP)
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +755,7 @@ def lyapunov_probe(sc: Scenario, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x - y
-    a = sc.op.generator_matrix()
-    val = 2.0 * space.inner(a @ d, d)
+    val = 2.0 * space.inner(sc.op.apply_generator_rows(d)[0], d)
     if sc.drift is not None:
         df = sc.drift(x[None, :])[0] - sc.drift(y[None, :])[0]
         val += 2.0 * space.inner(df, d)

@@ -126,12 +126,13 @@ def quadratic_form_audit(A, P1: Projection, lambda0: float, lambda1: float,
 
 def make_certificate(A, P1: Projection, lambda1: float, L_F: float = 0.0,
                      L_sigma: float = 0.0, L_gamma: float = 0.0, tol: float = 1e-9,
-                     space: HilbertSpace | None = None, lambda0: float | None = None,
-                     audit: bool = True) -> GdcCertificate:
+                     space: HilbertSpace | None = None,
+                     lambda0: float | None = None) -> GdcCertificate:
     """Certify ``lambda0`` and assemble the derived contraction constants.
 
     ``lambda0`` may be supplied directly when it is known analytically (the
-    grid-shift semigroup); otherwise it is found by bisection.
+    grid-shift semigroup); otherwise it is found by bisection. A matrix
+    generator ``A`` is audited on random probes; ``A = None`` is not.
     """
     lip = LipschitzConstants(L_F=L_F, L_sigma=L_sigma, L_gamma=L_gamma)
     if lambda0 is None:
@@ -148,7 +149,7 @@ def make_certificate(A, P1: Projection, lambda1: float, L_F: float = 0.0,
     beta_const = lambda1 + root_lf
     epsilon = 2.0 * alpha - lip.L_sigma - lip.L_gamma
     worst = 0.0
-    if audit and A is not None:
+    if A is not None:
         worst = quadratic_form_audit(A, P1, lambda0, lambda1, space=space)
         if worst > AUDIT_SLACK:
             raise CertificationFailed(

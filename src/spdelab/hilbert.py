@@ -244,16 +244,16 @@ class OperatorModel:
         elif self.space.kind != HBETA_GRID:
             raise ContractViolation("grid-shift semigroups need an hbeta-grid space")
 
-    def generator_matrix(self) -> np.ndarray:
-        """The generator as a matrix; forward differences for the grid shift."""
+    def apply_generator_rows(self, X: np.ndarray) -> np.ndarray:
+        """The generator on each row: a matmul for a matrix; for the grid
+        shift, forward differences, zero at the last point, so a constant
+        curve maps to exactly 0."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.generator is not None:
-            return self.generator
-        n, dx = self.space.dim, self.space.dx
-        a = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        a[idx, idx] = -1.0 / dx
-        a[idx, idx + 1] = 1.0 / dx
-        return a
+            return X @ self.generator.T
+        out = np.zeros_like(X)
+        out[:, :-1] = np.diff(X, axis=1) / self.space.dx
+        return out
 
     def semigroup_matrix(self, t: float) -> np.ndarray:
         if self.semigroup_mode != MATRIX_EXP:

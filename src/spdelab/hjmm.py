@@ -307,12 +307,12 @@ def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
     drift Lipschitz constant the volatility bounds imply."""
     L_F = lf_bound(vol.L_sigma, vol.L_gamma, vol.M, space.beta, vol.beta_prime)
     model = HjmmModel(space, vol)
-    cert = make_certificate(None, long_rate_projection(space), lambda1=0.0,
-                            L_F=L_F, L_sigma=vol.L_sigma, L_gamma=vol.L_gamma,
-                            lambda0=space.beta / 2.0, audit=False)
+    p1 = long_rate_projection(space)
+    cert = make_certificate(None, p1, lambda1=0.0, L_F=L_F, L_sigma=vol.L_sigma,
+                            L_gamma=vol.L_gamma, lambda0=space.beta / 2.0)
     n = vol.n_factors
     qw = QWienerSpec(np.ones(n)) if n else None
-    return Scenario(op=shift_operator(space), P1=long_rate_projection(space),
+    return Scenario(op=shift_operator(space), P1=p1,
                     qwiener=qw, drift=model.drift_rows, sigma=model,
                     certificate=cert, scenario_id=scenario_id)
 

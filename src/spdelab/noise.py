@@ -34,8 +34,6 @@ from .errors import ContractViolation
 STREAM_GAUSS = 0
 STREAM_JUMP = 1
 STREAM_SEGMENT = 2
-QUAD_SEED = 90_210            # fixed seed for Monte-Carlo mark quadratures
-QUAD_NODES = 4096             # nodes of a continuous mark law's quadrature
 
 POINT_MASS = "point-mass"
 GAUSSIAN_MARK = "gaussian-mark"
@@ -171,18 +169,28 @@ class MarkSampler:
             return self.mean.copy()
         return 0.5 * (self.lo + self.hi)
 
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Probability-weighted nodes for integrals against the mark law.
-
-        Atoms are exact; the continuous kinds use a fixed-seed Monte-Carlo
-        rule so every evaluation of the same sampler is identical.
-        """
+    def spread(self) -> np.ndarray:
+        """Rows ``std_k e_k``, one per coordinate of positive variance. Each
+        kind's coordinates are uncorrelated, so in any geometry
+        ``E ||z - E z||^2`` is the sum of their squared norms."""
         if self.kind == POINT_MASS:
-            return np.array([1.0]), self.point[None, :]
-        gen = np.random.Generator(np.random.Philox(QUAD_SEED))
-        nodes = self.sample(gen, QUAD_NODES)
-        w = np.full(QUAD_NODES, 1.0 / QUAD_NODES)
-        return w, nodes
+            std = np.zeros(self.dim)
+        elif self.kind == GAUSSIAN_MARK:
+            std = np.sqrt(self.cov_diag)
+        else:
+            std = (self.hi - self.lo) / np.sqrt(12.0)
+        return np.diag(std)[std > 0]
+
+    def cf(self, V: np.ndarray) -> np.ndarray:
+        """The characteristic function ``E exp(i <v, z>)`` at each row ``v`` of
+        ``V``, in closed form; a uniform box's ``sinc`` is exactly 1 at a zero
+        width or a zero frequency."""
+        if self.kind == POINT_MASS:
+            return np.exp(1j * (V @ self.point))
+        if self.kind == GAUSSIAN_MARK:
+            return np.exp(1j * (V @ self.mean) - 0.5 * ((V * V) @ self.cov_diag))
+        half = 0.5 * (self.hi - self.lo)
+        return np.exp(1j * (V @ self.mark_mean())) * np.prod(np.sinc(V * (half / np.pi)), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +234,10 @@ class JumpSpec:
         return np.broadcast_to(self.total_rate * self.marks.mark_mean(), X.shape)
 
     def second_moment(self, space) -> float:
-        """integral ||nu||^2 mu(d nu) by the mark quadrature."""
-        w, nodes = self.marks.quadrature()
-        return float(self.total_rate * (w @ space.norm2_rows(nodes)))
+        """integral ||nu||^2 mu(d nu) = rate (||E nu||^2 + E ||nu - E nu||^2)."""
+        m = self.marks
+        return float(self.total_rate * (space.norm2(m.mark_mean())
+                                        + space.norm2_rows(m.spread()).sum()))
 
 
 def jump_draw(js: JumpSpec, dt: float, n_steps: int, gen: np.random.Generator):

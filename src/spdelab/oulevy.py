@@ -1,7 +1,16 @@
-"""Linear dynamics driven by an additive Levy process: characteristic
-exponents, the limiting characteristic function under a uniformly convergent
-semigroup, and the stochastically perturbed Kolmogorov-equation instance on a
-weighted state space.
+"""Linear dynamics driven by an additive Levy process, the particular case of
+the engine's scenario with a constant drift, a constant diffusion and
+additive jumps: characteristic exponents, the limiting characteristic
+function under a uniformly convergent semigroup, and the stochastically
+perturbed Kolmogorov-equation instance on a weighted state space.
+
+The triplet is read from the scenario, fully compensated as the stepper
+simulates it: the drift F, the Gaussian covariance Q = C diag(lambda) C^T D
+(the diffusion's columns C, the mode variances lambda and the geometry's
+weights D), and jumps at rate r whose marks z have the closed-form
+characteristic function phi, so that
+
+    Psi(u) = i<F,u> - 1/2 <Qu,u> + r (phi(u) - 1 - i<u, E z>).
 
 The limiting law started at x has characteristic function
 
@@ -25,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConstantDrift, ConstantSigma, Scenario
+from .engine import ConstantSigma, Scenario
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated
-from .gdc import ConvergenceFit, fit_convergence, make_certificate
-from .hilbert import (EUCLIDEAN, HilbertSpace, MATRIX_EXP, OperatorModel, Projection,
-                      euclidean_space, expm, matrix_operator, weighted_space,
-                      averaging_projection)
-from .noise import JumpSpec, QWienerSpec
+from .gdc import ConvergenceFit, fit_convergence
+from .hilbert import (EUCLIDEAN, HilbertSpace, MATRIX_EXP, euclidean_space, expm,
+                      matrix_operator, weighted_space, averaging_projection)
+from .noise import QWienerSpec
 
 HYP_DRIFT = "ou-drift-in-ker-P"
 HYP_COV = "ou-covariance-in-ker-P"
@@ -39,7 +47,6 @@ HYP_JUMPS = "ou-jump-measure-on-ker-P"
 HYP_TOL = 1e-10
 MAX_QUAD_NODES = 1_000_000     # most quadrature steps t_cut / quad_step
 CONV_PROBE_SEED = 11_311       # random probes of the semigroup convergence fit
-_MARK_BLOCK = 1 << 18         # phase-matrix entries per block of rows
 
 
 def _op_norm(space: HilbertSpace, m: np.ndarray) -> float:
@@ -50,132 +57,94 @@ def _op_norm(space: HilbertSpace, m: np.ndarray) -> float:
     return float(np.linalg.norm((m * r[:, None]) / r[None, :], 2))
 
 
-@dataclass(frozen=True, eq=False)
-class LevyTriplet:
-    """Drift, Gaussian covariance (as an operator on H) and a finite jump
-    measure ``mu = jumps.total_rate * law(jumps.marks)`` (None: no jumps)."""
-
-    drift: np.ndarray
-    cov: np.ndarray
-    jumps: JumpSpec | None = None
-
-    def __post_init__(self):
-        b = np.asarray(self.drift, dtype=float)
-        q = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if q.shape != (len(b), len(b)):
-            raise ContractViolation("covariance must be square, matching the drift")
-        object.__setattr__(self, "drift", b)
-        object.__setattr__(self, "cov", q)
-
-    def validate(self, space: HilbertSpace) -> None:
-        q = self.cov
-        if np.abs(q - space.adjoint(q)).max() > 1e-10 * max(1.0, np.abs(q).max()):
-            raise ContractViolation("covariance is not self-adjoint in this geometry")
-        sigma_eucl = self.euclidean_covariance(space)
-        if np.linalg.eigvalsh(0.5 * (sigma_eucl + sigma_eucl.T)).min() < -1e-10:
-            raise ContractViolation("covariance is not positive semidefinite")
-        if self.jumps is not None:
-            w, nodes = self.jumps.marks.quadrature()
-            nz = np.sqrt(space.norm2_rows(nodes))
-            big = nz > 1.0
-            if not np.isfinite(self.jumps.total_rate * float(w[big] @ np.log1p(nz[big]))):
-                raise ContractViolation("log moment of big jumps is not finite")
-
-    def euclidean_covariance(self, space: HilbertSpace) -> np.ndarray:
-        """Coordinate covariance Sigma of the Gaussian part, from Q = Sigma D."""
-        if space.weight is None:
-            return self.cov
-        return self.cov / space.weight[None, :]
-
-    def jump_quadrature(self, space: HilbertSpace):
-        if self.jumps is None:
-            return None
-        w, nodes = self.jumps.marks.quadrature()
-        small = np.sqrt(space.norm2_rows(nodes)) <= 1.0
-        return w, nodes, small
+def _hs_norm(space: HilbertSpace, rows: np.ndarray) -> float:
+    """Hilbert-Schmidt norm of the map whose images of a basis are ``rows``."""
+    return math.sqrt(float(space.norm2_rows(rows).sum()))
 
 
-def levy_exponent(t: LevyTriplet, u, space: HilbertSpace | None = None):
+def _drift_and_covariance(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The drift F (0 without one) and Q = C diag(lambda) C^T D as an operator on H."""
+    F = sc.drift.value if sc.drift is not None else np.zeros(sc.dim)
+    q = np.zeros((sc.dim, sc.dim))
+    if sc.sigma is not None and sc.qwiener is not None:
+        c = sc.sigma.matrix
+        q = (c * sc.qwiener.eigenvalues) @ c.T
+        if sc.space.weight is not None:
+            q = q * sc.space.weight[None, :]
+    return F, q
+
+
+def levy_exponent(sc: Scenario, u):
     """Characteristic exponent
 
-    Psi(u) = i<b,u> - 1/2 <Qu,u> + int (e^{i<u,z>} - 1 - i<u,z> 1_{||z||<=1}) mu(dz)
+    Psi(u) = i<F,u> - 1/2 <Qu,u> + r (phi(u) - 1 - i<u, E z>)
 
     at one vector ``u`` (a complex) or at each row of an ``(n, d)`` array (an
-    array of n complexes), with the jump integral taken over the mark law's
-    quadrature (exact for atoms, fixed-seed Monte-Carlo otherwise). The phases
-    <u_i, z_k> form an (n, q) matrix, in blocks of rows that bound its memory.
+    array of n complexes), with the marks' characteristic function phi in
+    closed form (see the module docstring).
     """
     U = np.atleast_2d(np.asarray(u, dtype=float))
-    if np.ndim(u) not in (1, 2) or U.shape[1] != len(t.drift):
-        raise ContractViolation(f"Levy exponent needs vectors of length {len(t.drift)}, "
+    if np.ndim(u) not in (1, 2) or U.shape[1] != sc.dim:
+        raise ContractViolation(f"Levy exponent needs vectors of length {sc.dim}, "
                                 f"got shape {np.shape(u)}")
-    if space is None:
-        space = euclidean_space(U.shape[1])
-    val = 1j * space.inner_rows(np.broadcast_to(t.drift, U.shape), U) \
-        - 0.5 * space.inner_rows(U @ t.cov.T, U)
-    quad = t.jump_quadrature(space)
-    if quad is not None:
-        w, nodes, small = quad
-        if space.kind != EUCLIDEAN:
-            raise ContractViolation("jump phases need a euclidean geometry")
-        zw = nodes if space.weight is None else nodes * space.weight
-        rows = max(1, _MARK_BLOCK // len(w))
-        for lo in range(0, len(U), rows):
-            phase = U[lo:lo + rows] @ zw.T
-            vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
-            val[lo:lo + rows] += t.jumps.total_rate * (vals @ w)
+    space = sc.space
+    F, q = _drift_and_covariance(sc)
+    val = 1j * space.inner_rows(np.broadcast_to(F, U.shape), U) \
+        - 0.5 * space.inner_rows(U @ q.T, U)
+    if sc.jumps is not None:
+        marks = sc.jumps.marks
+        V = U if space.weight is None else U * space.weight     # <u, z> = V @ z
+        val += sc.jumps.total_rate * (marks.cf(V) - 1.0 - 1j * (V @ marks.mark_mean()))
     return complex(val[0]) if np.ndim(u) == 1 else val
+
+
+def _audit_hypotheses(sc: Scenario) -> None:
+    """The triplet lives on ker P: ||P F||, ||P C diag(sqrt lambda)|| and, for
+    the marks, ||P E z|| and ||P diag(std z)|| are each at most HYP_TOL."""
+    space, P = sc.space, sc.P1
+    if sc.drift is not None:
+        pb = space.norm(P.apply(sc.drift.value))
+        if pb > HYP_TOL:
+            raise HypothesisViolated(HYP_DRIFT, f"||P F|| = {pb:.3e}")
+    if sc.sigma is not None and sc.qwiener is not None:
+        cols = sc.sigma.matrix.T * np.sqrt(sc.qwiener.eigenvalues)[:, None]
+        pq = _hs_norm(space, P.apply(cols))
+        if pq > HYP_TOL:
+            raise HypothesisViolated(HYP_COV, f"||P C diag(sqrt lambda)|| = {pq:.3e}")
+    if sc.jumps is not None:
+        marks = sc.jumps.marks
+        pm = space.norm(P.apply(marks.mark_mean()))
+        ps = _hs_norm(space, P.apply(marks.spread()))
+        if max(pm, ps) > HYP_TOL:
+            raise HypothesisViolated(HYP_JUMPS, f"||P E z|| = {pm:.3e}, "
+                                                f"||P diag(std z)|| = {ps:.3e}")
 
 
 @dataclass(eq=False)
 class OuScenario:
-    """Operator with a certified convergent semigroup plus the driving triplet.
+    """An engine scenario that is a Levy OU process, with the fitted
+    convergence of its semigroup to the projection P = P1."""
 
-    The structural hypotheses are recomputed from the data at construction,
-    never trusted from the caller.
-    """
-
-    op: OperatorModel
-    P: Projection
-    triplet: LevyTriplet
+    scenario: Scenario
     conv: ConvergenceFit
-    scenario_id: str = "ou"
-
-    @property
-    def space(self) -> HilbertSpace:
-        return self.op.space
-
-    def audit_hypotheses(self) -> None:
-        space = self.space
-        pb = space.norm(self.P.apply(self.triplet.drift))
-        if pb > HYP_TOL:
-            raise HypothesisViolated(HYP_DRIFT, f"||P b|| = {pb:.3e}")
-        pq = _op_norm(space, self.P.matrix @ self.triplet.cov)
-        if pq > HYP_TOL:
-            raise HypothesisViolated(HYP_COV, f"||P Q|| = {pq:.3e}")
-        if self.triplet.jumps is not None:
-            _, nodes, _ = self.triplet.jump_quadrature(space)
-            worst = float(np.sqrt(space.norm2_rows(self.P.apply(nodes))).max())
-            if worst > HYP_TOL:
-                raise HypothesisViolated(HYP_JUMPS, f"max ||P z|| = {worst:.3e}")
 
 
-def make_ou_scenario(op: OperatorModel, P: Projection, triplet: LevyTriplet,
-                     t_grid=None, scenario_id: str = "ou") -> OuScenario:
-    """Assemble and audit an OU scenario; fits the semigroup convergence rate."""
-    if op.semigroup_mode != MATRIX_EXP:
-        raise ContractViolation("the OU machinery needs a matrix generator")
-    space = op.space
-    triplet.validate(space)
-    P.validate(space)
+def make_ou_scenario(sc: Scenario, t_grid=None) -> OuScenario:
+    """Admit and audit a scenario as a Levy OU, and fit its semigroup's
+    convergence rate: a matrix generator on a euclidean space, coefficients
+    that do not depend on the state, and a triplet on ker P."""
+    if sc.op.semigroup_mode != MATRIX_EXP or sc.space.kind != EUCLIDEAN:
+        raise ContractViolation("the OU machinery needs a matrix generator on a euclidean space")
+    key = sc.state_dependent
+    if key is not None:
+        raise ContractViolation(f"coefficients.{key}: the Levy OU needs a zero or constant "
+                                "drift and an unwrapped constant or tabulated diffusion")
+    _audit_hypotheses(sc)
     if t_grid is None:
         t_grid = np.linspace(0.25, 6.0, 16)
     gen = np.random.Generator(np.random.Philox(CONV_PROBE_SEED))
-    probes = list(np.eye(space.dim)) + list(gen.standard_normal((3, space.dim)))
-    conv = fit_convergence(op, P, t_grid, probes)
-    sc = OuScenario(op=op, P=P, triplet=triplet, conv=conv, scenario_id=scenario_id)
-    sc.audit_hypotheses()
-    return sc
+    probes = list(np.eye(sc.dim)) + list(gen.standard_normal((3, sc.dim)))
+    return OuScenario(scenario=sc, conv=fit_convergence(sc.op, sc.P1, t_grid, probes))
 
 
 @dataclass(frozen=True)
@@ -193,18 +162,18 @@ def _simpson_weights(npts: int) -> np.ndarray:
     return w
 
 
-def _tail_constants(sc: OuScenario) -> tuple[float, float]:
-    space, t = sc.space, sc.triplet
-    m = max(sc.conv.prefactor, 1.0)
-    ms = m + _op_norm(space, sc.P.matrix)
-    a1 = m * space.norm(t.drift)
-    a2 = m * ms * _op_norm(space, t.cov)
-    quad = t.jump_quadrature(space)
-    if quad is not None:
-        w, nodes, small = quad
-        nz = np.sqrt(space.norm2_rows(nodes))
-        a1 += m * t.jumps.total_rate * float(w[~small] @ nz[~small])
-        a2 += 0.5 * m * m * t.jumps.total_rate * float(w[small] @ nz[small] ** 2)
+def _tail_constants(ou: OuScenario) -> tuple[float, float]:
+    """a1, a2 of the tail bound: |Psi(S(r)* u)| <= (a1 ||u|| + a2 ||u||^2) e^{-rate r},
+    with |e^{ix} - 1 - ix| <= x^2 / 2 for every jump."""
+    sc = ou.scenario
+    space = sc.space
+    m = max(ou.conv.prefactor, 1.0)
+    ms = m + _op_norm(space, sc.P1.matrix)
+    F, q = _drift_and_covariance(sc)
+    a1 = m * space.norm(F)
+    a2 = m * ms * _op_norm(space, q)
+    if sc.jumps is not None:
+        a2 += 0.5 * m * m * sc.jumps.second_moment(space)
     return a1, a2
 
 
@@ -226,7 +195,7 @@ def _positive_finite(v, name: str) -> float:
     return float(v)
 
 
-def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
+def limiting_cf(ou: OuScenario, x, u, t_cut: float | None = None,
                 quad_step: float = 0.01) -> CfValue:
     """Quadrature evaluation of the limiting characteristic function at u.
 
@@ -235,13 +204,14 @@ def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
     must be positive finite real numbers (not booleans), and ask for at most
     MAX_QUAD_NODES steps.
     """
+    sc = ou.scenario
     space = sc.space
     u = _finite_vector(u, "u", space.dim)
     x = _finite_vector(x, "x", space.dim)
     quad_step = _positive_finite(quad_step, "quad_step")
     if t_cut is not None:
         t_cut = _positive_finite(t_cut, "t_cut")
-    rate = sc.conv.rate
+    rate = ou.conv.rate
     if not rate > 0:
         raise ContractViolation(f"the fitted semigroup convergence rate {rate:.4g} "
                                 "is not positive")
@@ -250,7 +220,7 @@ def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
     if not t_cut / quad_step <= MAX_QUAD_NODES:
         raise BudgetExceeded(f"t_cut / quad_step = {t_cut / quad_step:.4g} quadrature steps "
                              f"exceed the budget of {MAX_QUAD_NODES}")
-    sc.audit_hypotheses()
+    _audit_hypotheses(sc)
     n = max(4, int(math.ceil(t_cut / quad_step)))
     n += (-n) % 4
     h = t_cut / n
@@ -260,15 +230,15 @@ def limiting_cf(sc: OuScenario, x, u, t_cut: float | None = None,
     us[0] = u
     for k in range(n):
         np.matmul(estar, us[k], out=us[k + 1])
-    psi = levy_exponent(sc.triplet, us, space)
+    psi = levy_exponent(sc, us)
     integral = (h / 3.0) * complex(_simpson_weights(n + 1) @ psi)
     coarse = (2.0 * h / 3.0) * complex(_simpson_weights(n // 2 + 1) @ psi[::2])
     quad_error = abs(integral - coarse) / 15.0
-    a1, a2 = _tail_constants(sc)
+    a1, a2 = _tail_constants(ou)
     un = space.norm(u)
     tail = 0.0 if not math.isfinite(rate) else \
         (a1 * un + a2 * un * un) * math.exp(-rate * t_cut) / rate
-    value = cmath.exp(1j * space.inner(sc.P.apply(x), u) + integral)
+    value = cmath.exp(1j * space.inner(sc.P1.apply(x), u) + integral)
     return CfValue(value=value, tail_bound=float(tail), quad_error=float(quad_error),
                    t_cut=float(t_cut))
 
@@ -286,34 +256,11 @@ def empirical_cf(samples, u, space: HilbertSpace | None = None):
     return val, 1.0 / math.sqrt(X.shape[0])
 
 
-def ou_engine_scenario(sc: OuScenario) -> Scenario:
-    """Wire the OU dynamics into the time stepper.
-
-    The compensated-jump form absorbs the uncompensated big jumps into the
-    constant drift: F = b + int_{||z||>1} z mu(dz), all jumps compensated.
-    The covariance's eigenvectors are the diffusion's columns.
-    """
-    space = sc.space
-    t = sc.triplet
-    b_eff = t.drift.copy()
-    if t.jumps is not None:
-        w, nodes, small = t.jump_quadrature(space)
-        b_eff = b_eff + t.jumps.total_rate * ((w * ~small) @ nodes)
-    sigma_eucl = t.euclidean_covariance(space)
-    vals, vecs = np.linalg.eigh(0.5 * (sigma_eucl + sigma_eucl.T))
-    keep = vals > 1e-12 * max(vals.max(), 1.0) if vals.size else np.zeros(0, bool)
-    lam, cols = vals[keep], vecs[:, keep]
-    qw = QWienerSpec(lam) if keep.any() else None
-    sigma = ConstantSigma(cols) if keep.any() else None
-    drift = ConstantDrift(b_eff) if np.any(b_eff != 0.0) else None
-    cert = make_certificate(sc.op.generator, sc.P, lambda1=0.0, space=space)
-    return Scenario(op=sc.op, P1=sc.P, qwiener=qw, drift=drift, sigma=sigma,
-                    jumps=t.jumps, certificate=cert, scenario_id=sc.scenario_id)
-
-
-def kolmogorov_instance(q_matrix, eta, triplet: LevyTriplet, t_grid=None) -> OuScenario:
+def kolmogorov_instance(q_matrix, eta, columns, t_grid=None) -> OuScenario:
     """OU scenario for a stochastically perturbed finite-state Kolmogorov
-    equation: state space L^2(eta), averaging projection, generator q_matrix."""
+    equation: state space L^2(eta), averaging projection, generator q_matrix,
+    and Gaussian noise along the coordinate ``columns`` (dim, m) with unit
+    mode variances, or none for ``columns`` None."""
     q = np.asarray(q_matrix, dtype=float)
     eta = np.asarray(eta, dtype=float)
     n = len(eta)
@@ -334,7 +281,8 @@ def kolmogorov_instance(q_matrix, eta, triplet: LevyTriplet, t_grid=None) -> OuS
     closure = np.linalg.matrix_power(reach.astype(np.int64), n) > 0
     if not closure.all():
         raise ContractViolation("the chain is not irreducible")
-    space = weighted_space(eta)
-    op = matrix_operator(space, q)
-    proj = averaging_projection(eta)
-    return make_ou_scenario(op, proj, triplet, t_grid=t_grid, scenario_id="kolmogorov")
+    sigma = None if columns is None else ConstantSigma(columns)
+    qw = None if sigma is None else QWienerSpec(np.ones(sigma.matrix.shape[1]))
+    sc = Scenario(op=matrix_operator(weighted_space(eta), q), P1=averaging_projection(eta),
+                  qwiener=qw, sigma=sigma, scenario_id="kolmogorov")
+    return make_ou_scenario(sc, t_grid=t_grid)

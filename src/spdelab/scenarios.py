@@ -15,14 +15,14 @@ import math
 import numpy as np
 
 from . import engine, hjmm
-from .errors import SchemaError
+from .errors import ContractViolation, SchemaError
 from .gdc import make_certificate
 from .hilbert import (HilbertSpace, Projection, averaging_projection,
                       coordinate_projection, euclidean_space, hbeta_grid_space,
                       identity_projection, long_rate_projection, matrix_operator,
                       shift_operator, weighted_space)
 from .noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS, QWienerSpec, UNIFORM_MARK
-from .oulevy import LevyTriplet, OuScenario, make_ou_scenario
+from .oulevy import OuScenario, make_ou_scenario
 
 
 def _require(cond, path, msg):
@@ -146,18 +146,20 @@ def build_projection(doc, space) -> Projection:
     return p
 
 
-def build_marks(doc, path) -> MarkSampler:
+_MARK_FIELDS = {POINT_MASS: ("point",), GAUSSIAN_MARK: ("mean", "cov_diag"),
+                UNIFORM_MARK: ("lo", "hi")}
+
+
+def build_marks(doc, path, dim) -> MarkSampler:
     _check_keys(doc, path, ["kind"], ["point", "mean", "cov_diag", "lo", "hi"])
     kind = doc["kind"]
-    if kind == POINT_MASS:
-        return MarkSampler(POINT_MASS, point=_vector(doc.get("point"), f"{path}.point"))
-    if kind == GAUSSIAN_MARK:
-        return MarkSampler(GAUSSIAN_MARK, mean=_vector(doc.get("mean"), f"{path}.mean"),
-                           cov_diag=_vector(doc.get("cov_diag"), f"{path}.cov_diag"))
-    if kind == UNIFORM_MARK:
-        return MarkSampler(UNIFORM_MARK, lo=_vector(doc.get("lo"), f"{path}.lo"),
-                           hi=_vector(doc.get("hi"), f"{path}.hi"))
-    raise SchemaError(f"{path}.kind: unknown mark distribution {kind!r}")
+    _require(isinstance(kind, str) and kind in _MARK_FIELDS, f"{path}.kind",
+             f"unknown mark distribution {kind!r}")
+    fields = {k: _vector(doc.get(k), f"{path}.{k}", dim) for k in _MARK_FIELDS[kind]}
+    try:
+        return MarkSampler(kind, **fields)
+    except ContractViolation as e:      # negative variances, hi below lo
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def build_drift(doc, space):
@@ -245,15 +247,13 @@ def build_jumps(doc, space):
         return None
     if b == "additive":
         rate = _number(doc.get("rate"), "coefficients.gamma.rate", 0.0)
-        marks = build_marks(doc.get("marks"), "coefficients.gamma.marks")
-        _require(marks.dim == space.dim, "coefficients.gamma.marks",
-                 "additive marks must match the space dimension")
+        marks = build_marks(doc.get("marks"), "coefficients.gamma.marks", space.dim)
         return JumpSpec(rate, marks) if rate > 0 else None
     raise SchemaError(f"coefficients.gamma.builder: unknown jump builder {b!r}")
 
 
 SCENARIO_KEYS = (["id", "space", "operator", "projection"],
-                 ["coefficients", "lipschitz", "gdc", "ou", "hjmm", "experiment"])
+                 ["coefficients", "lipschitz", "gdc", "hjmm", "experiment"])
 
 
 def build_hjmm_volatility(doc, space, path="hjmm"):
@@ -347,22 +347,9 @@ def build_scenario(doc) -> engine.Scenario:
 
 
 def build_ou_scenario(doc) -> OuScenario:
-    """OU section: additive Levy triplet on the declared operator."""
-    space = build_space(doc["space"])
-    op = build_operator(doc["operator"], space)
-    p = build_projection(doc["projection"], space)
-    ou_doc = doc.get("ou")
-    _require(ou_doc is not None, "$.ou", "missing the ou section")
-    _check_keys(ou_doc, "ou", [], ["drift", "cov", "jump_rate", "marks", "t_grid"])
-    b = _vector(ou_doc["drift"], "ou.drift", space.dim) if "drift" in ou_doc \
-        else np.zeros(space.dim)
-    cov = _matrix(ou_doc["cov"], "ou.cov", space.dim, space.dim) if "cov" in ou_doc \
-        else np.zeros((space.dim, space.dim))
-    rate = _number(ou_doc.get("jump_rate", 0.0), "ou.jump_rate", 0.0)
-    jumps = JumpSpec(rate, build_marks(ou_doc.get("marks"), "ou.marks")) if rate > 0 else None
-    t_grid = _vector(ou_doc["t_grid"], "ou.t_grid") if "t_grid" in ou_doc else None
-    triplet = LevyTriplet(drift=b, cov=cov, jumps=jumps)
-    return make_ou_scenario(op, p, triplet, t_grid=t_grid, scenario_id=doc["id"])
+    """The scenario of ``build_scenario`` as a Levy OU: admitted, audited on
+    ker P and with its semigroup convergence rate fitted (``make_ou_scenario``)."""
+    return make_ou_scenario(build_scenario(doc))
 
 
 SUBCOMMAND_SECTIONS = ("simulate", "ou-limit", "lab")

@@ -106,13 +106,9 @@ OU_PROBES = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, -0.7], [2.0, 0.3])
 
 
 def c04_limiting_cf(out, seed, threads):
-    a = np.diag([-1.0, 0.0])
-    op = hb.matrix_operator(hb.euclidean_space(2), a)
-    p = hb.coordinate_projection(2, [1])
-    trip = ou.LevyTriplet(drift=np.zeros(2), cov=np.diag([1.0, 0.0]))
-    ousc = ou.make_ou_scenario(op, p, trip)
+    ousc = ou.make_ou_scenario(decoupled_scenario())
     x = np.array([5.0, 7.0])
-    esc = ou.ou_engine_scenario(ousc)
+    esc = ousc.scenario
     dt, T, n = 5e-3, 30.0, 20_000
     ens = eng.simulate_ensemble(esc, x, dt, int(round(T / dt)), n, seed, [T],
                                 threads=threads)

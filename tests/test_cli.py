@@ -123,10 +123,20 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
 
 def test_ou_jump_rate_without_marks_is_one_error_line(tmp_path, capsys):
     f = tmp_path / "no-marks.json"
-    f.write_text(json.dumps(_mutated_document("ou.jump_rate", 1.5)))
+    f.write_text(json.dumps(_mutated_document("coefficients.gamma",
+                                              {"builder": "additive", "rate": 1.5})))
     assert run_cli(["ou-limit", str(f), "--traj", "4", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert _one_error_line(err) and "ou.marks" in err
+    assert _one_error_line(err) and "coefficients.gamma.marks" in err
+
+
+def test_an_ou_section_is_an_unknown_key(tmp_path, capsys):
+    # ou-limit reads the coefficients section; the OU noise is declared once
+    f = tmp_path / "ou.json"
+    f.write_text(json.dumps(_mutated_document("ou", {"drift": [0.0, 0.0]})))
+    assert run_cli(["ou-limit", str(f), "--traj", "4", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and err.startswith("error: $.ou: unknown key")
 
 
 def test_simulate_with_jump_rate_zero_is_simulate_without_jumps(tmp_path, capsys):
@@ -581,6 +591,71 @@ def test_mutated_ou_limit_keeps_the_exit_contract(tmp_path, capsys, mutation):
     assert "Traceback" not in err
 
 
+# The same contract for the coefficients section that ou-limit reads: a
+# state-dependent builder ends in exit 1 naming its coefficient, noise on the
+# range of P in exit 2, and malformed marks in exit 1 naming coefficients.gamma.
+# One probe on a coarse quadrature keeps an example near 10 ms.
+
+_STATE_DEPENDENT = [
+    ("F", {"builder": "linear", "matrix": [[-0.5, 0.0], [0.0, 0.0]]}),
+    ("F", {"builder": "sine", "amplitude": 0.1}),
+    ("sigma", {"builder": "linear-modes", "tensors": [[[0.1, 0.0], [0.0, 0.0]]]}),
+    ("sigma", {"builder": "constant", "columns": [[1.0], [0.0]], "vanishing_wrapper": True}),
+]
+_ON_RAN_P = [
+    ("F", {"builder": "constant", "value": [0.0, 0.5]}),
+    ("sigma", {"builder": "tabulated", "columns": [[1.0], [0.3]]}),
+    ("gamma", {"builder": "additive", "rate": 1.0,
+               "marks": {"kind": "point-mass", "point": [0.2, -0.1]}}),
+    ("gamma", {"builder": "additive", "rate": 1.0,
+               "marks": {"kind": "gaussian-mark", "mean": [0.0, 0.0], "cov_diag": [0.25, 0.1]}}),
+    ("gamma", {"builder": "additive", "rate": 1.0,
+               "marks": {"kind": "uniform-mark", "lo": [0.0, -0.1], "hi": [0.3, 0.1]}}),
+]
+_MARK_VECTOR = st.one_of(st.floats(-1.0, 1.0).map(lambda v: [v, 0.0]),      # in ker P
+                         st.lists(st.floats(), max_size=3),
+                         st.sampled_from([[1.0, math.nan], [[0.1], [0.2, 0.3]], [0.1, "x"]]),
+                         _JUNK)
+_MARKS = st.one_of(
+    *[st.fixed_dictionaries({"kind": st.just(kind), **{k: _MARK_VECTOR for k in fields}})
+      for kind, fields in (("point-mass", ("point",)), ("gaussian-mark", ("mean", "cov_diag")),
+                           ("uniform-mark", ("lo", "hi")))],
+    _JUNK, st.fixed_dictionaries({"kind": _JUNK}))
+_COEFFICIENT_MUTATION = st.one_of(
+    st.sampled_from(_STATE_DEPENDENT).map(lambda c: (*c, 1)),
+    st.sampled_from(_ON_RAN_P).map(lambda c: (*c, 2)),
+    st.fixed_dictionaries({"builder": st.just("additive"), "rate": st.floats(0.0, 2.0),
+                           "marks": _MARKS}).map(lambda g: ("gamma", g, None)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_COEFFICIENT_MUTATION)
+@example(case=("gamma", {"builder": "additive", "rate": 1.0,
+                         "marks": {"kind": "gaussian-mark", "mean": [0.1, 0.0],
+                                   "cov_diag": [-0.25, 0.0]}}, 1))
+@example(case=("gamma", {"builder": "additive", "rate": 1.0,
+                         "marks": {"kind": "uniform-mark", "lo": [0.5, 0.0],
+                                   "hi": [0.1, 0.0]}}, 1))
+def test_mutated_ou_coefficients_keep_the_exit_contract(tmp_path, capsys, case):
+    key, value, want = case
+    doc = _mutated_document(f"coefficients.{key}", value)
+    doc["experiment"]["ou-limit"].update(horizon=0.02, traj=4, quad_step=0.05,
+                                         probes=[[1.0, 0.5]])
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["ou-limit", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert _one_error_line(err) and f"coefficients.{key}" in err, err
+    if want is not None:
+        assert rc == want, err
+
+
 def test_tabulated_diffusion_steps_like_constant(tmp_path, capsys):
     # both builders name one ConstantSigma, so both take the collapse
     for builder in ("constant", "tabulated"):
@@ -921,6 +996,19 @@ def test_a_vanishing_run_on_constant_noise_ends_in_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("hypothesis violated: coefficients-vanish-at-anchor")
+
+
+def test_a_vanishing_run_on_a_constant_forward_curve_factor_ends_in_exit_two(tmp_path, capsys):
+    # the kernel audit passes on the grid; the anchor audit names the factor
+    doc = _mutated_document("hjmm.volatility", "tabulated")
+    doc["hjmm"]["factors"] = [[0.01] * 64]
+    doc["experiment"] = {"kind": "vanishing", "T": 1.0, "dt": 0.01, "traj": 2}
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("hypothesis violated: coefficients-vanish-at-anchor"), err
 
 
 def test_certify_audits_the_declared_lipschitz_constants(tmp_path, capsys):

@@ -130,8 +130,11 @@ def test_grid_shift_preserves_constants_exactly():
 def test_grid_shift_generator_kills_constants():
     sp = hb.hbeta_grid_space(2.0, 10.0, 128)
     op = hb.shift_operator(sp)
-    a = op.generator_matrix()
-    assert np.abs(a @ np.full(sp.dim, 1.3)).max() == 0.0
+    assert np.abs(op.apply_generator_rows(np.full((2, sp.dim), 1.3))).max() == 0.0
+    # forward differences elsewhere, and zero at the last point
+    x = np.sin(sp.grid)
+    ax = op.apply_generator_rows(x)[0]
+    assert np.array_equal(ax[:-1], np.diff(x) / sp.dx) and ax[-1] == 0.0
 
 
 def test_weighted_space_inner_and_adjoint():

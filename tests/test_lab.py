@@ -3,7 +3,7 @@ import pytest
 
 from spdelab import engine as eng
 from spdelab import hilbert as hb
-from spdelab import lab
+from spdelab import lab, scenarios
 from spdelab.errors import HypothesisViolated
 from spdelab.gdc import make_certificate
 from spdelab.noise import diagonal_qwiener
@@ -74,6 +74,18 @@ def test_vanishing_audit_names_anchor_violation(ou2d_decoupled):
     with pytest.raises(HypothesisViolated) as exc:
         lab.vanishing_coeff_experiment(ou2d_decoupled, np.array([1.0, 1.0]), 1e-2, 1.0, 2, 1)
     assert exc.value.hypothesis == "coefficients-vanish-at-anchor"
+
+
+def test_vanishing_audit_passes_on_the_example_forward_curve():
+    # the grid shift's generator maps the constant curve P1 p to exactly 0,
+    # so the e^(beta x) weight has no rounding to lift; the example
+    # volatility vanishes at constant curves
+    sc = scenarios.build_scenario({
+        "id": "forward-curve", "space": {"kind": "hbeta-grid", "beta": 3.0, "n": 2048},
+        "operator": {"mode": "grid-shift"}, "projection": {"builder": "long-rate"},
+        "hjmm": {"volatility": "example"}})
+    h0 = 0.05 + 0.04 * np.exp(-2.0 * sc.space.grid)
+    lab.audit_vanishing_hypotheses(sc, h0)
 
 
 def test_limit_existence_ou_rate(ou2d_decoupled):

@@ -126,25 +126,38 @@ def test_compensation_mean_zero():
     assert abs(total.mean()) <= 3 * se
 
 
-def test_mark_samplers_and_quadrature():
+def test_mark_samplers_and_closed_form_cf():
     gen = substream(0, 0, 0)
     gm = MarkSampler(GAUSSIAN_MARK, mean=np.array([1.0, -1.0]),
                      cov_diag=np.array([0.25, 1.0]))
     s = gm.sample(gen, 20_000)
     assert np.allclose(s.mean(axis=0), [1.0, -1.0], atol=0.05)
     assert np.allclose(s.var(axis=0), [0.25, 1.0], atol=0.05)
-    um = MarkSampler(UNIFORM_MARK, lo=np.array([0.0]), hi=np.array([2.0]))
-    assert um.mark_mean() == pytest.approx([1.0])
-    w, nodes = um.quadrature()
-    assert w.sum() == pytest.approx(1.0)
-    w2, nodes2 = um.quadrature()
-    assert np.array_equal(nodes, nodes2)   # fixed-seed rule is reproducible
+    um = MarkSampler(UNIFORM_MARK, lo=np.array([0.0, 3.0]), hi=np.array([2.0, 3.0]))
+    assert um.mark_mean() == pytest.approx([1.0, 3.0])
+    # a zero frequency, and a zero width at any frequency, give exactly 1
+    assert um.cf(np.zeros((1, 2)))[0] == 1.0
+    assert gm.cf(np.zeros((1, 2)))[0] == 1.0
+    assert abs(um.cf(np.array([[0.0, 0.7]]))[0]) == 1.0
+    # the closed forms against the sample means of exp(i <v, z>)
+    V = np.array([[0.3, -0.2], [1.1, 0.4], [-2.0, 0.05]])
+    for m in (gm, um, MarkSampler(POINT_MASS, point=np.array([0.5, 2.0]))):
+        z = m.sample(gen, 20_000)
+        emp = np.exp(1j * (z @ V.T)).mean(axis=0)
+        assert np.all(np.abs(m.cf(V) - emp) <= 3.0 / np.sqrt(len(z)))
 
 
 def test_jump_spec_moments_against_closed_form():
     sp = hb.euclidean_space(2)
     js = make_jumps(rate=2.0, z=(1.0, -0.5))
     assert js.second_moment(sp) == pytest.approx(2.0 * 1.25)
+    # rate (||E z||^2 + the marks' variances), in a weighted geometry too
+    w = hb.weighted_space([0.5, 2.0])
+    gm = JumpSpec(3.0, MarkSampler(GAUSSIAN_MARK, mean=np.array([1.0, -1.0]),
+                                   cov_diag=np.array([0.25, 1.0])))
+    assert gm.second_moment(w) == pytest.approx(3.0 * (0.5 * 1.25 + 2.0 * 2.0))
+    um = JumpSpec(1.0, MarkSampler(UNIFORM_MARK, lo=np.zeros(2), hi=np.array([2.0, 0.0])))
+    assert um.second_moment(sp) == pytest.approx(4.0 / 3.0)
     comp = js.compensator_rows(np.zeros((3, 2)))
     assert np.allclose(comp, 2.0 * np.array([1.0, -0.5]))
 

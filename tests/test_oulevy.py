@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,47 +9,65 @@ import pytest
 from spdelab import engine as eng
 from spdelab import hilbert as hb
 from spdelab import oulevy as ou
+from spdelab import scenarios
 from spdelab.errors import BudgetExceeded, ContractViolation, HypothesisViolated
 from spdelab.gdc import ConvergenceFit
-from spdelab.noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS
+from spdelab.noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS, QWienerSpec, UNIFORM_MARK
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def constant_scenario(a, p, drift=None, columns=None, eigenvalues=None, jumps=None,
+                      space=None):
+    """An engine scenario on generator ``a`` with a constant drift, constant
+    diffusion columns (unit mode variances unless given) and additive jumps."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    sigma = None if columns is None else eng.ConstantSigma(columns)
+    qw = None if sigma is None else QWienerSpec(
+        np.ones(sigma.matrix.shape[1]) if eigenvalues is None else eigenvalues)
+    return eng.Scenario(op=hb.matrix_operator(space or hb.euclidean_space(len(a)), a), P1=p,
+                        qwiener=qw, drift=None if drift is None else eng.ConstantDrift(drift),
+                        sigma=sigma, jumps=jumps)
 
 
 def decoupled_scenario():
-    a = np.diag([-1.0, 0.0])
-    op = hb.matrix_operator(hb.euclidean_space(2), a)
-    p = hb.coordinate_projection(2, [1])
-    trip = ou.LevyTriplet(drift=np.zeros(2), cov=np.diag([1.0, 0.0]))
-    return ou.make_ou_scenario(op, p, trip)
+    return ou.make_ou_scenario(constant_scenario(np.diag([-1.0, 0.0]),
+                                                 hb.coordinate_projection(2, [1]),
+                                                 columns=[[1.0], [0.0]]))
+
+
+def _free(dim, **kwargs):
+    """A scenario for exponents alone: A = -I and P = 0."""
+    return constant_scenario(-np.eye(dim), hb.Projection(np.zeros((dim, dim))), **kwargs)
 
 
 def test_levy_exponent_pure_drift():
-    t = ou.LevyTriplet(drift=np.array([2.0, -1.0]), cov=np.zeros((2, 2)))
+    sc = _free(2, drift=np.array([2.0, -1.0]))
     u = np.array([0.5, 0.5])
-    assert ou.levy_exponent(t, u) == pytest.approx(1j * 0.5)
+    assert ou.levy_exponent(sc, u) == pytest.approx(1j * 0.5)
 
 
 def test_levy_exponent_pure_gaussian():
-    t = ou.LevyTriplet(drift=np.zeros(2), cov=np.diag([2.0, 4.0]))
+    sc = _free(2, columns=np.eye(2), eigenvalues=[2.0, 4.0])
     u = np.array([1.0, 0.5])
-    assert ou.levy_exponent(t, u) == pytest.approx(-0.5 * (2.0 + 1.0))
+    assert ou.levy_exponent(sc, u) == pytest.approx(-0.5 * (2.0 + 1.0))
 
 
 def test_levy_exponent_big_atom():
+    # every jump is compensated, a big one too: the stepper subtracts rate z dt
     z0 = np.array([2.0, 0.0])
-    t = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)),
-                       jumps=JumpSpec(0.7, MarkSampler(POINT_MASS, point=z0)))
+    sc = _free(2, jumps=JumpSpec(0.7, MarkSampler(POINT_MASS, point=z0)))
     u = np.array([0.3, 0.9])
-    want = 0.7 * (np.exp(1j * 0.6) - 1.0)
-    assert ou.levy_exponent(t, u) == pytest.approx(want, abs=1e-12)
+    want = 0.7 * (np.exp(1j * 0.6) - 1.0 - 0.6j)
+    assert ou.levy_exponent(sc, u) == pytest.approx(want, abs=1e-12)
 
 
 def test_levy_exponent_small_atom_is_compensated():
     z0 = np.array([0.5])
-    t = ou.LevyTriplet(drift=np.zeros(1), cov=np.zeros((1, 1)),
-                       jumps=JumpSpec(2.0, MarkSampler(POINT_MASS, point=z0)))
+    sc = _free(1, jumps=JumpSpec(2.0, MarkSampler(POINT_MASS, point=z0)))
     u = np.array([1.0])
     want = 2.0 * (np.exp(0.5j) - 1.0 - 0.5j)
-    assert ou.levy_exponent(t, u) == pytest.approx(want, abs=1e-12)
+    assert ou.levy_exponent(sc, u) == pytest.approx(want, abs=1e-12)
 
 
 def test_limiting_cf_at_zero_is_one():
@@ -59,10 +79,9 @@ def test_limiting_cf_at_zero_is_one():
 def test_limiting_cf_1d_ou_closed_form():
     # A = -a, sigma = s: limit is N(0, s^2/(2a)); log CF = -s^2 u^2 / (4a)
     a, s = 1.5, 0.8
-    op = hb.matrix_operator(hb.euclidean_space(1), [[-a]])
-    p = hb.Projection(np.zeros((1, 1)))
-    trip = ou.LevyTriplet(drift=np.zeros(1), cov=np.array([[s * s]]))
-    sc = ou.make_ou_scenario(op, p, trip, t_grid=np.linspace(0.2, 4.0, 12))
+    sc = ou.make_ou_scenario(constant_scenario([[-a]], hb.Projection(np.zeros((1, 1))),
+                                               columns=[[1.0]], eigenvalues=[s * s]),
+                             t_grid=np.linspace(0.2, 4.0, 12))
     for u in (0.5, 1.0, 2.0):
         cf = ou.limiting_cf(sc, np.zeros(1), np.array([u]), t_cut=40.0 / a,
                             quad_step=0.005)
@@ -90,18 +109,19 @@ def test_limiting_cf_p_shift_only_depends_on_projection():
 
 def test_hypothesis_audits_fire():
     a = np.diag([-1.0, 0.0])
-    op = hb.matrix_operator(hb.euclidean_space(2), a)
     p = hb.coordinate_projection(2, [1])
-    bad_drift = ou.LevyTriplet(drift=np.array([0.0, 1.0]), cov=np.zeros((2, 2)))
-    with pytest.raises(HypothesisViolated):
-        ou.make_ou_scenario(op, p, bad_drift)
-    bad_cov = ou.LevyTriplet(drift=np.zeros(2), cov=np.diag([0.0, 1.0]))
-    with pytest.raises(HypothesisViolated):
-        ou.make_ou_scenario(op, p, bad_cov)
-    bad_marks = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)), jumps=JumpSpec(
-        1.0, MarkSampler(POINT_MASS, point=np.array([0.0, 2.0]))))
-    with pytest.raises(HypothesisViolated):
-        ou.make_ou_scenario(op, p, bad_marks)
+    with pytest.raises(HypothesisViolated, match=ou.HYP_DRIFT):
+        ou.make_ou_scenario(constant_scenario(a, p, drift=np.array([0.0, 1.0])))
+    with pytest.raises(HypothesisViolated, match=ou.HYP_COV):
+        ou.make_ou_scenario(constant_scenario(a, p, columns=[[0.0], [1.0]]))
+    bad_marks = JumpSpec(1.0, MarkSampler(POINT_MASS, point=np.array([0.0, 2.0])))
+    with pytest.raises(HypothesisViolated, match=ou.HYP_JUMPS):
+        ou.make_ou_scenario(constant_scenario(a, p, jumps=bad_marks))
+    # centred marks that spread onto ran P
+    bad_spread = JumpSpec(1.0, MarkSampler(GAUSSIAN_MARK, mean=np.zeros(2),
+                                           cov_diag=np.array([0.25, 0.01])))
+    with pytest.raises(HypothesisViolated, match=ou.HYP_JUMPS):
+        ou.make_ou_scenario(constant_scenario(a, p, jumps=bad_spread))
 
 
 def test_empirical_cf_trivials():
@@ -123,12 +143,12 @@ def test_empirical_cf_gaussian():
 def test_cf_agreement_with_simulation_including_jumps():
     # 1-D contraction with an atomic jump measure; quadrature vs Monte-Carlo
     a = 1.0
-    op = hb.matrix_operator(hb.euclidean_space(1), [[-a]])
-    p = hb.Projection(np.zeros((1, 1)))
-    trip = ou.LevyTriplet(drift=np.zeros(1), cov=np.array([[0.25]]),
-                          jumps=JumpSpec(2.0, MarkSampler(POINT_MASS, point=np.array([0.4]))))
-    sc = ou.make_ou_scenario(op, p, trip, t_grid=np.linspace(0.2, 4.0, 12))
-    esc = ou.ou_engine_scenario(sc)
+    jumps = JumpSpec(2.0, MarkSampler(POINT_MASS, point=np.array([0.4])))
+    sc = ou.make_ou_scenario(constant_scenario([[-a]], hb.Projection(np.zeros((1, 1))),
+                                               columns=[[1.0]], eigenvalues=[0.25],
+                                               jumps=jumps),
+                             t_grid=np.linspace(0.2, 4.0, 12))
+    esc = sc.scenario
     T, dt, n = 12.0, 2e-3, 20_000
     ens = eng.simulate_ensemble(esc, np.zeros(1), dt, int(T / dt), n, 616, [T])
     for u in (0.5, 1.0):
@@ -139,18 +159,14 @@ def test_cf_agreement_with_simulation_including_jumps():
 
 def test_kolmogorov_two_state_gap():
     q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    trip = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)))
-    sc = ou.kolmogorov_instance(q, [0.5, 0.5], trip,
-                                t_grid=np.linspace(0.25, 3.0, 10))
+    sc = ou.kolmogorov_instance(q, [0.5, 0.5], None, t_grid=np.linspace(0.25, 3.0, 10))
     assert sc.conv.rate == pytest.approx(2.0, abs=1e-4)
 
 
 def test_kolmogorov_constant_initial_zero_noise_is_fixed():
     q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    trip = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)))
-    sc = ou.kolmogorov_instance(q, [0.5, 0.5], trip,
-                                t_grid=np.linspace(0.25, 3.0, 10))
-    esc = ou.ou_engine_scenario(sc)
+    sc = ou.kolmogorov_instance(q, [0.5, 0.5], None, t_grid=np.linspace(0.25, 3.0, 10))
+    esc = sc.scenario
     v0 = np.array([1.7, 1.7])
     ens = eng.simulate_ensemble(esc, v0, 0.01, 200, 4, 2, [1.0, 2.0])
     assert np.allclose(ens.states, 1.7, atol=1e-12)
@@ -159,10 +175,9 @@ def test_kolmogorov_constant_initial_zero_noise_is_fixed():
 def test_kolmogorov_average_is_conserved():
     q = np.array([[-1.0, 1.0], [1.0, -1.0]])
     eta = np.array([0.5, 0.5])
-    cov = 0.8 * np.array([[0.5, -0.5], [-0.5, 0.5]])   # noise orthogonal to constants
-    sc = ou.kolmogorov_instance(q, eta, ou.LevyTriplet(drift=np.zeros(2), cov=cov),
-                                t_grid=np.linspace(0.25, 3.0, 10))
-    esc = ou.ou_engine_scenario(sc)
+    columns = math.sqrt(0.8) * np.array([[1.0], [-1.0]])   # noise orthogonal to constants
+    sc = ou.kolmogorov_instance(q, eta, columns, t_grid=np.linspace(0.25, 3.0, 10))
+    esc = sc.scenario
     n = 2000
     ens = eng.simulate_ensemble(esc, np.array([2.0, 0.0]), 1e-3, 3000, n, 99, [3.0])
     avg = ens.states[-1] @ eta
@@ -171,18 +186,16 @@ def test_kolmogorov_average_is_conserved():
 
 
 def test_kolmogorov_rejects_bad_generators():
-    trip = ou.LevyTriplet(drift=np.zeros(2), cov=np.zeros((2, 2)))
     with pytest.raises(ContractViolation):
-        ou.kolmogorov_instance(np.array([[-1.0, 0.5], [1.0, -1.0]]), [0.5, 0.5], trip)
+        ou.kolmogorov_instance(np.array([[-1.0, 0.5], [1.0, -1.0]]), [0.5, 0.5], None)
     with pytest.raises(ContractViolation):   # detailed balance broken
-        ou.kolmogorov_instance(np.array([[-1.0, 1.0], [3.0, -3.0]]), [0.7, 0.3], trip)
+        ou.kolmogorov_instance(np.array([[-1.0, 1.0], [3.0, -3.0]]), [0.7, 0.3], None)
     with pytest.raises(ContractViolation):   # reducible
-        ou.kolmogorov_instance(np.zeros((2, 2)), [0.5, 0.5], trip)
+        ou.kolmogorov_instance(np.zeros((2, 2)), [0.5, 0.5], None)
 
 
 def test_multiple_limits_differ_by_projected_shift():
-    sc = decoupled_scenario()
-    esc = ou.ou_engine_scenario(sc)
+    esc = decoupled_scenario().scenario
     T, dt, n = 8.0, 2e-3, 10_000
     x, y = np.array([5.0, 7.0]), np.array([5.0, 3.0])
     ex = eng.simulate_ensemble(esc, x, dt, int(T / dt), n, 1001, [T])
@@ -209,8 +222,7 @@ def _reversible_chain(n, seed, gap):
 @pytest.mark.parametrize("n,gap", [(4, 22.4), (16, 822.0)])
 def test_fast_chain_rate_fit_ignores_roundoff(n, gap):
     q, eta = _reversible_chain(n, n, gap)
-    trip = ou.LevyTriplet(drift=np.zeros(n), cov=np.zeros((n, n)))
-    sc = ou.kolmogorov_instance(q, eta, trip)
+    sc = ou.kolmogorov_instance(q, eta, None)
     assert abs(sc.conv.rate - gap) <= 0.05 * gap
     assert sc.conv.n_points >= 4
     cf = ou.limiting_cf(sc, np.ones(n), np.full(n, 0.3))
@@ -220,8 +232,7 @@ def test_fast_chain_rate_fit_ignores_roundoff(n, gap):
 @pytest.mark.parametrize("rate", [-0.14, 0.0, math.nan])
 def test_limiting_cf_rejects_a_non_positive_rate(rate):
     q, eta = _reversible_chain(4, 4, 2.0)
-    trip = ou.LevyTriplet(drift=np.zeros(4), cov=np.zeros((4, 4)))
-    sc = ou.kolmogorov_instance(q, eta, trip)
+    sc = ou.kolmogorov_instance(q, eta, None)
     sc.conv = ConvergenceFit(prefactor=1.0, rate=rate, residual=0.0, n_points=16)
     with pytest.raises(ContractViolation):
         ou.limiting_cf(sc, np.ones(4), np.full(4, 0.3))
@@ -229,38 +240,57 @@ def test_limiting_cf_rejects_a_non_positive_rate(rate):
 
 def test_constant_ou_drift_takes_the_linear_additive_collapse():
     # a drift in ker P with no jumps is a constant drift, not a closure
-    a = np.diag([-1.0, 0.0])
-    op = hb.matrix_operator(hb.euclidean_space(2), a)
-    trip = ou.LevyTriplet(drift=np.array([0.5, 0.0]), cov=np.diag([1.0, 0.0]))
-    esc = ou.ou_engine_scenario(ou.make_ou_scenario(op, hb.coordinate_projection(2, [1]), trip))
+    sc = constant_scenario(np.diag([-1.0, 0.0]), hb.coordinate_projection(2, [1]),
+                           drift=np.array([0.5, 0.0]), columns=[[1.0], [0.0]])
+    esc = ou.make_ou_scenario(sc).scenario
     assert isinstance(esc.drift, eng.ConstantDrift)
     assert np.array_equal(esc.drift.value, [0.5, 0.0])
     assert eng._Runtime(esc, 0.01).linear_additive
 
 
 # The exponent and the quadrature as first written: one exponent call per
-# node. The batched exponent must reproduce them bit for bit on the c04
-# instance (euclidean, diagonal covariance, no jumps).
+# node, and the marks' characteristic function one coordinate at a time. The
+# batched exponent must reproduce them bit for bit on the c04 instance
+# (euclidean, diagonal covariance, no jumps).
 
-def _ref_levy_exponent(t, u, space=None):
+def _ref_mark_cf(marks, v):
+    val = 1.0 + 0j
+    for k, vk in enumerate(v):
+        if marks.kind == POINT_MASS:
+            val *= cmath.exp(1j * vk * marks.point[k])
+        elif marks.kind == GAUSSIAN_MARK:
+            val *= cmath.exp(1j * vk * marks.mean[k] - 0.5 * vk * vk * marks.cov_diag[k])
+        else:
+            c, h = 0.5 * (marks.lo[k] + marks.hi[k]), 0.5 * (marks.hi[k] - marks.lo[k])
+            val *= cmath.exp(1j * vk * c) * (1.0 if vk * h == 0 else math.sin(vk * h) / (vk * h))
+    return val
+
+
+def _ref_levy_exponent(sc, u):
     u = np.asarray(u, dtype=float)
-    if space is None:
-        space = hb.euclidean_space(len(u))
-    val = 1j * space.inner(t.drift, u) - 0.5 * space.inner(t.cov @ u, u)
-    quad = t.jump_quadrature(space)
-    if quad is not None:
-        w, nodes, small = quad
-        phase = space.inner_rows(nodes, np.broadcast_to(u, nodes.shape))
-        vals = np.exp(1j * phase) - 1.0 - 1j * phase * small
-        val += t.jumps.total_rate * complex(w @ vals)
+    space = sc.space
+    drift = sc.drift.value if sc.drift is not None else np.zeros(len(u))
+    q = np.zeros((len(u), len(u)))
+    if sc.sigma is not None:
+        c = sc.sigma.matrix
+        q = (c * sc.qwiener.eigenvalues) @ c.T
+        if space.weight is not None:
+            q = q * space.weight[None, :]
+    val = 1j * space.inner(drift, u) - 0.5 * space.inner(q @ u, u)
+    if sc.jumps is not None:
+        marks = sc.jumps.marks
+        v = u if space.weight is None else u * space.weight
+        val += sc.jumps.total_rate * (_ref_mark_cf(marks, v) - 1.0
+                                      - 1j * float(v @ marks.mark_mean()))
     return complex(val)
 
 
-def _ref_limiting_cf(sc, x, u, t_cut, quad_step):
+def _ref_limiting_cf(ousc, x, u, t_cut, quad_step):
+    sc = ousc.scenario
     space = sc.space
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    rate = sc.conv.rate
+    rate = ousc.conv.rate
     n = max(4, int(math.ceil(t_cut / quad_step)))
     n += (-n) % 4
     h = t_cut / n
@@ -270,15 +300,15 @@ def _ref_limiting_cf(sc, x, u, t_cut, quad_step):
     us[0] = u
     for k in range(n):
         us[k + 1] = estar @ us[k]
-    psi = np.array([_ref_levy_exponent(sc.triplet, uk, space) for uk in us])
+    psi = np.array([_ref_levy_exponent(sc, uk) for uk in us])
     integral = (h / 3.0) * complex(ou._simpson_weights(n + 1) @ psi)
     coarse = (2.0 * h / 3.0) * complex(ou._simpson_weights(n // 2 + 1) @ psi[::2])
     quad_error = abs(integral - coarse) / 15.0
-    a1, a2 = ou._tail_constants(sc)
+    a1, a2 = ou._tail_constants(ousc)
     un = space.norm(u)
     tail = 0.0 if not math.isfinite(rate) else \
         (a1 * un + a2 * un * un) * math.exp(-rate * t_cut) / rate
-    value = cmath.exp(1j * space.inner(sc.P.apply(x), u) + integral)
+    value = cmath.exp(1j * space.inner(sc.P1.apply(x), u) + integral)
     return ou.CfValue(value=value, tail_bound=float(tail), quad_error=float(quad_error),
                       t_cut=float(t_cut))
 
@@ -301,7 +331,7 @@ def _c04_rows():
 
 
 def test_levy_exponent_rows_equal_vector_calls_on_c04():
-    t = decoupled_scenario().triplet
+    t = decoupled_scenario().scenario
     rows = _c04_rows()
     psi = ou.levy_exponent(t, rows)
     assert psi.shape == (len(rows),) and psi.dtype == complex
@@ -311,16 +341,16 @@ def test_levy_exponent_rows_equal_vector_calls_on_c04():
     assert psi.tobytes() == np.array([_ref_levy_exponent(t, r) for r in rows]).tobytes()
 
 
-def _weighted_kolmogorov_triplet(marks):
+def _weighted_kolmogorov_scenario(marks):
     gen = np.random.Generator(np.random.Philox(2718))
-    _, eta = _reversible_chain(4, 4, 2.0)
+    q, eta = _reversible_chain(4, 4, 2.0)
     a = gen.standard_normal((4, 4))
-    cov = 0.3 * (a @ a.T) * eta[None, :]      # Q = Sigma D is self-adjoint in L^2(eta)
-    trip = ou.LevyTriplet(drift=gen.standard_normal(4), cov=cov, jumps=JumpSpec(1.3, marks))
-    space = hb.weighted_space(eta)
-    trip.validate(space)
+    # Sigma = 0.3 a a^T, so Q = Sigma D is self-adjoint in L^2(eta)
+    sc = constant_scenario(q, hb.averaging_projection(eta), drift=gen.standard_normal(4),
+                           columns=a, eigenvalues=np.full(4, 0.3),
+                           jumps=JumpSpec(1.3, marks), space=hb.weighted_space(eta))
     rows = gen.standard_normal((300, 4)) * np.exp(gen.uniform(-4.0, 2.0, (300, 1)))
-    return trip, space, rows
+    return sc, rows
 
 
 @pytest.mark.parametrize("marks", [
@@ -328,23 +358,26 @@ def _weighted_kolmogorov_triplet(marks):
     pytest.param(MarkSampler(POINT_MASS, point=np.array([2.6, -0.2, 0.1, -0.9])), id="big-atom"),
     pytest.param(MarkSampler(GAUSSIAN_MARK, mean=np.zeros(4), cov_diag=np.full(4, 0.5)),
                  id="gaussian-marks"),
+    pytest.param(MarkSampler(UNIFORM_MARK, lo=np.array([-1.0, 0.0, 0.5, 0.0]),
+                             hi=np.array([1.0, 0.0, 2.0, 0.3])), id="uniform-marks"),
 ])
 def test_levy_exponent_rows_match_vector_calls_on_weighted_kolmogorov(marks):
     # a general covariance, a weighted geometry and the mark phases regroup
-    # the sums, so rows agree to rounding rather than bit for bit; 300 rows
-    # of 4,096 Gaussian marks take five blocks of the phase matrix
-    trip, space, rows = _weighted_kolmogorov_triplet(marks)
-    psi = ou.levy_exponent(trip, rows, space)
-    one = np.array([ou.levy_exponent(trip, r, space) for r in rows])
+    # the sums, so rows agree to rounding rather than bit for bit; the
+    # reference takes the marks' characteristic function one coordinate at a
+    # time, whose last-bit difference phi - 1 - i<v, E z> does not cancel
+    sc, rows = _weighted_kolmogorov_scenario(marks)
+    psi = ou.levy_exponent(sc, rows)
+    one = np.array([ou.levy_exponent(sc, r) for r in rows])
     assert np.all(np.abs(psi - one) <= 1e-14 * np.abs(one))
-    ref = np.array([_ref_levy_exponent(trip, r, space) for r in rows])
-    assert np.all(np.abs(psi - ref) <= 1e-14 * np.abs(ref))
+    ref = np.array([_ref_levy_exponent(sc, r) for r in rows])
+    assert np.all(np.abs(psi - ref) <= 1e-14 * (np.abs(ref) + 1.0))
 
 
 @pytest.mark.parametrize("u", [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 2)), 0.0])
 def test_levy_exponent_rejects_a_wrong_shape(u):
     with pytest.raises(ContractViolation):
-        ou.levy_exponent(decoupled_scenario().triplet, u)
+        ou.levy_exponent(decoupled_scenario().scenario, u)
 
 
 def test_limiting_cf_matches_the_per_node_loop():
@@ -386,3 +419,36 @@ def test_limiting_cf_rejects_malformed_arguments(no_quadrature, kwargs):
 def test_limiting_cf_caps_the_node_count(no_quadrature, t_cut):
     with pytest.raises(BudgetExceeded, match="budget"):
         ou.limiting_cf(no_quadrature, np.zeros(2), np.ones(2), t_cut=t_cut, quad_step=0.005)
+
+
+def _ou_jump_document():
+    """The shipped ou-decoupled-2d document with the continuous-integration
+    jumps: rate 1.5, Gaussian marks with mean (0.3, 0) and variances (0.25, 0)."""
+    doc = scenarios.load_document(os.path.join(ROOT, "scenarios", "ou-decoupled-2d.json"))
+    doc["coefficients"]["gamma"] = {
+        "builder": "additive", "rate": 1.5,
+        "marks": {"kind": "gaussian-mark", "mean": [0.3, 0.0], "cov_diag": [0.25, 0.0]}}
+    return doc
+
+
+def test_limiting_cf_with_gaussian_marks_matches_adaptive_quadrature():
+    # the exponent of the law the stepper simulates, every jump compensated:
+    # with A = diag(-1, 0), S(r)* u = (e^-r u0, u1), and only v0 = e^-r u0
+    # meets the noise: Psi = -v0^2 / 2 + 1.5 (e^{0.3 i v0 - v0^2 / 8} - 1 - 0.3 i v0)
+    from scipy.integrate import quad
+    doc = _ou_jump_document()
+    cfg = doc["experiment"]["ou-limit"]
+    ousc = scenarios.build_ou_scenario(doc)
+    x = np.array(cfg["x"])
+
+    def psi(r, u0):
+        v = math.exp(-r) * u0
+        return -0.5 * v * v + 1.5 * (cmath.exp(0.3j * v - v * v / 8.0) - 1.0 - 0.3j * v)
+
+    for u in cfg["probes"]:
+        cf = ou.limiting_cf(ousc, x, u, t_cut=cfg["t_cut"], quad_step=cfg["quad_step"])
+        parts = [quad(lambda r: part(psi(r, u[0])), 0.0, math.inf, epsabs=1e-15,
+                      epsrel=1e-13, limit=500)[0] for part in (lambda z: z.real,
+                                                                lambda z: z.imag)]
+        ref = cmath.exp(1j * x[1] * u[1] + complex(*parts))
+        assert abs(cf.value - ref) <= cf.quad_error + cf.tail_bound + 1e-12, (u, cf, ref)
