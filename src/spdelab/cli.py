@@ -301,14 +301,18 @@ def cmd_hjmm(args) -> int:
     if not peak < engine.BLOWUP_NORM:     # nan and inf fail too
         raise SchemaError(f"--h0-long-rate, --h0-amplitude, --h0-decay: the initial curve "
                           f"reaches {peak:.3g}, past the blow-up bound {engine.BLOWUP_NORM:g}")
-    vanishing = hjmm.vanishes_at_constant(vol, space, h0[-1])
-    if vanishing and hjmm.fit_snapshots(args.horizon, args.dt or space.dx) < 4:
-        raise SchemaError(f"--horizon: {args.horizon!r} leaves too few snapshots for the decay fit")
-    dist2 = space.norm2_rows((h0 - h0[-1])[None, :])[0]
-    if vanishing and 0.0 < dist2 <= DECAY_FIT_FLOOR:
-        raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the long "
-                          f"rate is positive but not above the decay fit's floor "
-                          f"{DECAY_FIT_FLOOR:g}")
+    target = np.full(space.dim, h0[-1])
+    dist2 = space.norm2(h0 - target)
+    if lab.nonvanishing_coefficient(hjmm.hjmm_scenario(space, vol), target) is None:
+        times = engine.snapshot_grid(args.horizon, args.dt or space.dx, hjmm.SNAPSHOT_SPACING)
+        try:
+            lab.require_decay_fit(dist2, times, args.horizon, hjmm.SNAPSHOT_SPACING)
+        except ContractViolation as e:
+            raise SchemaError(f"--horizon: {e}") from None
+        if 0.0 < dist2 <= DECAY_FIT_FLOOR:
+            raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the "
+                              f"long rate is positive but not above the decay fit's floor "
+                              f"{DECAY_FIT_FLOOR:g}")
     hjmm.audit_volatility(vol, space, [h0])
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,

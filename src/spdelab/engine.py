@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated, NumericalBlowup
 from .gdc import GdcCertificate
-from .hilbert import MATRIX_EXP, HilbertSpace, OperatorModel, Projection
+from .hilbert import HBETA_GRID, MATRIX_EXP, HilbertSpace, OperatorModel, Projection
 from .noise import (JumpSpec, QWienerSpec, STREAM_GAUSS, STREAM_JUMP, STREAM_SEGMENT,
                     jump_draw, stream_keys)
 
@@ -83,6 +83,7 @@ MAX_STEPS = 10**9             # most grid steps of one run
 MAX_TRAJ = 10**8              # most trajectories of one run
 LIP_SEED = 61_003
 LIP_PAIRS = 200               # random pairs of the Lipschitz audit
+LIP_CURVE_TERMS = 3           # exponentials in each smooth probe curve on a grid
 LIP_SLACK = 1.01              # relative slack of the audited Lipschitz constants
 
 
@@ -190,16 +191,28 @@ class Scenario:
         return float(self.qwiener.eigenvalues @ self.space.norm2_rows(dc.T))
 
     def lipschitz_audit(self) -> dict:
-        """Spot-check the declared L_F and L_sigma on random pairs. Additive
-        jumps give L_gamma nothing to check: a declared one is a conservative bound."""
+        """Spot-check the declared L_F and L_sigma on random pairs: standard
+        normal vectors, or on an hbeta grid smooth curves
+        c + sum_k a_k e^{-b_k x} with c in (0, 0.1), a_k in (-0.1, 0.1) and
+        b_k in (0, beta), whose differences the grid resolves. Additive jumps
+        give L_gamma nothing to check: a declared one is a conservative bound."""
         if self.certificate is None:
             raise ContractViolation("lipschitz audit needs a certificate with declared constants")
         lip = self.certificate.lipschitz
         gen = np.random.Generator(np.random.Philox(LIP_SEED))
         space = self.space
-        d = self.dim
-        X = gen.standard_normal((LIP_PAIRS, d))
-        Y = gen.standard_normal((LIP_PAIRS, d))
+
+        def probes():
+            if space.kind != HBETA_GRID:
+                return gen.standard_normal((LIP_PAIRS, self.dim))
+            shape = (LIP_PAIRS, 1)
+            curves = gen.uniform(0.0, 0.1, shape)
+            for _ in range(LIP_CURVE_TERMS):
+                a = gen.uniform(-0.1, 0.1, shape)
+                curves = curves + a * np.exp(-gen.uniform(0.0, space.beta, shape) * space.grid)
+            return curves
+
+        X, Y = probes(), probes()
         gap2 = space.norm2_rows(X - Y)
         report = {}
         if self.drift is not None:

@@ -207,10 +207,12 @@ def fit_convergence(op: OperatorModel, P: Projection, t_grid, probes) -> Converg
 
 
 # The decay-rate policy of the experiments: a fitted rate passes at
-# RATE_BUDGET times the theoretical one, and a decay series is fitted over
-# its values above max(start, DECAY_FIT_FLOOR) * 1e-12.
+# RATE_BUDGET times the theoretical one; a vanishing-coefficient decay series
+# and HJMM's snapshot W2 are fitted from FIT_BURN on; and a decay series is
+# fitted over its values above max(start, DECAY_FIT_FLOOR) * 1e-12.
 RATE_BUDGET = 0.85
 DECAY_FIT_FLOOR = 1e-300
+FIT_BURN = 0.5
 
 
 def fit_exponential(times, values) -> ConvergenceFit:

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lab
 from .engine import (Scenario, mean_stderr, obs_coordinate, obs_norm2, simulate_ensemble,
                      snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
-from .gdc import DECAY_FIT_FLOOR, RATE_BUDGET, fit_exponential, make_certificate
+from .gdc import FIT_BURN, RATE_BUDGET, fit_exponential, make_certificate
 from .hilbert import HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
 from .noise import QWienerSpec
 from .wasserstein import w2_1d
@@ -46,7 +47,6 @@ from .wasserstein import w2_1d
 GRID_POINTS = 2048
 NORM_SLACK = 1.01           # relative slack of the audited factor-norm bound
 SNAPSHOT_SPACING = 0.25     # time between the snapshots of the decay series
-FIT_BURN = 0.5              # the decay fit uses the snapshots from this time on
 
 
 def forward_space(beta: float, x_max: float | None = None, n: int = GRID_POINTS) -> HilbertSpace:
@@ -114,10 +114,6 @@ def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
     term3 = 0.0 if math.isinf(beta_prime) else \
         math.sqrt((16.0 * (1.0 + 1.0 / math.sqrt(beta))**2 + 48.0) / (beta_prime - beta))
     return pre * (term1 + term2 + term3)
-
-
-def contraction_margin(beta: float, L_F: float, L_sigma: float, L_gamma: float) -> float:
-    return beta - 2.0 * math.sqrt(L_F) - L_sigma - L_gamma
 
 
 def example_volatility_rows(space: HilbertSpace, X: np.ndarray, out: np.ndarray | None = None,
@@ -332,65 +328,43 @@ class HjmmReport:
     verdicts: list
 
 
-def vanishes_at_constant(vol: HjmmVolatility, space: HilbertSpace, level: float) -> bool:
-    """Whether every factor is zero on the constant curve at ``level``: its
-    norm is at most 1e-12, the rule of lab's anchor audit. One row per factor."""
-    X = np.full((1, space.dim), float(level))
-    return all(space.norm(f(X)[0]) <= 1e-12 for f in vol.sigma_factors)
-
-
-def fit_snapshots(horizon: float, dt: float) -> int:
-    """Snapshots at or after ``FIT_BURN``: the points of the decay fit."""
-    return int(np.sum(snapshot_grid(horizon, dt, SNAPSHOT_SPACING) >= FIT_BURN))
-
-
 def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
                                horizon: float, n_traj: int, seed: int,
                                dt: float | None = None,
                                threads: int = 1) -> HjmmReport:
     """Simulate the curve dynamics and check the decay of
-    E ||X_t - h0(inf)||^2 against the certified contraction margin.
+    E ||X_t - h0(inf)||^2 against the margin, ``hjmm_scenario``'s epsilon.
 
-    The mode is measured, never declared: ``vanishing`` when every factor is
-    zero on the constant curve at h0's long rate (``vanishes_at_constant``),
-    and then the decay series itself is checked; otherwise ``w2``, and
-    snapshot-to-snapshot Wasserstein distances of the short-rate observable
-    are fitted against half the margin.
+    The mode is measured: ``vanishing`` when every coefficient vanishes at
+    the constant curve at h0's long rate, and then lab's ``vanishing_decay``
+    checks the decay series; otherwise ``w2``, and snapshot-to-snapshot
+    Wasserstein distances of the short rate are fitted against half the margin.
     """
-    L_F = lf_bound(vol.L_sigma, vol.L_gamma, vol.M, space.beta, vol.beta_prime)
-    margin = contraction_margin(space.beta, L_F, vol.L_sigma, vol.L_gamma)
-    if margin <= 0:
-        raise HypothesisViolated("contraction-margin",
-                                 f"beta - 2 sqrt(L_F) - L_sigma - L_gamma = {margin:.4g} <= 0")
     sc = hjmm_scenario(space, vol)
+    margin = sc.contractive_certificate().epsilon
     h0 = np.asarray(h0, dtype=float)
     if dt is None:
         dt = space.dx
     n_steps = int(round(horizon / dt))
     snap_times = snapshot_grid(horizon, dt, SNAPSHOT_SPACING)
-    vanishing = vanishes_at_constant(vol, space, h0[-1])
-    if vanishing and fit_snapshots(horizon, dt) < 4:
-        raise ContractViolation(f"horizon {horizon!r} leaves fewer than 4 snapshots at or "
-                                f"after fit_burn {FIT_BURN!r} for the decay fit")
     target = np.full(space.dim, h0[-1])
+    vanishing = lab.nonvanishing_coefficient(sc, target) is None
+    if vanishing:
+        lab.require_decay_fit(space.norm2(h0 - target), snap_times, horizon, SNAPSHOT_SPACING)
     obs = {"dist2": obs_norm2(space, center=target), "long_rate": obs_coordinate(space.dim - 1),
            "short_rate": obs_coordinate(0)}
     ens = simulate_ensemble(sc, h0, dt, n_steps, n_traj, seed, snap_times,
                             observables=obs, threads=threads)
     mean, se = mean_stderr(ens.observables["dist2"])
-    bound = mean[0] * np.exp(-margin * snap_times)
     lr_dev = float(np.abs(ens.observables["long_rate"] - h0[-1]).max())
-    verdicts = []
     if vanishing:
-        # started at the long rate, the series stays zero: nothing to fit
-        mode, theoretical, at_floor = "vanishing", margin, mean[0] == 0.0
-        keep = (snap_times >= FIT_BURN) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)
-        fitted = math.nan if at_floor else fit_exponential(snap_times[keep], mean[keep]).rate
-        ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
-        verdicts.append(("decay-bound", "pass" if ok_bound else "fail",
-                         "second-moment decay within the certified envelope"))
+        mode, theoretical = "vanishing", margin
+        bound, fit, checks = lab.vanishing_decay(snap_times, mean, se, margin)
+        fitted = math.nan if fit is None else fit.rate
+        verdicts = [(v.invariant, v.status, v.detail) for v in checks]
     else:
         mode, theoretical = "w2", margin / 2.0
+        bound = mean[0] * np.exp(-margin * snap_times)    # hjmm_decay.csv has it in both modes
         sr = ens.observables["short_rate"]
         w2_snap = np.array([w2_1d(sr[i], sr[i + 1]) for i in range(len(snap_times) - 1)])
         # two disjoint halves of one marginal estimate the sampling floor of
@@ -398,22 +372,19 @@ def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
         half = n_traj // 2
         floor = w2_1d(sr[-1][:half], sr[-1][half:2 * half]) if half >= 8 else 0.0
         keep = (snap_times[:-1] >= FIT_BURN) & (w2_snap > max(2.0 * floor, 1e-14))
-        at_floor = keep.sum() < 4
-        fitted = math.nan if at_floor else \
-            fit_exponential(snap_times[:-1][keep], w2_snap[keep]).rate
-    if at_floor and mode == "vanishing":
-        ok_rate = not mean.any()
-        rate_detail = "started at the long rate; no decay to fit"
-    elif at_floor:
-        ok_rate = bool(w2_snap[-1] <= 2.0 * floor + 1e-12)
-        rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
-                       f"before a rate could be fitted")
-    else:
-        ok_rate = fitted >= RATE_BUDGET * theoretical
-        rate_detail = f"fitted {fitted:.4g} vs budgeted {RATE_BUDGET:.2f} x {theoretical:.4g}"
-    verdicts.append(("decay-rate", "pass" if ok_rate else "fail", rate_detail))
+        if keep.sum() < 4:
+            fitted = math.nan
+            ok_rate = bool(w2_snap[-1] <= 2.0 * floor + 1e-12)
+            rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
+                           f"before a rate could be fitted")
+        else:
+            fitted = fit_exponential(snap_times[:-1][keep], w2_snap[keep]).rate
+            ok_rate = fitted >= RATE_BUDGET * theoretical
+            rate_detail = f"fitted {fitted:.4g} vs budgeted {RATE_BUDGET:.2f} x {theoretical:.4g}"
+        verdicts = [("decay-rate", "pass" if ok_rate else "fail", rate_detail)]
     verdicts.append(("long-rate-conserved", "pass" if lr_dev == 0.0 else "fail",
                      f"max |P1 X_t - h0(inf)| = {lr_dev:.3g}"))
     return HjmmReport(times=snap_times, decay_mean=mean, decay_se=se, bound=bound,
-                      fitted_rate=fitted, theoretical_rate=theoretical, l_f=L_F,
-                      margin=margin, long_rate_max_dev=lr_dev, mode=mode, verdicts=verdicts)
+                      fitted_rate=fitted, theoretical_rate=theoretical,
+                      l_f=sc.certificate.lipschitz.L_F, margin=margin,
+                      long_rate_max_dev=lr_dev, mode=mode, verdicts=verdicts)

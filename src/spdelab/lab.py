@@ -26,7 +26,7 @@ from .engine import (MAX_STEPS, Scenario, mean_stderr, obs_norm2, simulate_coupl
                      simulate_ensemble, simulate_ensembles, simulate_pair_ensemble,
                      snapshot_grid)
 from .errors import BudgetExceeded, ContractViolation, HypothesisViolated
-from .gdc import DECAY_FIT_FLOOR, RATE_BUDGET, ConvergenceFit, fit_exponential
+from .gdc import DECAY_FIT_FLOOR, FIT_BURN, RATE_BUDGET, ConvergenceFit, fit_exponential
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
 PROBE_SEED = 52_009
@@ -68,78 +68,96 @@ def _require_fit_points(times, T: float, spacing: float) -> None:
     """A decay fit needs 4 snapshots (see ``fit_exponential``); checked before simulating."""
     if len(times) < 4:
         raise ContractViolation(f"T = {T!r} with spacing {spacing!r} gives {len(times)} "
-                                "snapshots; the decay fit needs at least 4")
+                                "snapshots to fit; the decay fit needs at least 4")
+
+
+def require_decay_fit(dist2: float, times, T: float, spacing: float) -> None:
+    """Before simulating: a start at squared distance ``dist2 > 0`` from its
+    anchor needs 4 snapshots from ``FIT_BURN`` on for ``vanishing_decay``'s fit."""
+    if dist2 != 0.0:        # a start at the anchor has no decay to fit
+        _require_fit_points(times[times >= FIT_BURN], T, spacing)
+
+
+def nonvanishing_coefficient(sc: Scenario, point) -> str | None:
+    """The first coefficient whose norm at ``point`` exceeds 1e-12, with that
+    norm, or None when every coefficient vanishes there."""
+    space = sc.space
+    if sc.drift is not None:
+        v = space.norm(sc.drift(point[None, :])[0])
+        if v > 1e-12:
+            return f"||F(P1 x)|| = {v:.3e}"
+    if sc.sigma is not None and sc.qwiener is not None:
+        cols = sc.sigma.columns(point)
+        v = max(space.norm(cols[:, j]) for j in range(cols.shape[1]))
+        if v > 1e-12:
+            return f"||sigma(P1 x)|| column norm = {v:.3e}"
+    if sc.jumps is not None:
+        v = math.sqrt(sc.jumps.second_moment(space))
+        if v > 1e-12:
+            return f"jump second moment at P1 x = {v:.3e}"
+    return None
 
 
 def audit_vanishing_hypotheses(sc: Scenario, x) -> None:
     """Measures the structural hypotheses of the vanishing-coefficient decay:
     ran(P1) inside ker(A) on random probes, and all coefficients vanishing at
     the anchor point P1 x."""
-    space = sc.space
     gen = np.random.Generator(np.random.Philox(PROBE_SEED))
     probes = np.vstack([np.asarray(x, dtype=float),
                         gen.standard_normal((VANISHING_PROBES, sc.dim))])
-    kerdef = np.sqrt(space.norm2_rows(sc.op.apply_generator_rows(sc.P1.apply(probes)))).max()
+    kerdef = np.sqrt(sc.space.norm2_rows(sc.op.apply_generator_rows(sc.P1.apply(probes)))).max()
     if kerdef > 1e-10:
         raise HypothesisViolated("p1-in-kernel",
                                  f"max ||A P1 p|| = {kerdef:.3e} over probes")
-    anchor = sc.P1.apply(np.asarray(x, dtype=float))
-    if sc.drift is not None:
-        v = space.norm(sc.drift(anchor[None, :])[0])
-        if v > 1e-12:
-            raise HypothesisViolated("coefficients-vanish-at-anchor", f"||F(P1 x)|| = {v:.3e}")
-    if sc.sigma is not None and sc.qwiener is not None:
-        cols = sc.sigma.columns(anchor)
-        v = max(space.norm(cols[:, j]) for j in range(cols.shape[1]))
-        if v > 1e-12:
-            raise HypothesisViolated("coefficients-vanish-at-anchor",
-                                     f"||sigma(P1 x)|| column norm = {v:.3e}")
-    if sc.jumps is not None:
-        v = math.sqrt(sc.jumps.second_moment(space))
-        if v > 1e-12:
-            raise HypothesisViolated("coefficients-vanish-at-anchor",
-                                     f"jump second moment at P1 x = {v:.3e}")
+    bad = nonvanishing_coefficient(sc, sc.P1.apply(np.asarray(x, dtype=float)))
+    if bad is not None:
+        raise HypothesisViolated("coefficients-vanish-at-anchor", bad)
+
+
+def vanishing_decay(times, mean, se, epsilon: float):
+    """The vanishing-coefficient decay rule for E ||X_t - P1 x||^2 (``mean``,
+    ``se``): the envelope mean[0] e^{-eps t} within 3 se + 1e-12 mean[0], and
+    a fit from ``FIT_BURN`` on, or at the anchor (mean[0] = 0) no fit and a
+    series within 3 se + 1e-20 of zero. Returns the envelope, the fit (or
+    None) and the decay-bound and decay-rate verdicts."""
+    bound = mean[0] * np.exp(-epsilon * times)
+    ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
+    verdicts = [Verdict("bound", "pass" if ok_bound else "fail", "decay-bound",
+                        "second moment within the decay envelope at every snapshot")]
+    if mean[0] == 0.0:
+        flat = bool(np.all(mean <= 3.0 * se + 1e-20))
+        verdicts.append(Verdict("rate", "pass" if flat else "fail", "decay-rate",
+                                "started at the invariant point; no decay to fit"))
+        return bound, None, verdicts
+    keep = (times >= FIT_BURN) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)
+    fit = fit_exponential(times[keep], mean[keep])
+    ok_rate = fit.rate >= RATE_BUDGET * epsilon
+    verdicts.append(Verdict("rate", "pass" if ok_rate else "fail", "decay-rate",
+                            f"fitted {fit.rate:.4g} vs {RATE_BUDGET:.2f} x eps = "
+                            f"{RATE_BUDGET * epsilon:.4g}"))
+    return bound, fit, verdicts
 
 
 def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
                                n_traj: int, seed: int, snapshot_spacing: float = 0.25,
                                threads: int = 1) -> ConvergenceReport:
-    """Decay of E ||X_t - P1 x||^2 against the certified envelope
-    e^{-eps t} ||P0 x||^2, plus an exponential-rate fit."""
+    """Decay of E ||X_t - P1 x||^2 under ``vanishing_decay``'s rule."""
     audit_vanishing_hypotheses(sc, x)
     cert = sc.contractive_certificate()
     x = np.asarray(x, dtype=float)
     anchor = sc.P1.apply(x)
-    p0x2 = sc.space.norm2(x - anchor)
     times = snapshot_grid(horizon, dt, snapshot_spacing)
-    if p0x2 != 0.0:         # a start at the anchor has no decay to fit
-        _require_fit_points(times, horizon, snapshot_spacing)
+    require_decay_fit(sc.space.norm2(x - anchor), times, horizon, snapshot_spacing)
     obs = {"dist2": obs_norm2(sc.space, center=anchor)}
     ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), n_traj, seed,
                             times, observables=obs, threads=threads)
     mean, se = mean_stderr(ens.observables["dist2"])
-    bound = p0x2 * np.exp(-cert.epsilon * times)
-    rep = ConvergenceReport(scenario_id=sc.scenario_id, experiment="vanishing-coefficients",
-                            times=times,
-                            stats={"dist2_mean": mean, "bound": bound},
-                            stderr={"dist2_mean": se},
-                            theoretical={"epsilon": cert.epsilon})
-    ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * max(p0x2, 1.0)))
-    rep.verdicts.append(Verdict("bound", "pass" if ok_bound else "fail", "decay-bound",
-                                "second moment within the decay envelope at every snapshot"))
-    if p0x2 == 0.0:
-        flat = bool(np.all(mean <= 3.0 * se + 1e-20))
-        rep.verdicts.append(Verdict("rate", "pass" if flat else "fail", "decay-rate",
-                                    "started at the invariant point; no decay to fit"))
-        return rep
-    usable = mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12
-    fit = fit_exponential(times[usable], mean[usable])
-    rep.fitted["decay"] = fit
-    ok_rate = fit.rate >= RATE_BUDGET * cert.epsilon
-    rep.verdicts.append(Verdict("rate", "pass" if ok_rate else "fail", "decay-rate",
-                                f"fitted {fit.rate:.4g} vs {RATE_BUDGET:.2f} x eps = "
-                                f"{RATE_BUDGET * cert.epsilon:.4g}"))
-    return rep
+    bound, fit, verdicts = vanishing_decay(times, mean, se, cert.epsilon)
+    return ConvergenceReport(scenario_id=sc.scenario_id, experiment="vanishing-coefficients",
+                             times=times, stats={"dist2_mean": mean, "bound": bound},
+                             stderr={"dist2_mean": se},
+                             fitted={} if fit is None else {"decay": fit},
+                             theoretical={"epsilon": cert.epsilon}, verdicts=verdicts)
 
 
 def audit_deterministic_p1(sc: Scenario, x, dt: float, horizon: float, seed: int):

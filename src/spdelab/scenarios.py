@@ -18,9 +18,8 @@ from . import engine, hjmm
 from .errors import ContractViolation, SchemaError
 from .gdc import make_certificate
 from .hilbert import (HilbertSpace, Projection, averaging_projection,
-                      coordinate_projection, euclidean_space, hbeta_grid_space,
-                      identity_projection, long_rate_projection, matrix_operator,
-                      shift_operator, weighted_space)
+                      coordinate_projection, euclidean_space, identity_projection,
+                      long_rate_projection, matrix_operator, shift_operator, weighted_space)
 from .noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS, QWienerSpec, UNIFORM_MARK
 from .oulevy import OuScenario, make_ou_scenario
 
@@ -100,10 +99,10 @@ def build_space(doc) -> HilbertSpace:
         return euclidean_space(dim)
     if kind == "hbeta-grid":
         beta = _number(doc.get("beta"), "space.beta", 1e-12)
-        n = _integer(doc.get("n", hjmm.GRID_POINTS), "space.n", 2)
-        x_max = _number(doc["x_max"], "space.x_max", 1e-12) if "x_max" in doc else \
-            20.0 / beta * max(1.0, beta)
-        return hbeta_grid_space(beta, x_max, n)
+        grid = {"n": _integer(doc["n"], "space.n", 2)} if "n" in doc else {}
+        if "x_max" in doc:
+            grid["x_max"] = _number(doc["x_max"], "space.x_max", 1e-12)
+        return hjmm.forward_space(beta, **grid)
     raise SchemaError(f"space.kind: unknown space kind {kind!r}")
 
 
@@ -310,19 +309,24 @@ def load_document(path_or_text) -> dict:
 
 def build_scenario(doc) -> engine.Scenario:
     """Assemble an engine scenario and its one certificate from a document: from
-    the ``hjmm`` section alone, or from the ``lipschitz`` and ``gdc`` sections
+    the ``hjmm`` section alone, whose operator and projection are the grid
+    shift and the long rate, or from the ``lipschitz`` and ``gdc`` sections
     (a grid-shift operator without ``gdc.lambda0`` gets beta / 2)."""
     space = build_space(doc["space"])
-    op = build_operator(doc["operator"], space)
-    p1 = build_projection(doc["projection"], space)
     if "hjmm" in doc:
         _require(space.kind == "hbeta-grid", "$.hjmm",
                  "forward-curve coefficients need an hbeta-grid space")
+        for key, section in (("operator", {"mode": "grid-shift"}),
+                             ("projection", {"builder": "long-rate"})):
+            _require(doc[key] == section, f"$.{key}",
+                     f"a forward-curve document runs {json.dumps(section)}")
         for key in ("coefficients", "lipschitz", "gdc"):
             _require(key not in doc, f"$.{key}",
                      "the hjmm section supplies all coefficients and constants")
         vol = build_hjmm_volatility(doc["hjmm"], space)
         return hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
+    op = build_operator(doc["operator"], space)
+    p1 = build_projection(doc["projection"], space)
     coeff = doc.get("coefficients", {})
     _check_keys(coeff, "coefficients", [], ["F", "sigma", "gamma"])
     drift = build_drift(coeff["F"], space) if "F" in coeff else None

@@ -459,7 +459,7 @@ def test_hjmm_start_at_the_long_rate_passes(tmp_path, capsys):
                       "--h0-amplitude", "0", "--horizon", "2", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "[pass] decay-rate: started at the long rate" in out
+    assert "[pass] decay-rate: started at the invariant point; no decay to fit" in out
 
 
 def _mutated_document(path, value):
@@ -479,6 +479,32 @@ def _mutated_document(path, value):
         node = node[k]
     node[leaf] = value
     return doc
+
+
+# One malformed value ends in exit 1 with one error line naming its key, in
+# each command that reads a document: `true` where a number is expected, the
+# NaN and Infinity literals (Python's json reads them), and a non-string or
+# empty id.
+_MALFORMED_VALUES = [
+    ("certify", "lipschitz", {"L_F": True}, "lipschitz.L_F"),
+    ("certify", "lipschitz", {"L_F": math.nan}, "lipschitz.L_F"),
+    ("certify", "lipschitz", {"L_F": math.inf}, "lipschitz.L_F"),
+    ("certify", "coefficients.F", {"builder": "sine", "amplitude": math.nan},
+     "coefficients.F.amplitude"),
+    ("certify", "coefficients.sigma.columns", [[math.inf], [0.0]],
+     "coefficients.sigma.columns"),
+    ("simulate", "experiment.simulate.dt", True, "experiment.dt"),
+    ("simulate", "experiment.simulate.dt", math.nan, "experiment.dt"),
+    ("simulate", "experiment.simulate.dt", math.inf, "experiment.dt"),
+    ("simulate", "experiment.simulate.initial", [math.nan, 0.0], "experiment.initial"),
+    ("lab", "experiment.lab.T", True, "experiment.T"),
+    ("lab", "experiment.lab.T", math.nan, "experiment.T"),
+    ("lab", "experiment.lab.seed", True, "experiment.seed"),
+    ("lab", "experiment.lab.x", [math.inf, 7.0], "experiment.x"),
+    ("lab", "experiment.lab.y", [5.0, -math.inf], "experiment.y"),
+    *[(command, "id", value, "$.id") for command in ("certify", "simulate", "lab")
+      for value in (5, "", None, ["ou"])],
+]
 
 
 @pytest.mark.parametrize("command,path,value,key", [
@@ -505,11 +531,14 @@ def _mutated_document(path, value):
                  id="probes-number"),
     pytest.param("ou-limit", "experiment.ou-limit.t_cut", 0, "experiment.t_cut",
                  id="t-cut-zero"),
+    *[pytest.param(*case, id=f"{case[0]}-{case[3]}-{json.dumps(case[2])}")
+      for case in _MALFORMED_VALUES],
 ])
 def test_simulate_checks_the_observables_key(tmp_path, capsys, command, path, value, key):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(_mutated_document(path, value)))
-    rc = run_cli([command, str(f), "--traj", "2", "--out", str(tmp_path / "o")])
+    argv = [command, str(f), "--out", str(tmp_path / "o")]
+    rc = run_cli(argv if command == "certify" else argv + ["--traj", "2"])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
@@ -955,16 +984,34 @@ def test_certify_a_forward_curve_document_writes_the_scenario_epsilon(tmp_path, 
     assert cert["epsilon"] == 0.169810982570741
 
 
-@pytest.mark.parametrize("section", [{"lipschitz": {"L_F": 1.0}}, {"gdc": {"lambda1": 1.0}}],
-                         ids=["lipschitz", "gdc"])
+@pytest.mark.parametrize("section", [
+    {"lipschitz": {"L_F": 1.0}}, {"gdc": {"lambda1": 1.0}},
+    {"operator": {"mode": "matrix-exponential", "generator": [[0.0] * 64] * 64}},
+    {"operator": {"mode": "grid-shift", "generator": [[0.0]]}},
+    {"projection": {"builder": "identity"}},
+    {"projection": {"builder": "long-rate", "coords": [1]}},
+], ids=["lipschitz", "gdc", "matrix-operator", "grid-shift-with-generator",
+        "identity-projection", "long-rate-with-coords"])
 def test_a_forward_curve_document_rejects_declared_constants(tmp_path, capsys, section):
-    # the hjmm section supplies the certificate's constants
+    # the hjmm section supplies the certificate's constants, and the scenario
+    # runs the grid shift and the long-rate projection
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(_forward_curve_document(**section)))
     rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err) and f"$.{next(iter(section))}" in err
+
+
+def test_a_forward_curve_document_builds_only_the_scenario_operator_and_projection(
+        monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built a section that hjmm_scenario builds itself")
+
+    monkeypatch.setattr(scenarios, "build_operator", built)
+    monkeypatch.setattr(scenarios, "build_projection", built)
+    sc = scenarios.build_scenario(_forward_curve_document())
+    assert sc.op.semigroup_mode == "grid-shift"
 
 
 def test_the_hjmm_mode_is_measured_from_the_factors(tmp_path, capsys):

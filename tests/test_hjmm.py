@@ -6,7 +6,7 @@ import pytest
 from reference import sample_path, simulate_trajectory
 from spdelab import engine as eng
 from spdelab import hjmm
-from spdelab.errors import ContractViolation, HypothesisViolated
+from spdelab.errors import CertificationFailed, ContractViolation, HypothesisViolated
 
 
 def test_lf_bound_example_values():
@@ -137,6 +137,20 @@ def test_drift_lipschitz_audit_against_bound():
     assert worst <= math.sqrt(l_f) * 1.05
 
 
+def test_the_lipschitz_audit_sees_the_example_volatility_on_a_grid():
+    # smooth probe curves keep |h'| below e^(-beta x), where the factor is
+    # linear in h: declared with a tenth of its L_sigma, the example fails
+    sp = hjmm.forward_space(3.0)
+    vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
+    measured = hjmm.hjmm_scenario(sp, vol).lipschitz_audit()
+    assert 0.1 < measured["L_sigma"] <= vol.L_sigma
+    lying = hjmm.HjmmVolatility(sigma_factors=vol.sigma_factors, M=vol.M, L_sigma=0.1,
+                                beta_prime=1000.0)
+    with pytest.raises(HypothesisViolated) as exc:
+        hjmm.hjmm_scenario(sp, lying).lipschitz_audit()
+    assert exc.value.hypothesis == "lipschitz-sigma"
+
+
 def test_audit_volatility_passes_and_fails():
     sp = hjmm.forward_space(3.0, n=512)
     vol = hjmm.hjmm_example_volatility(sp)
@@ -158,9 +172,10 @@ def test_constant_curve_is_stationary_point():
 
 
 def test_contraction_margin_hypothesis_guard():
+    # at beta 1 the certificate's lambda0 = beta / 2 does not exceed sqrt(L_F)
     sp = hjmm.forward_space(1.0, n=256)
     vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(CertificationFailed):
         hjmm.hjmm_ergodicity_experiment(sp, vol, np.full(sp.dim, 0.05), horizon=1.0,
                                         n_traj=4, seed=1)
 
@@ -197,7 +212,7 @@ def test_a_horizon_too_short_for_the_decay_fit_stops_before_simulating(monkeypat
     vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
     h0 = 0.05 + 0.04 * np.exp(-2.0 * sp.grid)
     monkeypatch.setattr(hjmm, "simulate_ensemble", _no_simulation)
-    with pytest.raises(ContractViolation, match="horizon"):
+    with pytest.raises(ContractViolation, match=f"T = {horizon!r} with spacing 0.25"):
         hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=horizon, n_traj=4, seed=1)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from spdelab import engine as eng
 from spdelab import hilbert as hb
-from spdelab import lab, scenarios
+from spdelab import hjmm, lab, scenarios
 from spdelab.errors import HypothesisViolated
 from spdelab.gdc import make_certificate
 from spdelab.noise import diagonal_qwiener
@@ -86,6 +86,27 @@ def test_vanishing_audit_passes_on_the_example_forward_curve():
         "hjmm": {"volatility": "example"}})
     h0 = 0.05 + 0.04 * np.exp(-2.0 * sc.space.grid)
     lab.audit_vanishing_hypotheses(sc, h0)
+
+
+def test_a_forward_curve_vanishing_run_is_the_hjmm_decay():
+    # one decay rule: the lab experiment on a forward-curve document and the
+    # hjmm experiment on the same curves, seed and horizon give the same
+    # series, envelope and fitted rate (both fit from FIT_BURN on)
+    sc = scenarios.build_scenario({
+        "id": "forward-curve", "space": {"kind": "hbeta-grid", "beta": 3.0, "n": 256},
+        "operator": {"mode": "grid-shift"}, "projection": {"builder": "long-rate"},
+        "hjmm": {"volatility": "example"}})
+    space = sc.space
+    h0 = 0.05 + 0.04 * np.exp(-2.0 * space.grid)
+    rep = lab.vanishing_coeff_experiment(sc, h0, space.dx, 4.0, 32, 7, snapshot_spacing=0.25)
+    vol = hjmm.hjmm_example_volatility(space, beta_prime=1000.0)
+    ref = hjmm.hjmm_ergodicity_experiment(space, vol, h0, horizon=4.0, n_traj=32, seed=7)
+    assert ref.mode == "vanishing" and rep.passed
+    assert np.array_equal(rep.times, ref.times)
+    assert np.array_equal(rep.stats["dist2_mean"], ref.decay_mean)
+    assert np.array_equal(rep.stats["bound"], ref.bound)
+    assert rep.fitted["decay"].rate == ref.fitted_rate
+    assert rep.theoretical["epsilon"] == ref.margin
 
 
 def test_limit_existence_ou_rate(ou2d_decoupled):
