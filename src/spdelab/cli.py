@@ -143,8 +143,7 @@ def cmd_certify(args) -> int:
         "beta": cert.beta_const, "epsilon": cert.epsilon,
         "contractive": cert.contractive,
         "audit_max_violation": cert.audit_max_violation,
-        "lipschitz": {"L_F": cert.lipschitz.L_F, "L_sigma": cert.lipschitz.L_sigma,
-                      "L_gamma": cert.lipschitz.L_gamma},
+        "lipschitz": {"L_F": cert.lipschitz.L_F, "L_sigma": cert.lipschitz.L_sigma},
     }
     with open(os.path.join(out, "certificate.json"), "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
@@ -304,15 +303,15 @@ def cmd_hjmm(args) -> int:
     target = np.full(space.dim, h0[-1])
     dist2 = space.norm2(h0 - target)
     if lab.nonvanishing_coefficient(hjmm.hjmm_scenario(space, vol), target) is None:
+        if 0.0 < dist2 <= DECAY_FIT_FLOOR:
+            raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the "
+                              f"long rate is positive but not above the decay fit's floor "
+                              f"{DECAY_FIT_FLOOR:g}")
         times = engine.snapshot_grid(args.horizon, args.dt or space.dx, hjmm.SNAPSHOT_SPACING)
         try:
             lab.require_decay_fit(dist2, times, args.horizon, hjmm.SNAPSHOT_SPACING)
         except ContractViolation as e:
             raise SchemaError(f"--horizon: {e}") from None
-        if 0.0 < dist2 <= DECAY_FIT_FLOOR:
-            raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the "
-                              f"long rate is positive but not above the decay fit's floor "
-                              f"{DECAY_FIT_FLOOR:g}")
     hjmm.audit_volatility(vol, space, [h0])
     rep = hjmm.hjmm_ergodicity_experiment(
         space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
@@ -407,8 +406,12 @@ def cmd_report(args) -> int:
     rows = []
     for name in sorted(os.listdir(args.run_dir)):
         if name.endswith("verdicts.csv"):
-            with open(os.path.join(args.run_dir, name), "r", encoding="utf-8") as fh:
-                rows += [(name, line.rstrip("\n")) for line in fh.readlines()[1:]]
+            path = os.path.join(args.run_dir, name)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    rows += [(name, line.rstrip("\n")) for line in fh.readlines()[1:]]
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     print(f"run: {manifest.get('subcommand')} (seed {manifest.get('master_seed')}, "
           f"version {manifest.get('version')})")
     print("file,verdict")

@@ -182,7 +182,7 @@ class Scenario:
         """The certificate if epsilon > 0, the stability-estimate hypothesis."""
         if self.certificate is None or not self.certificate.contractive:
             raise HypothesisViolated("epsilon-positive",
-                                     "need a certificate with epsilon = 2 alpha - L_sigma - L_gamma > 0")
+                                     "need a certificate with epsilon = 2 alpha - L_sigma > 0")
         return self.certificate
 
     def sigma_gap2(self, x, y) -> float:
@@ -194,8 +194,8 @@ class Scenario:
         """Spot-check the declared L_F and L_sigma on random pairs: standard
         normal vectors, or on an hbeta grid smooth curves
         c + sum_k a_k e^{-b_k x} with c in (0, 0.1), a_k in (-0.1, 0.1) and
-        b_k in (0, beta), whose differences the grid resolves. Additive jumps
-        give L_gamma nothing to check: a declared one is a conservative bound."""
+        b_k in (0, beta), whose differences the grid resolves. Every jump is
+        additive, so the jump map has no Lipschitz constant to check."""
         if self.certificate is None:
             raise ContractViolation("lipschitz audit needs a certificate with declared constants")
         lip = self.certificate.lipschitz

@@ -6,7 +6,7 @@ for a matrix generator and a self-adjoint projection, together with the
 derived contraction constants
 
     alpha = lambda0 - sqrt(L_F),   beta = lambda1 + sqrt(L_F),
-    epsilon = 2 alpha - L_sigma - L_gamma.
+    epsilon = 2 alpha - L_sigma   (every jump is additive: no jump term).
 
 The inequality is certified through the symmetric part of the quadratic form:
 it holds for all x iff the largest eigenvalue of
@@ -36,13 +36,12 @@ REFINE_ROUNDS = 8
 
 @dataclass(frozen=True)
 class LipschitzConstants:
-    """Squared-norm Lipschitz bounds of the drift, diffusion and jump maps."""
+    """Squared-norm Lipschitz bounds of the drift and diffusion maps."""
     L_F: float = 0.0
     L_sigma: float = 0.0
-    L_gamma: float = 0.0
 
     def __post_init__(self):
-        if min(self.L_F, self.L_sigma, self.L_gamma) < 0:
+        if min(self.L_F, self.L_sigma) < 0:
             raise ContractViolation("Lipschitz constants must be nonnegative")
 
 
@@ -125,7 +124,7 @@ def quadratic_form_audit(A, P1: Projection, lambda0: float, lambda1: float,
 
 
 def make_certificate(A, P1: Projection, lambda1: float, L_F: float = 0.0,
-                     L_sigma: float = 0.0, L_gamma: float = 0.0, tol: float = 1e-9,
+                     L_sigma: float = 0.0, tol: float = 1e-9,
                      space: HilbertSpace | None = None,
                      lambda0: float | None = None) -> GdcCertificate:
     """Certify ``lambda0`` and assemble the derived contraction constants.
@@ -134,7 +133,7 @@ def make_certificate(A, P1: Projection, lambda1: float, L_F: float = 0.0,
     grid-shift semigroup); otherwise it is found by bisection. A matrix
     generator ``A`` is audited on random probes; ``A = None`` is not.
     """
-    lip = LipschitzConstants(L_F=L_F, L_sigma=L_sigma, L_gamma=L_gamma)
+    lip = LipschitzConstants(L_F=L_F, L_sigma=L_sigma)
     if lambda0 is None:
         lambda0 = certify_lambda0(A, P1, lambda1, tol=tol, space=space)
         if lambda0 is None:
@@ -147,7 +146,7 @@ def make_certificate(A, P1: Projection, lambda1: float, L_F: float = 0.0,
             "the contraction constant would not be positive")
     alpha = lambda0 - root_lf
     beta_const = lambda1 + root_lf
-    epsilon = 2.0 * alpha - lip.L_sigma - lip.L_gamma
+    epsilon = 2.0 * alpha - lip.L_sigma
     worst = 0.0
     if A is not None:
         worst = quadratic_form_audit(A, P1, lambda0, lambda1, space=space)

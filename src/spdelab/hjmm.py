@@ -174,14 +174,11 @@ class HjmmVolatility:
     and ``work`` (X's shape) writes its value into ``out`` with ``work`` as
     scratch, which lets the engine step without allocating; a plain ``f(X)``
     factor is copied into ``out``. ``M`` bounds the squared factor norm sum.
-    ``L_gamma`` is the declared Lipschitz constant of a jump part; it enters
-    the certificate and ``lf_bound``, and the drift has no jump term.
     """
 
     sigma_factors: tuple
     M: float = 0.0
     L_sigma: float = 0.0
-    L_gamma: float = 0.0
     beta_prime: float = math.inf
 
     @property
@@ -198,7 +195,7 @@ def hjmm_example_volatility(space: HilbertSpace,
         return example_volatility_rows(space, X, out=out, work=work, decay=decay)
 
     return HjmmVolatility(sigma_factors=(factor,), M=1.0 / space.beta, L_sigma=1.0,
-                          L_gamma=0.0, beta_prime=beta_prime)
+                          beta_prime=beta_prime)
 
 
 def hjmm_drift_rows(vol: HjmmVolatility, space: HilbertSpace, X: np.ndarray,
@@ -300,12 +297,12 @@ def audit_volatility(vol: HjmmVolatility, space: HilbertSpace, probes) -> dict:
 def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
                   scenario_id: str = "hjmm") -> Scenario:
     """Wire the forward-curve dynamics into the engine, certified with the
-    drift Lipschitz constant the volatility bounds imply."""
-    L_F = lf_bound(vol.L_sigma, vol.L_gamma, vol.M, space.beta, vol.beta_prime)
+    drift Lipschitz constant the volatility bounds imply (no jump part)."""
+    L_F = lf_bound(vol.L_sigma, 0.0, vol.M, space.beta, vol.beta_prime)
     model = HjmmModel(space, vol)
     p1 = long_rate_projection(space)
     cert = make_certificate(None, p1, lambda1=0.0, L_F=L_F, L_sigma=vol.L_sigma,
-                            L_gamma=vol.L_gamma, lambda0=space.beta / 2.0)
+                            lambda0=space.beta / 2.0)
     n = vol.n_factors
     qw = QWienerSpec(np.ones(n)) if n else None
     return Scenario(op=shift_operator(space), P1=p1,

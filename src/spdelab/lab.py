@@ -72,8 +72,12 @@ def _require_fit_points(times, T: float, spacing: float) -> None:
 
 
 def require_decay_fit(dist2: float, times, T: float, spacing: float) -> None:
-    """Before simulating: a start at squared distance ``dist2 > 0`` from its
-    anchor needs 4 snapshots from ``FIT_BURN`` on for ``vanishing_decay``'s fit."""
+    """Before simulating: a start ``x`` at squared distance ``dist2 > 0`` from
+    its anchor needs ``dist2`` above ``DECAY_FIT_FLOOR`` and 4 snapshots from
+    ``FIT_BURN`` on for ``vanishing_decay``'s fit."""
+    if 0.0 < dist2 <= DECAY_FIT_FLOOR:
+        raise ContractViolation(f"x: the squared distance {dist2:.3g} to its anchor is positive "
+                                f"but not above the decay fit's floor {DECAY_FIT_FLOOR:g}")
     if dist2 != 0.0:        # a start at the anchor has no decay to fit
         _require_fit_points(times[times >= FIT_BURN], T, spacing)
 

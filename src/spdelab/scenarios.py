@@ -19,7 +19,7 @@ from .errors import ContractViolation, SchemaError
 from .gdc import make_certificate
 from .hilbert import (HilbertSpace, Projection, averaging_projection,
                       coordinate_projection, euclidean_space, identity_projection,
-                      long_rate_projection, matrix_operator, shift_operator, weighted_space)
+                      matrix_operator, weighted_space)
 from .noise import GAUSSIAN_MARK, JumpSpec, MarkSampler, POINT_MASS, QWienerSpec, UNIFORM_MARK
 from .oulevy import OuScenario, make_ou_scenario
 
@@ -111,10 +111,6 @@ def build_operator(doc, space):
     if doc["mode"] == "matrix-exponential":
         gen = _matrix(doc.get("generator"), "operator.generator", space.dim, space.dim)
         return matrix_operator(space, gen)
-    if doc["mode"] == "grid-shift":
-        _require("generator" not in doc, "operator.generator",
-                 "grid-shift mode derives its generator")
-        return shift_operator(space)
     raise SchemaError(f"operator.mode: unknown semigroup mode {doc['mode']!r}")
 
 
@@ -131,8 +127,6 @@ def build_projection(doc, space) -> Projection:
                              and 0 <= c < space.dim for c in coords),
                      "projection.coords", f"expected an array of indices in [0, {space.dim})")
             p = coordinate_projection(space.dim, coords)
-        elif builder == "long-rate":
-            p = long_rate_projection(space)
         elif builder == "zero":
             p = Projection(np.zeros((space.dim, space.dim)))
         elif builder == "identity":
@@ -257,13 +251,13 @@ SCENARIO_KEYS = (["id", "space", "operator", "projection"],
 
 def build_hjmm_volatility(doc, space, path="hjmm"):
     """Volatility declarations for forward-curve scenarios: the worked
-    single-factor example, the zero volatility, or user-tabulated factors."""
-    _check_keys(doc, path, ["volatility"], ["beta_prime", "factors", "M", "L_sigma", "L_gamma"])
+    single-factor example, the zero volatility, or user-tabulated factors.
+    A tabulated factor is constant: its L_sigma is 0, and M is the sum of the
+    factors' squared norms."""
+    _check_keys(doc, path, ["volatility"], ["beta_prime", "factors"])
     kind = doc["volatility"]
-    if kind in ("example", "zero"):
-        for k in doc:
-            _require(k in ("volatility", "beta_prime"), f"{path}.{k}",
-                     f"not allowed for volatility {kind!r}, whose constants are fixed")
+    _require(kind not in ("example", "zero") or "factors" not in doc, f"{path}.factors",
+             f"not allowed for volatility {kind!r}; only a tabulated one takes factors")
     bp = _number(doc.get("beta_prime", 1000.0), f"{path}.beta_prime", 0.0)
     if kind == "example":
         return hjmm.hjmm_example_volatility(space, beta_prime=bp)
@@ -273,21 +267,19 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
         raw = doc.get("factors")
         _require(isinstance(raw, list) and raw, f"{path}.factors",
                  "expected an array of tabulated factor curves")
-        factors = []
+        factors, M = [], 0.0
         for i, row in enumerate(raw):
             vals = _vector(row, f"{path}.factors[{i}]", space.dim).copy()
             vals[-1] = 0.0      # keep the tabulated range inside the zero-long-rate space
+            with np.errstate(over="ignore", invalid="ignore"):     # checked below
+                M += space.norm2(vals)
 
             def factor(X, _v=vals):
                 return np.broadcast_to(_v, X.shape)
 
             factors.append(factor)
-        return hjmm.HjmmVolatility(
-            sigma_factors=tuple(factors),
-            M=_number(doc.get("M", 0.0), f"{path}.M", 0.0),
-            L_sigma=_number(doc.get("L_sigma", 0.0), f"{path}.L_sigma", 0.0),
-            L_gamma=_number(doc.get("L_gamma", 0.0), f"{path}.L_gamma", 0.0),
-            beta_prime=bp)
+        _require(math.isfinite(M), f"{path}.factors", "the squared factor norms overflow")
+        return hjmm.HjmmVolatility(sigma_factors=tuple(factors), M=M, beta_prime=bp)
     raise SchemaError(f"{path}.volatility: unknown volatility {kind!r}")
 
 
@@ -308,14 +300,14 @@ def load_document(path_or_text) -> dict:
 
 
 def build_scenario(doc) -> engine.Scenario:
-    """Assemble an engine scenario and its one certificate from a document: from
-    the ``hjmm`` section alone, whose operator and projection are the grid
-    shift and the long rate, or from the ``lipschitz`` and ``gdc`` sections
-    (a grid-shift operator without ``gdc.lambda0`` gets beta / 2)."""
+    """Assemble an engine scenario and its one certificate from a document: a
+    forward curve on an hbeta grid from the ``hjmm`` section alone (grid shift,
+    long rate), or else from the ``lipschitz`` and ``gdc`` sections with
+    ``lambda0`` bisected on the matrix generator."""
     space = build_space(doc["space"])
+    _require(("hjmm" in doc) == (space.kind == "hbeta-grid"), "$.hjmm",
+             "a forward curve needs both an hjmm section and an hbeta-grid space")
     if "hjmm" in doc:
-        _require(space.kind == "hbeta-grid", "$.hjmm",
-                 "forward-curve coefficients need an hbeta-grid space")
         for key, section in (("operator", {"mode": "grid-shift"}),
                              ("projection", {"builder": "long-rate"})):
             _require(doc[key] == section, f"$.{key}",
@@ -333,19 +325,15 @@ def build_scenario(doc) -> engine.Scenario:
     sigma, qw = build_sigma(coeff["sigma"], space, p1) if "sigma" in coeff else (None, None)
     jumps = build_jumps(coeff["gamma"], space) if "gamma" in coeff else None
     lip = doc.get("lipschitz", {})
-    _check_keys(lip, "lipschitz", [], ["L_F", "L_sigma", "L_gamma"])
+    _check_keys(lip, "lipschitz", [], ["L_F", "L_sigma"])
     gdc_doc = doc.get("gdc", {})
-    _check_keys(gdc_doc, "gdc", [], ["lambda0", "lambda1", "tol"])
-    lambda0 = _number(gdc_doc["lambda0"], "gdc.lambda0", 0.0) if "lambda0" in gdc_doc else None
-    gen = op.generator if op.semigroup_mode == "matrix-exponential" else None
-    if gen is None and lambda0 is None:
-        lambda0 = space.beta / 2.0
-    cert = make_certificate(gen, p1, _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0),
+    _check_keys(gdc_doc, "gdc", [], ["lambda1", "tol"])
+    cert = make_certificate(op.generator, p1,
+                            _number(gdc_doc.get("lambda1", 0.0), "gdc.lambda1", 0.0),
                             L_F=_number(lip.get("L_F", 0.0), "lipschitz.L_F", 0.0),
                             L_sigma=_number(lip.get("L_sigma", 0.0), "lipschitz.L_sigma", 0.0),
-                            L_gamma=_number(lip.get("L_gamma", 0.0), "lipschitz.L_gamma", 0.0),
                             tol=_number(gdc_doc.get("tol", 1e-9), "gdc.tol", 1e-15),
-                            space=space, lambda0=lambda0)
+                            space=space)
     return engine.Scenario(op=op, P1=p1, qwiener=qw, drift=drift, sigma=sigma,
                            jumps=jumps, certificate=cert, scenario_id=doc["id"])
 

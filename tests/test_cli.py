@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spdelab import cli, engine, lab, scenarios
+from spdelab import cli, engine, hjmm, lab, scenarios
 from spdelab.errors import SchemaError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -251,6 +251,24 @@ def test_a_malformed_json_file_is_one_error_line(tmp_path, capsys, command, text
     assert "manifest.json" in err or "volatility-file" in err
 
 
+def test_report_never_prints_a_traceback(tmp_path, capsys):
+    # a verdict file or a manifest that cannot be read is one error line
+    # naming it
+    cases = [("lab_verdicts.csv", b"\xff\xfe", b'{"subcommand": "lab"}'),
+             ("manifest.json", None, b"[1]"),
+             ("manifest.json", None, b"\xff\xfe")]
+    for i, (named, verdicts, manifest) in enumerate(cases):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_bytes(manifest)
+        if verdicts is not None:
+            (run_dir / "lab_verdicts.csv").write_bytes(verdicts)
+        rc = run_cli(["report", str(run_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert _one_error_line(err) and named in err, err
+
+
 def test_report_lists_verdicts(tmp_path, capsys):
     rc = run_cli(["lab", os.path.join(SCEN, "counterexample-antidissipative.json"),
                   "--out", str(tmp_path), "--traj", "64"])
@@ -363,7 +381,7 @@ def test_certification_failure_prints_its_prefix_once(tmp_path, capsys):
     assert capsys.readouterr().err.count("hypothesis violated") == 1
 
 
-@pytest.mark.parametrize("gdc", [{"lamda1": 1.5}, {"lambda1": 1.5, "lambda0": -0.5}])
+@pytest.mark.parametrize("gdc", [{"lamda1": 1.5}, {"lambda1": -0.5}])
 def test_certify_checks_the_certificate_section(tmp_path, capsys, gdc):
     with open(os.path.join(SCEN, "gdc-example-2x2.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -546,13 +564,18 @@ def test_simulate_checks_the_observables_key(tmp_path, capsys, command, path, va
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["example", "zero"])
-@pytest.mark.parametrize("key,value", [("factors", [[1.0]]), ("M", 5.0), ("L_sigma", 9.0),
-                                       ("L_gamma", 0.5)])
+@pytest.mark.parametrize("kind,key,value", [
+    pytest.param(kind, key, value, id=f"{key}-{'value0' if key == 'factors' else value}-{kind}")
+    for kind in ("example", "zero", "tabulated")
+    for key, value in (("factors", [[1.0]]), ("M", 5.0), ("L_sigma", 9.0), ("L_gamma", 0.5))
+    if (kind, key) != ("tabulated", "factors")])
 def test_fixed_volatility_rejects_declared_constants(tmp_path, capsys, kind, key, value):
-    # the example and zero volatilities fix their constants; a declared one
-    # would not be the one certified
+    # every volatility's constants are fixed (the example's) or derived from
+    # its factors (tabulated ones); a declared one would not be the one
+    # certified. Only a tabulated volatility takes factors
     doc = _mutated_document("hjmm.volatility", kind)
+    if kind == "tabulated":
+        doc["hjmm"]["factors"] = [[0.0] * 64]
     doc["hjmm"][key] = value
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
@@ -842,6 +865,23 @@ def test_lab_decay_fits_check_their_snapshots_before_simulating(tmp_path, capsys
     assert f"T = {float(horizon)!r}" in err and "spacing" in err
 
 
+def test_a_tiny_vanishing_start_names_x_before_simulating(tmp_path, capsys, monkeypatch):
+    # x is 1e-158 off its anchor: a squared distance of 1e-316 is positive but
+    # below the decay fit's floor, so no snapshot could be fitted
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the decay fit's floor was checked")
+
+    monkeypatch.setattr(lab, "simulate_ensemble", no_simulation)
+    doc = _vanishing_document()
+    doc["experiment"]["lab"]["x"] = [1e-158, 7.0]
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--horizon", "2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and err.startswith("error: x:"), err
+
+
 # Property test of the lab input contract: a limit-existence experiment with
 # one or two of its keys mutated (wrong types, non-finite, huge and negative
 # values, ragged arrays) ends in exit 0-3, exit 1 comes with exactly one error
@@ -926,8 +966,8 @@ _CERT_NUMBER = st.one_of(st.floats(-2.0, 4.0),
                                           math.inf, math.nan]),
                          st.integers(-3, 3))
 _CERT_MUTATIONS = {f"{section}.{key}": st.one_of(_CERT_NUMBER, _JUNK)
-                   for section, keys in (("gdc", ("lambda0", "lambda1", "tol")),
-                                         ("lipschitz", ("L_F", "L_sigma", "L_gamma")))
+                   for section, keys in (("gdc", ("lambda1", "tol")),
+                                         ("lipschitz", ("L_F", "L_sigma")))
                    for key in keys}
 _CERT_MUTATIONS["gdc.extra"] = _CERT_NUMBER
 _CERT_MUTATION = st.lists(st.sampled_from(sorted(_CERT_MUTATIONS)), min_size=1, max_size=2,
@@ -939,7 +979,7 @@ _CERT_MUTATION = st.lists(st.sampled_from(sorted(_CERT_MUTATIONS)), min_size=1, 
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=_CERT_MUTATION)
 @example(mutation={"gdc.lambda1": -1.0})
-@example(mutation={"gdc.lambda0": 0.3, "gdc.lambda1": -0.5})
+@example(mutation={"lipschitz.L_F": 0.3, "gdc.lambda1": -0.5})
 @example(mutation={"lipschitz.L_F": -1.0})
 @example(mutation={"gdc.tol": 1e-300})
 @example(mutation={"gdc.extra": 1})
@@ -1014,6 +1054,62 @@ def test_a_forward_curve_document_builds_only_the_scenario_operator_and_projecti
     assert sc.op.semigroup_mode == "grid-shift"
 
 
+@pytest.mark.parametrize("space", [{"kind": "hbeta-grid", "beta": 3.0, "n": 64},
+                                   {"kind": "euclidean", "dim": 64}],
+                         ids=["grid-without-hjmm", "hjmm-without-grid"])
+def test_only_forward_curves_live_on_a_grid(tmp_path, capsys, space):
+    doc = _forward_curve_document(space=space)
+    if space["kind"] == "hbeta-grid":
+        del doc["hjmm"]
+    f = tmp_path / "grid.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and "$.hjmm" in err, err
+
+
+def test_a_tabulated_volatility_derives_M_and_L_sigma(tmp_path, capsys):
+    # constant factors: L_sigma = 0, so L_F = 0 and epsilon = 2 lambda0 = beta;
+    # M is the squared factor norm sum that the volatility audit measures
+    grid = np.linspace(0.0, 20.0, 64)
+    doc = _mutated_document("hjmm.volatility", "tabulated")
+    doc["hjmm"]["factors"] = [(0.05 * np.exp(-3.0 * grid)).tolist(),
+                              (0.03 * grid * np.exp(-3.0 * grid)).tolist()]
+    sc = scenarios.build_scenario(doc)
+    vol = sc.sigma.vol
+    norm2 = hjmm.audit_volatility(vol, sc.space, [np.full(sc.dim, 0.05)])["norm2_max"]
+    assert vol.M / hjmm.NORM_SLACK <= norm2 <= vol.M * hjmm.NORM_SLACK
+    assert vol.L_sigma == 0.0
+    f = tmp_path / "tabulated.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli(["certify", str(f), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    assert cert["epsilon"] == 3.0
+    assert cert["lipschitz"] == {"L_F": 0.0, "L_sigma": 0.0}
+    # a derived M that overflows would make L_F = 0 * inf a nan
+    doc["hjmm"]["factors"] = [[1e200 * (i % 2) for i in range(64)]]
+    f.write_text(json.dumps(doc))
+    assert run_cli(["certify", str(f), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "hjmm.factors" in err, err
+
+
+@pytest.mark.parametrize("section,key,value", [("gdc", "lambda0", 0.3),
+                                               ("lipschitz", "L_gamma", 0.5)])
+def test_constants_the_code_works_out_are_unknown_keys(tmp_path, capsys, section, key, value):
+    # lambda0 is always bisected, and every jump is additive (no L_gamma)
+    doc = scenarios.load_document(os.path.join(SCEN, "gdc-example-2x2.json"))
+    doc.setdefault(section, {})[key] = value
+    f = tmp_path / "declared.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and f"{section}.{key}: unknown key" in err, err
+
+
 def test_the_hjmm_mode_is_measured_from_the_factors(tmp_path, capsys):
     # an all-zero tabulated factor vanishes at every constant curve, a
     # non-zero one at none
@@ -1021,8 +1117,7 @@ def test_the_hjmm_mode_is_measured_from_the_factors(tmp_path, capsys):
     modes = []
     for name, factor in (("zero", np.zeros(64)), ("bump", 0.01 * np.exp(-3.0 * grid))):
         vol = tmp_path / f"{name}.json"
-        vol.write_text(json.dumps({"volatility": "tabulated", "M": 1e-3, "L_sigma": 0.1,
-                                   "factors": [factor.tolist()]}))
+        vol.write_text(json.dumps({"volatility": "tabulated", "factors": [factor.tolist()]}))
         rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "16", "--horizon", "3",
                       "--volatility", "file", "--volatility-file", str(vol),
                       "--out", str(tmp_path / name)])
@@ -1084,7 +1179,8 @@ def test_lab_audits_the_declared_lipschitz_constants(tmp_path, capsys, monkeypat
     assert err.startswith("hypothesis violated: lipschitz-sigma")
 
 
-def test_hjmm_audits_a_file_volatility(tmp_path, capsys):
+def test_hjmm_rejects_a_file_volatility_that_declares_M(tmp_path, capsys):
+    # a tabulated volatility derives M from its factors
     grid = np.linspace(0.0, 20.0, 64)
     vol = tmp_path / "vol.json"
     vol.write_text(json.dumps({"volatility": "tabulated", "M": 1e-6,
@@ -1093,8 +1189,8 @@ def test_hjmm_audits_a_file_volatility(tmp_path, capsys):
                   "--volatility", "file", "--volatility-file", str(vol),
                   "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("hypothesis violated: volatility-norm-bound")
+    assert rc == 1
+    assert _one_error_line(err) and "volatility-file.M" in err
     assert not (tmp_path / "o" / "hjmm_decay.csv").exists()
 
 

@@ -89,12 +89,12 @@ def test_make_certificate_formulas():
     assert cert.beta_const == pytest.approx(1.5, abs=1e-12)
     assert cert.epsilon == pytest.approx(1.0, abs=2e-9)
     assert cert.contractive
-    assert cert.epsilon == 2.0 * cert.alpha - cert.lipschitz.L_sigma - cert.lipschitz.L_gamma
+    assert cert.epsilon == 2.0 * cert.alpha - cert.lipschitz.L_sigma
 
 
 def test_make_certificate_with_lipschitz_constants():
     cert = make_certificate(-2.0 * np.eye(2), hb.Projection(np.zeros((2, 2))),
-                            lambda1=0.0, L_F=1.0, L_sigma=1.0, L_gamma=0.5)
+                            lambda1=0.0, L_F=1.0, L_sigma=1.5)
     assert cert.lambda0 == pytest.approx(2.0, abs=1e-8)
     assert cert.alpha == pytest.approx(1.0, abs=1e-8)
     assert cert.beta_const == pytest.approx(1.0, abs=1e-8)

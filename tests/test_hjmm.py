@@ -55,7 +55,7 @@ def test_lf_bound_finite_at_huge_beta(beta):
 def test_lf_bound_bit_identical_to_the_full_closed_form():
     vol = hjmm.hjmm_example_volatility(hjmm.forward_space(3.0, n=64), beta_prime=1000.0)
     cases = [(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0),                          # c09
-             (vol.L_sigma, vol.L_gamma, vol.M, 3.0, vol.beta_prime)]      # c10
+             (vol.L_sigma, 0.0, vol.M, 3.0, vol.beta_prime)]              # c10
     edge = [1e100, math.nextafter(1e100, 0.0), math.nextafter(1e100, math.inf), 5e102]
     for beta in [*np.geomspace(1e-6, 5e102, 1500).tolist(), *edge]:
         for beta_prime in (math.inf, 2.0 * beta, beta + 1.0):
@@ -121,7 +121,7 @@ def test_drift_vanishes_on_constant_curves_with_example_volatility():
 def test_drift_lipschitz_audit_against_bound():
     sp = hjmm.forward_space(3.0)
     vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
-    l_f = hjmm.lf_bound(vol.L_sigma, vol.L_gamma, vol.M, sp.beta, vol.beta_prime)
+    l_f = hjmm.lf_bound(vol.L_sigma, 0.0, vol.M, sp.beta, vol.beta_prime)
     gen = np.random.Generator(np.random.Philox(77))
     worst = 0.0
     for _ in range(200):
@@ -252,7 +252,7 @@ def test_w2_mode_reports_rate():
         return hjmm.example_volatility_rows(sp, X) + 0.02 * base
 
     vol = hjmm.HjmmVolatility(sigma_factors=(factor,), M=1.2 / sp.beta, L_sigma=1.0,
-                              L_gamma=0.0, beta_prime=1000.0)
+                              beta_prime=1000.0)
     h0 = 0.05 + 0.02 * np.exp(-2.0 * sp.grid)
     rep = hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=6.0, n_traj=512,
                                           seed=10)
