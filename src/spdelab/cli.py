@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__, engine, hjmm, lab
 from .errors import (BudgetExceeded, CertificationFailed, ContractViolation,
                      HypothesisViolated, SchemaError, SpdelabError)
-from .gdc import DECAY_FIT_FLOOR
 from .oulevy import empirical_cf, limiting_cf
-from .scenarios import (build_hjmm_volatility, build_ou_scenario, build_scenario,
+from .scenarios import (build_forward_curve, build_ou_scenario, build_scenario,
                         experiment_section, load_document, _number, _vector, _integer)
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
@@ -73,15 +72,6 @@ def write_manifest(out_dir, subcommand, config, seed, threads, outputs) -> str:
     return path
 
 
-def _read_json(path):
-    """The value in a JSON file; malformed JSON is a SchemaError naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as e:
-        raise SchemaError(f"{path}: not valid JSON: {e}") from None
-
-
 def _out_dir(args, doc_id) -> str:
     out = args.out or os.environ.get("SPDELAB_OUT")
     if out is None:
@@ -92,11 +82,12 @@ def _out_dir(args, doc_id) -> str:
 
 def _experiment(args, doc, allowed, subcommand) -> dict:
     """The subcommand's experiment section with each given flag laid over its
-    key (``--horizon`` over ``lab``'s ``T``), so flags pass the same checks."""
+    key (``--horizon`` over ``T`` for ``hjmm`` and ``lab``), so flags pass the same checks."""
     exp = dict(experiment_section(doc, allowed, subcommand=subcommand))
     for flag in ("dt", "horizon", "traj", "seed", "snapshots", "observables"):
         if getattr(args, flag, None) is not None:
-            exp["T" if flag == "horizon" and subcommand == "lab" else flag] = getattr(args, flag)
+            exp["T" if flag == "horizon" and subcommand in ("hjmm", "lab") else flag] = \
+                getattr(args, flag)
     return exp
 
 
@@ -268,55 +259,23 @@ def cmd_ou_limit(args) -> int:
 
 
 def cmd_hjmm(args) -> int:
-    _number(args.beta, "--beta", 1e-12)
-    if args.volatility != "file" and not args.beta_prime > args.beta:   # nan fails too
-        raise SchemaError(f"--beta-prime: must be > --beta {args.beta!r}, "
-                          f"got {args.beta_prime!r}")
-    _number(args.horizon, "--horizon", 0.0)
-    if args.dt is not None:
-        _number(args.dt, "--dt", 1e-12)
-    if args.x_max is not None:
-        _number(args.x_max, "--x-max", 1e-12)
-    _integer(args.grid_n, "--grid-n", 2)
-    _integer(args.traj, "--traj", 1)
-    _integer(args.seed, "--seed", 0)
-    _number(args.h0_long_rate, "--h0-long-rate")
-    _number(args.h0_amplitude, "--h0-amplitude")
-    _number(args.h0_decay, "--h0-decay")
-    space = hjmm.forward_space(args.beta, x_max=args.x_max, n=args.grid_n)
-    _steps(args.horizon, args.dt or space.dx, "--horizon")
-    if args.volatility == "example":
-        vol = hjmm.hjmm_example_volatility(space, beta_prime=args.beta_prime)
-    elif args.volatility == "zero":
-        vol = hjmm.HjmmVolatility(sigma_factors=(), beta_prime=args.beta_prime)
-    else:
-        if not args.volatility_file:
-            raise SchemaError("--volatility file needs --volatility-file")
-        vol = build_hjmm_volatility(_read_json(args.volatility_file), space,
-                                    path="volatility-file")
-    with np.errstate(over="ignore", invalid="ignore"):
-        h0 = args.h0_long_rate + args.h0_amplitude * np.exp(-args.h0_decay * space.grid)
-        peak = np.abs(h0).max()
-    if not peak < engine.BLOWUP_NORM:     # nan and inf fail too
-        raise SchemaError(f"--h0-long-rate, --h0-amplitude, --h0-decay: the initial curve "
-                          f"reaches {peak:.3g}, past the blow-up bound {engine.BLOWUP_NORM:g}")
-    target = np.full(space.dim, h0[-1])
-    dist2 = space.norm2(h0 - target)
-    if lab.nonvanishing_coefficient(hjmm.hjmm_scenario(space, vol), target) is None:
-        if 0.0 < dist2 <= DECAY_FIT_FLOOR:
-            raise SchemaError(f"--h0-amplitude: the initial squared distance {dist2:.3g} to the "
-                              f"long rate is positive but not above the decay fit's floor "
-                              f"{DECAY_FIT_FLOOR:g}")
-        times = engine.snapshot_grid(args.horizon, args.dt or space.dx, hjmm.SNAPSHOT_SPACING)
-        try:
-            lab.require_decay_fit(dist2, times, args.horizon, hjmm.SNAPSHOT_SPACING)
-        except ContractViolation as e:
-            raise SchemaError(f"--horizon: {e}") from None
-    hjmm.audit_volatility(vol, space, [h0])
-    rep = hjmm.hjmm_ergodicity_experiment(
-        space, vol, h0, horizon=args.horizon, n_traj=args.traj, seed=args.seed,
-        dt=args.dt, threads=args.threads)
-    out = _out_dir(args, f"hjmm-beta{args.beta:g}")
+    doc = load_document(args.scenario)
+    space, vol = build_forward_curve(doc)
+    exp = _experiment(args, doc, ["x", "T", "dt", "traj", "seed"], "hjmm")
+    dt = _number(exp.get("dt", space.dx), "experiment.dt", 1e-12)
+    T = _number(exp.get("T", 6.0), "experiment.T", dt)
+    _steps(T, dt, "experiment.T")
+    n_traj = _integer(exp.get("traj", 2000), "experiment.traj", 1)
+    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
+    x = _vector(exp["x"], "experiment.x", space.dim) if "x" in exp \
+        else 0.05 + 0.04 * np.exp(-2.0 * space.grid)
+    if not np.abs(x).max() < engine.BLOWUP_NORM:
+        raise SchemaError(f"experiment.x: the initial curve reaches {np.abs(x).max():.3g}, "
+                          f"past the blow-up bound {engine.BLOWUP_NORM:g}")
+    hjmm.audit_volatility(vol, space, [x])
+    rep = hjmm.hjmm_ergodicity_experiment(space, vol, x, horizon=T, n_traj=n_traj, seed=seed,
+                                          dt=dt, threads=args.threads)
+    out = _out_dir(args, doc["id"])
     rows = [(t, m, s, b) for t, m, s, b in
             zip(rep.times, rep.decay_mean, rep.decay_se, rep.bound)]
     write_csv(os.path.join(out, "hjmm_decay.csv"),
@@ -329,12 +288,7 @@ def cmd_hjmm(args) -> int:
     write_csv(os.path.join(out, "hjmm_verdicts.csv"),
               ["name", "status", "detail"],
               [(n, st, d) for n, st, d in rep.verdicts])
-    config = {"beta": args.beta, "beta_prime": args.beta_prime,
-              "volatility": args.volatility, "horizon": args.horizon,
-              "dt": args.dt, "traj": args.traj, "grid_n": args.grid_n,
-              "h0": {"long_rate": args.h0_long_rate, "amplitude": args.h0_amplitude,
-                     "decay": args.h0_decay}}
-    write_manifest(out, "hjmm", config, args.seed, args.threads,
+    write_manifest(out, "hjmm", doc, seed, args.threads,
                    ["hjmm_decay.csv", "hjmm_summary.csv", "hjmm_verdicts.csv"])
     for name, status, detail in rep.verdicts:
         print(f"[{status}] {name}: {detail}")
@@ -400,7 +354,11 @@ def cmd_report(args) -> int:
     manifest_path = os.path.join(args.run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise SchemaError(f"no manifest.json under {args.run_dir}")
-    manifest = _read_json(manifest_path)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as e:     # malformed JSON or text that is not UTF-8
+        raise SchemaError(f"{manifest_path}: not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise SchemaError(f"{manifest_path}: expected a JSON object")
     rows = []
@@ -456,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"spdelab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario document (JSON)")
+    def common(p):
+        p.add_argument("scenario", help="scenario document (JSON)")
         p.add_argument("--out", default=None, help="output directory "
                                                    "(default $SPDELAB_OUT or ./spdelab-runs/<id>)")
         p.add_argument("--seed", type=int, default=None)
@@ -484,37 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.set_defaults(fn=cmd_w2)
 
-    p = sub.add_parser("ou-limit", help="limiting characteristic function vs simulation")
-    common(p)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--traj", type=int, default=None)
-    p.set_defaults(fn=cmd_ou_limit)
-
-    p = sub.add_parser("hjmm", help="forward-curve decay experiment")
-    common(p, scenario=False)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--beta-prime", type=float, default=1000.0)
-    p.add_argument("--volatility", default="example",
-                   choices=["example", "zero", "file"])
-    p.add_argument("--volatility-file", default=None,
-                   help="JSON volatility declaration (for --volatility file)")
-    p.add_argument("--horizon", type=float, default=6.0)
-    p.add_argument("--dt", type=float, default=None, help="default: one grid cell")
-    p.add_argument("--traj", type=int, default=2000)
-    p.add_argument("--grid-n", type=int, default=hjmm.GRID_POINTS)
-    p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--h0-long-rate", type=float, default=0.05)
-    p.add_argument("--h0-amplitude", type=float, default=0.04)
-    p.add_argument("--h0-decay", type=float, default=2.0)
-    p.set_defaults(fn=cmd_hjmm, seed=0)
-
-    p = sub.add_parser("lab", help="convergence and divergence experiments")
-    common(p)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--traj", type=int, default=None)
-    p.set_defaults(fn=cmd_lab)
+    for name, fn, text in (
+            ("ou-limit", cmd_ou_limit, "limiting characteristic function vs simulation"),
+            ("hjmm", cmd_hjmm, "forward-curve decay experiment"),
+            ("lab", cmd_lab, "convergence and divergence experiments")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--horizon", type=float, default=None)
+        p.add_argument("--traj", type=int, default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("report", help="aggregate verdicts from a run directory")
     p.add_argument("run_dir")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import engine, hjmm
-from .errors import ContractViolation, SchemaError
+from .errors import BudgetExceeded, ContractViolation, SchemaError
 from .gdc import make_certificate
 from .hilbert import (HilbertSpace, Projection, averaging_projection,
                       coordinate_projection, euclidean_space, identity_projection,
@@ -99,10 +99,14 @@ def build_space(doc) -> HilbertSpace:
         return euclidean_space(dim)
     if kind == "hbeta-grid":
         beta = _number(doc.get("beta"), "space.beta", 1e-12)
-        grid = {"n": _integer(doc["n"], "space.n", 2)} if "n" in doc else {}
-        if "x_max" in doc:
-            grid["x_max"] = _number(doc["x_max"], "space.x_max", 1e-12)
-        return hjmm.forward_space(beta, **grid)
+        n = _integer(doc["n"], "space.n", 2) if "n" in doc else hjmm.GRID_POINTS
+        x_max = _number(doc["x_max"], "space.x_max", 1e-12) if "x_max" in doc else None
+        try:
+            return hjmm.forward_space(beta, x_max=x_max, n=n)
+        except BudgetExceeded as e:
+            raise BudgetExceeded(f"space.n: {e}") from None
+        except ContractViolation as e:      # the weight e^(beta x_max) overflows
+            raise SchemaError(f"space.beta, space.x_max: {e}") from None
     raise SchemaError(f"space.kind: unknown space kind {kind!r}")
 
 
@@ -202,14 +206,14 @@ class TabulatedSigma:
 
 
 def build_sigma(doc, space, p1: Projection):
-    """Returns (sigma_model, qwiener) or (None, None). Unwrapped ``constant`` and
-    ``tabulated`` columns are one ``engine.ConstantSigma``, which the collapse takes."""
+    """Returns (sigma_model, qwiener) or (None, None). Unwrapped ``constant``
+    columns are one ``engine.ConstantSigma``, which the collapse takes."""
     _check_keys(doc, "coefficients.sigma", ["builder"],
                 ["columns", "eigenvalues", "tensors", "offsets", "vanishing_wrapper"])
     b = doc["builder"]
     if b == "zero":
         return None, None
-    if b in ("constant", "tabulated"):
+    if b == "constant":
         cols = _matrix(doc.get("columns"), "coefficients.sigma.columns", space.dim)
         m = cols.shape[1]
         lam = _vector(doc["eigenvalues"], "coefficients.sigma.eigenvalues", m) \
@@ -247,29 +251,31 @@ def build_jumps(doc, space):
 
 SCENARIO_KEYS = (["id", "space", "operator", "projection"],
                  ["coefficients", "lipschitz", "gdc", "hjmm", "experiment"])
+_FORWARD_CURVE = "a forward curve needs both an hjmm section and an hbeta-grid space"
 
 
-def build_hjmm_volatility(doc, space, path="hjmm"):
+def build_hjmm_volatility(doc, space):
     """Volatility declarations for forward-curve scenarios: the worked
     single-factor example, the zero volatility, or user-tabulated factors.
     A tabulated factor is constant: its L_sigma is 0, and M is the sum of the
-    factors' squared norms."""
-    _check_keys(doc, path, ["volatility"], ["beta_prime", "factors"])
+    factors' squared norms. Every kind needs ``beta_prime > space.beta``."""
+    _check_keys(doc, "hjmm", ["volatility"], ["beta_prime", "factors"])
     kind = doc["volatility"]
-    _require(kind not in ("example", "zero") or "factors" not in doc, f"{path}.factors",
+    _require(kind not in ("example", "zero") or "factors" not in doc, "hjmm.factors",
              f"not allowed for volatility {kind!r}; only a tabulated one takes factors")
-    bp = _number(doc.get("beta_prime", 1000.0), f"{path}.beta_prime", 0.0)
+    bp = _number(doc.get("beta_prime", 1000.0), "hjmm.beta_prime")
+    _require(bp > space.beta, "hjmm.beta_prime", f"must be > space.beta {space.beta!r}, got {bp!r}")
     if kind == "example":
         return hjmm.hjmm_example_volatility(space, beta_prime=bp)
     if kind == "zero":
         return hjmm.HjmmVolatility(sigma_factors=(), beta_prime=bp)
     if kind == "tabulated":
         raw = doc.get("factors")
-        _require(isinstance(raw, list) and raw, f"{path}.factors",
+        _require(isinstance(raw, list) and raw, "hjmm.factors",
                  "expected an array of tabulated factor curves")
         factors, M = [], 0.0
         for i, row in enumerate(raw):
-            vals = _vector(row, f"{path}.factors[{i}]", space.dim).copy()
+            vals = _vector(row, f"hjmm.factors[{i}]", space.dim).copy()
             vals[-1] = 0.0      # keep the tabulated range inside the zero-long-rate space
             with np.errstate(over="ignore", invalid="ignore"):     # checked below
                 M += space.norm2(vals)
@@ -278,9 +284,26 @@ def build_hjmm_volatility(doc, space, path="hjmm"):
                 return np.broadcast_to(_v, X.shape)
 
             factors.append(factor)
-        _require(math.isfinite(M), f"{path}.factors", "the squared factor norms overflow")
+        _require(math.isfinite(M), "hjmm.factors", "the squared factor norms overflow")
         return hjmm.HjmmVolatility(sigma_factors=tuple(factors), M=M, beta_prime=bp)
-    raise SchemaError(f"{path}.volatility: unknown volatility {kind!r}")
+    raise SchemaError(f"hjmm.volatility: unknown volatility {kind!r}")
+
+
+def build_forward_curve(doc):
+    """The grid space and the volatility of a forward-curve document: an
+    ``hjmm`` section on an ``hbeta-grid`` space, run by the grid shift and the
+    long-rate projection, with every coefficient and constant from the
+    ``hjmm`` section."""
+    space = build_space(doc["space"])
+    _require("hjmm" in doc and space.kind == "hbeta-grid", "$.hjmm", _FORWARD_CURVE)
+    for key, section in (("operator", {"mode": "grid-shift"}),
+                         ("projection", {"builder": "long-rate"})):
+        _require(doc[key] == section, f"$.{key}",
+                 f"a forward-curve document runs {json.dumps(section)}")
+    for key in ("coefficients", "lipschitz", "gdc"):
+        _require(key not in doc, f"$.{key}",
+                 "the hjmm section supplies all coefficients and constants")
+    return space, build_hjmm_volatility(doc["hjmm"], space)
 
 
 def load_document(path_or_text) -> dict:
@@ -301,22 +324,14 @@ def load_document(path_or_text) -> dict:
 
 def build_scenario(doc) -> engine.Scenario:
     """Assemble an engine scenario and its one certificate from a document: a
-    forward curve on an hbeta grid from the ``hjmm`` section alone (grid shift,
-    long rate), or else from the ``lipschitz`` and ``gdc`` sections with
-    ``lambda0`` bisected on the matrix generator."""
-    space = build_space(doc["space"])
-    _require(("hjmm" in doc) == (space.kind == "hbeta-grid"), "$.hjmm",
-             "a forward curve needs both an hjmm section and an hbeta-grid space")
+    forward curve from ``build_forward_curve`` (grid shift, long rate), or
+    else from the ``lipschitz`` and ``gdc`` sections with ``lambda0``
+    bisected on the matrix generator."""
     if "hjmm" in doc:
-        for key, section in (("operator", {"mode": "grid-shift"}),
-                             ("projection", {"builder": "long-rate"})):
-            _require(doc[key] == section, f"$.{key}",
-                     f"a forward-curve document runs {json.dumps(section)}")
-        for key in ("coefficients", "lipschitz", "gdc"):
-            _require(key not in doc, f"$.{key}",
-                     "the hjmm section supplies all coefficients and constants")
-        vol = build_hjmm_volatility(doc["hjmm"], space)
+        space, vol = build_forward_curve(doc)
         return hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
+    space = build_space(doc["space"])
+    _require(space.kind != "hbeta-grid", "$.hjmm", _FORWARD_CURVE)
     op = build_operator(doc["operator"], space)
     p1 = build_projection(doc["projection"], space)
     coeff = doc.get("coefficients", {})
@@ -344,7 +359,7 @@ def build_ou_scenario(doc) -> OuScenario:
     return make_ou_scenario(build_scenario(doc))
 
 
-SUBCOMMAND_SECTIONS = ("simulate", "ou-limit", "lab")
+SUBCOMMAND_SECTIONS = ("simulate", "ou-limit", "hjmm", "lab")
 
 
 def experiment_section(doc, allowed, subcommand: str | None = None) -> dict:

@@ -154,9 +154,9 @@ def test_simulate_with_jump_rate_zero_is_simulate_without_jumps(tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["simulate", "hjmm"])
 def test_a_negative_seed_is_one_error_line(tmp_path, capsys, command):
-    argv = [command, os.path.join(SCEN, "ou-decoupled-2d.json")] if command == "simulate" \
-        else [command, "--beta", "3", "--grid-n", "64"]
-    assert run_cli([*argv, "--seed", "-3", "--traj", "4", "--out", str(tmp_path / "o")]) == 1
+    name = "ou-decoupled-2d.json" if command == "simulate" else "forward-curve.json"
+    assert run_cli([command, os.path.join(SCEN, name), "--seed", "-3", "--traj", "4",
+                    "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert _one_error_line(err) and "seed" in err
 
@@ -222,8 +222,10 @@ def test_ou_limit_cli(tmp_path, capsys):
 
 
 def test_hjmm_cli_small(tmp_path, capsys):
-    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "256", "--traj", "64",
-                  "--horizon", "4.0", "--seed", "6", "--out", str(tmp_path)])
+    f = tmp_path / "fc.json"
+    f.write_text(json.dumps(_mutated_document("space.n", 256)))
+    rc = run_cli(["hjmm", str(f), "--traj", "64", "--horizon", "4.0", "--seed", "6",
+                  "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[pass] decay-rate" in out
@@ -242,13 +244,13 @@ def test_a_malformed_json_file_is_one_error_line(tmp_path, capsys, command, text
     f = tmp_path / "manifest.json"
     f.write_text(text)
     argv = ["report", str(tmp_path)] if command == "report" else \
-        ["hjmm", "--beta", "3", "--grid-n", "64", "--volatility", "file",
-         "--volatility-file", str(f), "--out", str(tmp_path / "o")]
+        ["hjmm", str(f), "--out", str(tmp_path / "o")]
     rc = run_cli(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
-    assert "manifest.json" in err or "volatility-file" in err
+    assert "manifest.json" in err if command == "report" else \
+        err.startswith(("error: not valid JSON", "error: $: expected an object"))
 
 
 def test_report_never_prints_a_traceback(tmp_path, capsys):
@@ -298,17 +300,17 @@ def _one_error_line(err):
     ["lab", "ou-decoupled-2d.json", "--horizon", "inf"],
     ["ou-limit", "ou-decoupled-2d.json", "--dt", "0"],
     ["ou-limit", "ou-decoupled-2d.json", "--horizon", "inf"],
-    ["hjmm", "--beta", "3", "--grid-n", "1"],
-    ["hjmm", "--beta", "0"],
-    ["hjmm", "--beta", "3", "--dt", "0"],
-    ["hjmm", "--beta", "3", "--horizon", "inf"],
+    ["hjmm", "forward-curve.json", "--traj", "0"],
+    ["hjmm", "forward-curve.json", "--dt", "nan"],
+    ["hjmm", "forward-curve.json", "--dt", "0"],
+    ["hjmm", "forward-curve.json", "--horizon", "inf"],
     ["hjmm"],
     ["simulate", "ou-decoupled-2d.json", "--horizon", "1e30"],
     ["simulate", "ou-decoupled-2d.json", "--steps", "10000000000"],
     ["simulate", "ou-decoupled-2d.json", "--traj", "2", "--snapshots", "1e30"],
     ["lab", "ou-decoupled-2d.json", "--horizon", "1e300"],
     ["ou-limit", "ou-decoupled-2d.json", "--horizon", "1e308"],
-    ["hjmm", "--beta", "3", "--horizon", "1e30"],
+    ["hjmm", "forward-curve.json", "--horizon", "1e30"],
 ])
 def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys, argv):
     argv = [os.path.join(SCEN, a) if a.endswith(".json") else a for a in argv]
@@ -325,8 +327,8 @@ def test_threads_outside_the_bound_are_one_error_line(tmp_path, capsys, monkeypa
         raise AssertionError("a thread pool started")
 
     monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
-    rc = run_cli(["hjmm", "--beta", "3", "--traj", "100000", "--threads", value,
-                  "--out", str(tmp_path)])
+    rc = run_cli(["hjmm", os.path.join(SCEN, "forward-curve.json"), "--traj", "100000",
+                  "--threads", value, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
@@ -442,13 +444,29 @@ def test_a_zero_step_run_rejects_an_initial_state_past_the_blowup_bound(tmp_path
     assert not (tmp_path / "o" / "simulate.csv").exists()
 
 
+def _hjmm_document_file(tmp_path, **hjmm_section):
+    """The small forward-curve document of ``_mutated_document`` (beta 3, 64
+    points, T 4, 4 curves) with keys of its ``experiment.hjmm`` section set."""
+    doc = _mutated_document("experiment.hjmm.traj", 4)
+    doc["experiment"]["hjmm"].update(hjmm_section)
+    f = tmp_path / "fc.json"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+_GRID64 = np.linspace(0.0, 20.0, 64)
+
+
 @pytest.mark.parametrize("horizon", ["0.3", "1.25"])
-def test_hjmm_horizon_too_short_for_the_decay_fit_names_the_flag(tmp_path, capsys, horizon):
-    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4",
-                  "--horizon", horizon, "--out", str(tmp_path)])
+def test_hjmm_horizon_too_short_for_the_decay_fit_names_T(tmp_path, capsys, horizon):
+    # --horizon lays over T; 0.3 is below one grid cell (the default dt), and
+    # 1.25 leaves 3 snapshots from FIT_BURN on
+    rc = run_cli(["hjmm", _hjmm_document_file(tmp_path), "--horizon", horizon,
+                  "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert _one_error_line(err) and "--horizon" in err
+    assert _one_error_line(err)
+    assert err.startswith(("error: experiment.T:", f"error: T = {float(horizon)!r}")), err
     assert not (tmp_path / "hjmm_decay.csv").exists()
 
 
@@ -457,14 +475,14 @@ def test_hjmm_horizon_too_short_for_the_decay_fit_names_the_flag(tmp_path, capsy
 def test_hjmm_tiny_amplitudes_never_end_in_a_fit_error(tmp_path, capsys, amplitude):
     # the squared distance underflows to 0 below about 1e-162 (no fit), and
     # a positive one at or below 1e-300 is rejected before simulating
-    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4", "--horizon", "4",
-                  "--h0-long-rate", "0", "--h0-amplitude", amplitude, "--out", str(tmp_path)])
+    x = float(amplitude) * np.exp(-2.0 * _GRID64)
+    rc = run_cli(["hjmm", _hjmm_document_file(tmp_path, x=x.tolist()), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert "not enough positive values" not in err
     if float(amplitude) in (1e-160, 1e-155):
         assert rc == 1
     if rc == 1:
-        assert _one_error_line(err) and "--h0-amplitude" in err
+        assert _one_error_line(err) and err.startswith("error: x:"), err
         assert not (tmp_path / "hjmm_decay.csv").exists()
     else:
         assert rc == 0
@@ -473,8 +491,8 @@ def test_hjmm_tiny_amplitudes_never_end_in_a_fit_error(tmp_path, capsys, amplitu
 def test_hjmm_start_at_the_long_rate_passes(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4",
-                      "--h0-amplitude", "0", "--horizon", "2", "--out", str(tmp_path)])
+        rc = run_cli(["hjmm", _hjmm_document_file(tmp_path, x=[0.05] * 64), "--horizon", "2",
+                      "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[pass] decay-rate: started at the invariant point; no decay to fit" in out
@@ -482,12 +500,14 @@ def test_hjmm_start_at_the_long_rate_passes(tmp_path, capsys):
 
 def _mutated_document(path, value):
     """A scenario document with the value at the dotted ``path`` replaced;
-    ``hjmm.*`` paths start from a small forward-curve document."""
-    if path.startswith("hjmm."):
+    ``space.*``, ``hjmm.*`` and ``experiment.hjmm.*`` paths start from a small
+    forward-curve document."""
+    if path.startswith(("space.", "hjmm.", "experiment.hjmm.")):
         doc = {"id": "hjmm-small", "space": {"kind": "hbeta-grid", "beta": 3.0, "n": 64},
                "operator": {"mode": "grid-shift"}, "projection": {"builder": "long-rate"},
                "hjmm": {"volatility": "example"},
-               "experiment": {"dt": 0.01, "horizon": 0.1, "traj": 2}}
+               "experiment": {"simulate": {"dt": 0.01, "horizon": 0.1, "traj": 2},
+                              "hjmm": {"T": 4.0, "traj": 4, "seed": 1}}}
     else:
         with open(os.path.join(SCEN, "ou-decoupled-2d.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -522,6 +542,9 @@ _MALFORMED_VALUES = [
     ("lab", "experiment.lab.y", [5.0, -math.inf], "experiment.y"),
     *[(command, "id", value, "$.id") for command in ("certify", "simulate", "lab")
       for value in (5, "", None, ["ou"])],
+    ("hjmm", "space.n", 1, "space.n"),
+    ("hjmm", "space.beta", 0, "space.beta"),
+    ("simulate", "coefficients.sigma.builder", "tabulated", "coefficients.sigma.builder"),
 ]
 
 
@@ -656,7 +679,7 @@ _STATE_DEPENDENT = [
 ]
 _ON_RAN_P = [
     ("F", {"builder": "constant", "value": [0.0, 0.5]}),
-    ("sigma", {"builder": "tabulated", "columns": [[1.0], [0.3]]}),
+    ("sigma", {"builder": "constant", "columns": [[1.0], [0.3]]}),
     ("gamma", {"builder": "additive", "rate": 1.0,
                "marks": {"kind": "point-mass", "point": [0.2, -0.1]}}),
     ("gamma", {"builder": "additive", "rate": 1.0,
@@ -708,18 +731,6 @@ def test_mutated_ou_coefficients_keep_the_exit_contract(tmp_path, capsys, case):
         assert rc == want, err
 
 
-def test_tabulated_diffusion_steps_like_constant(tmp_path, capsys):
-    # both builders name one ConstantSigma, so both take the collapse
-    for builder in ("constant", "tabulated"):
-        f = tmp_path / f"{builder}.json"
-        f.write_text(json.dumps(_mutated_document("coefficients.sigma.builder", builder)))
-        assert run_cli(["simulate", str(f), "--traj", "64",
-                        "--out", str(tmp_path / builder)]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "constant" / "simulate.csv").read_bytes() == \
-        (tmp_path / "tabulated" / "simulate.csv").read_bytes()
-
-
 # Property test of the w2 input contract: two sample files made of random
 # rows of numbers, non-finite values, words, blanks and ragged widths end in
 # exit 0 or in exit 1 with exactly one error line, and never in a traceback.
@@ -755,54 +766,84 @@ def test_w2_sample_files_keep_the_exit_contract(tmp_path, capsys, text_a, text_b
     assert "Traceback" not in err
 
 
-# Property test of the hjmm argv contract: one or two flags set to
-# non-finite, huge, negative, zero or non-numeric values end in exit 0-3,
-# exit 1 comes with exactly one error line, and there is never a traceback or
-# a numpy warning. A non-finite or non-numeric value is malformed for every
-# flag (except --beta-prime inf, which drops a term of L_F) and ends in exit
-# 1 naming a changed flag. The base run has a 64-point grid, 13 steps and 4
-# curves, and the curated values make no long run (no tiny --dt, and no
-# --grid-n or --traj that is large but within its budget), so an example
-# takes milliseconds.
+# Property test of the hjmm document contract: one or two keys of the small
+# forward-curve document (the grid, hjmm.beta_prime and the experiment.hjmm
+# section) set to non-finite, huge, negative, zero or non-numeric values end
+# in exit 0-3, and there is never a traceback or a numpy warning. Exit 1 comes
+# with exactly one error line, and it names a mutated key: by its path, or
+# through a check that reads it. The decay fit's checks name `T = ...` and
+# `x: ...`, and T's checks read dt and the grid cell (dt's default); the
+# engine's trajectory budget names the trajectories. A non-finite or
+# non-numeric value is malformed for every key and ends in exit 1. The base
+# run has a 64-point grid, 13 steps and 4 curves, and the curated values make
+# no long run (no tiny dt, and no n or traj that is large but within its
+# budget), so an example takes milliseconds.
 
-_HJMM_BASE = {"--beta": "3", "--grid-n": "64", "--horizon": "4", "--traj": "4",
-              "--seed": "1"}
-_HJMM_FLOAT = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e30", "-1", "0",
-                               "-0.0", "0.5", "1", "2.5", "x"])
-_HJMM_COUNT = st.sampled_from(["nan", "inf", "1e3", "-1", "0", "1", "2", "3", "10" * 15,
-                               str(2**63), "x"])
-_HJMM_FLAGS = {flag: _HJMM_FLOAT for flag in
-               ("--beta", "--beta-prime", "--x-max", "--dt", "--horizon", "--h0-long-rate",
-                "--h0-amplitude", "--h0-decay")}
-_HJMM_FLAGS.update({"--grid-n": _HJMM_COUNT, "--traj": _HJMM_COUNT})
-_HJMM_ARGV = st.lists(st.sampled_from(sorted(_HJMM_FLAGS)), min_size=1, max_size=2,
-                      unique=True).flatmap(
-    lambda flags: st.fixed_dictionaries({f: _HJMM_FLAGS[f] for f in flags}))
+def _curve(long_rate, amplitude, decay):
+    """``long_rate + amplitude e^(-decay x)`` on the 64-point grid."""
+    with np.errstate(all="ignore"):
+        return (long_rate + amplitude * np.exp(-decay * _GRID64)).tolist()
+
+
+_HJMM_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e30, -1.0, 0.0,
+                                -0.0, 0.5, 1.0, 2.5])
+_HJMM_FLOAT = st.one_of(_HJMM_NUMBER, st.just("x"))
+_HJMM_COUNT = st.sampled_from([math.nan, math.inf, 1e3, -1, 0, 1, 2, 3, int("10" * 15), 2**63,
+                               "x"])
+_HJMM_CURVE = st.one_of(st.builds(_curve, _HJMM_NUMBER, _HJMM_NUMBER, _HJMM_NUMBER),
+                        st.sampled_from(["x", 0.05, [], [0.05] * 63, [[0.05]] * 64, ["x"] * 64]))
+_HJMM_T = ("experiment.T", "error: T = ")
+_HJMM_MUTATIONS = {      # key: (values, what an error line names it by)
+    "space.beta": (_HJMM_FLOAT, ("space.beta",)),
+    "space.n": (_HJMM_COUNT, ("space.n", *_HJMM_T)),
+    "space.x_max": (_HJMM_FLOAT, ("space.x_max", *_HJMM_T)),
+    "hjmm.beta_prime": (_HJMM_FLOAT, ("hjmm.beta_prime",)),
+    "experiment.hjmm.x": (_HJMM_CURVE, ("experiment.x", "error: x:")),
+    "experiment.hjmm.T": (_HJMM_FLOAT, _HJMM_T),
+    "experiment.hjmm.dt": (_HJMM_FLOAT, ("experiment.dt", *_HJMM_T)),
+    "experiment.hjmm.traj": (_HJMM_COUNT, ("experiment.traj", "trajectories exceed")),
+    "experiment.hjmm.seed": (_HJMM_COUNT, ("experiment.seed",)),
+}
+_HJMM_MUTATION = st.lists(st.sampled_from(sorted(_HJMM_MUTATIONS)), min_size=1, max_size=2,
+                          unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _HJMM_MUTATIONS[k][0] for k in keys}))
+
+
+def _malformed(v):
+    """A value no key takes, whatever the other keys hold."""
+    if isinstance(v, list):
+        return not all(map(_finite_number, v))
+    return isinstance(v, str) or (isinstance(v, float) and not math.isfinite(v))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flags=_HJMM_ARGV)
-@example(flags={"--beta-prime": "nan"})
-@example(flags={"--x-max": "inf"})
-@example(flags={"--h0-decay": "-1000"})
-@example(flags={"--beta": "1e308", "--beta-prime": "inf"})     # e^(beta x) overflows
-@example(flags={"--dt": "1e308", "--horizon": "1e308"})        # one step past the grid
-def test_hjmm_flags_keep_the_exit_contract(tmp_path, capsys, flags):
-    argv = ["hjmm", "--out", str(tmp_path)]
-    for flag, value in {**_HJMM_BASE, **flags}.items():
-        argv += [flag, value]
+@given(mutation=_HJMM_MUTATION)
+@example(mutation={"hjmm.beta_prime": math.nan})
+@example(mutation={"hjmm.beta_prime": 2.5})
+@example(mutation={"space.x_max": math.inf})
+@example(mutation={"space.n": 3})
+@example(mutation={"experiment.hjmm.x": _curve(0.05, 0.04, -1000.0)})
+@example(mutation={"space.beta": 1e308, "hjmm.beta_prime": math.inf})      # e^(beta x) overflows
+@example(mutation={"experiment.hjmm.dt": 1e308, "experiment.hjmm.T": 1e308})
+@example(mutation={"experiment.hjmm.seed": 2**63})
+def test_mutated_hjmm_documents_keep_the_exit_contract(tmp_path, capsys, mutation):
+    doc = _mutated_document("experiment.hjmm.traj", 4)
+    for path, value in mutation.items():
+        _apply(doc, "set", tuple(path.split(".")), value)
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run_cli(argv)
+        rc = run_cli(["hjmm", str(f), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc in (0, 1, 2, 3)
-    if rc == 1:
-        assert _one_error_line(err)
     assert "Traceback" not in err
-    if any(v in ("nan", "-inf", "x") or (v == "inf" and f != "--beta-prime")
-           for f, v in flags.items()):
-        assert rc == 1 and any(f in err for f in flags), err
+    if rc == 1:
+        assert _one_error_line(err), err
+        assert any(name in err for key in mutation for name in _HJMM_MUTATIONS[key][1]), err
+    if any(map(_malformed, mutation.values())):
+        assert rc == 1, err
 
 
 def _limit_existence_document(**lab_section):
@@ -1069,6 +1110,37 @@ def test_only_forward_curves_live_on_a_grid(tmp_path, capsys, space):
     assert _one_error_line(err) and "$.hjmm" in err, err
 
 
+def test_hjmm_runs_only_forward_curve_documents(tmp_path, capsys):
+    rc = run_cli(["hjmm", os.path.join(SCEN, "ou-decoupled-2d.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and err.startswith("error: $.hjmm:"), err
+
+
+def test_hjmm_builds_its_scenario_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = hjmm.hjmm_scenario
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hjmm, "hjmm_scenario", counted)
+    assert run_cli(["hjmm", _hjmm_document_file(tmp_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("beta_prime", [2.0, 3.0])
+def test_beta_prime_not_above_beta_names_the_key(tmp_path, capsys, beta_prime):
+    f = tmp_path / "fc.json"
+    f.write_text(json.dumps(_mutated_document("hjmm.beta_prime", beta_prime)))
+    rc = run_cli(["certify", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and err.startswith("error: hjmm.beta_prime:"), err
+
+
 def test_a_tabulated_volatility_derives_M_and_L_sigma(tmp_path, capsys):
     # constant factors: L_sigma = 0, so L_F = 0 and epsilon = 2 lambda0 = beta;
     # M is the squared factor norm sum that the volatility audit measures
@@ -1113,19 +1185,31 @@ def test_constants_the_code_works_out_are_unknown_keys(tmp_path, capsys, section
 def test_the_hjmm_mode_is_measured_from_the_factors(tmp_path, capsys):
     # an all-zero tabulated factor vanishes at every constant curve, a
     # non-zero one at none
-    grid = np.linspace(0.0, 20.0, 64)
     modes = []
-    for name, factor in (("zero", np.zeros(64)), ("bump", 0.01 * np.exp(-3.0 * grid))):
-        vol = tmp_path / f"{name}.json"
-        vol.write_text(json.dumps({"volatility": "tabulated", "factors": [factor.tolist()]}))
-        rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "16", "--horizon", "3",
-                      "--volatility", "file", "--volatility-file", str(vol),
+    for name, factor in (("zero", np.zeros(64)), ("bump", 0.01 * np.exp(-3.0 * _GRID64))):
+        doc = _mutated_document("hjmm.volatility", "tabulated")
+        doc["hjmm"]["factors"] = [factor.tolist()]
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(doc))
+        rc = run_cli(["hjmm", str(f), "--traj", "16", "--horizon", "3",
                       "--out", str(tmp_path / name)])
         assert rc in (0, 3)
         summary = (tmp_path / name / "hjmm_summary.csv").read_text().splitlines()
         modes.append(summary[1].split(",")[-1])
     capsys.readouterr()
     assert modes == ["vanishing", "w2"]
+
+
+def test_a_w2_run_needs_a_T_of_one_step(tmp_path, capsys):
+    # a T below one dt leaves one snapshot and no snapshot-to-snapshot W2
+    doc = _mutated_document("hjmm.volatility", "tabulated")
+    doc["hjmm"]["factors"] = [(0.01 * np.exp(-3.0 * _GRID64)).tolist()]
+    f = tmp_path / "bump.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["hjmm", str(f), "--horizon", "0.1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and err.startswith("error: experiment.T: must be >="), err
 
 
 def test_a_vanishing_run_on_constant_noise_ends_in_exit_two(tmp_path, capsys):
@@ -1179,18 +1263,16 @@ def test_lab_audits_the_declared_lipschitz_constants(tmp_path, capsys, monkeypat
     assert err.startswith("hypothesis violated: lipschitz-sigma")
 
 
-def test_hjmm_rejects_a_file_volatility_that_declares_M(tmp_path, capsys):
+def test_hjmm_rejects_a_tabulated_volatility_that_declares_M(tmp_path, capsys):
     # a tabulated volatility derives M from its factors
-    grid = np.linspace(0.0, 20.0, 64)
-    vol = tmp_path / "vol.json"
-    vol.write_text(json.dumps({"volatility": "tabulated", "M": 1e-6,
-                               "factors": [(0.05 * np.exp(-3.0 * grid)).tolist()]}))
-    rc = run_cli(["hjmm", "--beta", "3", "--grid-n", "64", "--traj", "4", "--horizon", "3",
-                  "--volatility", "file", "--volatility-file", str(vol),
-                  "--out", str(tmp_path / "o")])
+    doc = _mutated_document("hjmm.volatility", "tabulated")
+    doc["hjmm"].update(M=1e-6, factors=[(0.05 * np.exp(-3.0 * _GRID64)).tolist()])
+    f = tmp_path / "fc.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["hjmm", str(f), "--horizon", "3", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert _one_error_line(err) and "volatility-file.M" in err
+    assert _one_error_line(err) and "hjmm.M" in err
     assert not (tmp_path / "o" / "hjmm_decay.csv").exists()
 
 
