@@ -20,12 +20,12 @@ import warnings
 
 import numpy as np
 
-from . import __version__, engine, hjmm, lab
+from . import __version__, engine, lab
 from .errors import (BudgetExceeded, CertificationFailed, ContractViolation,
                      HypothesisViolated, SchemaError, SpdelabError)
 from .oulevy import empirical_cf, limiting_cf
-from .scenarios import (build_forward_curve, build_ou_scenario, build_scenario,
-                        experiment_section, load_document, _number, _vector, _integer)
+from .scenarios import (build_ou_scenario, build_scenario, build_space, experiment_section,
+                        load_document, _number, _vector, _integer)
 from .wasserstein import ASSIGNMENT_BUDGET, EmpiricalLaw, w2_1d, w2_assignment
 
 EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_VERDICT = 0, 1, 2, 3
@@ -82,12 +82,12 @@ def _out_dir(args, doc_id) -> str:
 
 def _experiment(args, doc, allowed, subcommand) -> dict:
     """The subcommand's experiment section with each given flag laid over its
-    key (``--horizon`` over ``T`` for ``hjmm`` and ``lab``), so flags pass the same checks."""
+    key (``--horizon`` over ``T`` for ``lab``), so flags pass the same checks;
+    the manifest records this resolved section."""
     exp = dict(experiment_section(doc, allowed, subcommand=subcommand))
     for flag in ("dt", "horizon", "traj", "seed", "snapshots", "observables"):
         if getattr(args, flag, None) is not None:
-            exp["T" if flag == "horizon" and subcommand in ("hjmm", "lab") else flag] = \
-                getattr(args, flag)
+            exp["T" if flag == "horizon" and subcommand == "lab" else flag] = getattr(args, flag)
     return exp
 
 
@@ -98,6 +98,16 @@ def _steps(horizon: float, dt: float, path: str) -> int:
         raise BudgetExceeded(f"{path}: {horizon!r} is {steps:.4g} steps of dt, over the "
                              f"budget of {engine.MAX_STEPS}")
     return int(round(steps))
+
+
+def _state(exp, key: str, dim: int) -> np.ndarray:
+    """``experiment.<key>``, a state of ``dim`` numbers (zeros by default)
+    below the blow-up bound, checked before any audit reads it."""
+    v = _vector(exp.get(key, [0.0] * dim), f"experiment.{key}", dim)
+    if not np.abs(v).max() < engine.BLOWUP_NORM:
+        raise SchemaError(f"experiment.{key}: the state reaches {np.abs(v).max():.3g}, "
+                          f"past the blow-up bound {engine.BLOWUP_NORM:g}")
+    return v
 
 
 def _resolve_observables(names, sc):
@@ -176,7 +186,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, doc["id"])
     write_csv(os.path.join(out, "simulate.csv"),
               ["time", "statistic", "value", "std_err"], rows)
-    write_manifest(out, "simulate", doc, seed, args.threads, ["simulate.csv"])
+    write_manifest(out, "simulate", {**doc, "experiment": exp}, seed, args.threads,
+                   ["simulate.csv"])
     print(f"wrote {os.path.join(out, 'simulate.csv')} "
           f"({len(rows)} rows, {n_traj} trajectories)")
     return EXIT_OK
@@ -253,52 +264,14 @@ def cmd_ou_limit(args) -> int:
     write_csv(os.path.join(out, "ou_limit.csv"),
               ["u", "re_quadrature", "im_quadrature", "re_empirical", "im_empirical",
                "tail_bound", "quad_error", "mc_std_err", "abs_diff"], rows)
-    write_manifest(out, "ou-limit", doc, seed, args.threads, ["ou_limit.csv"])
+    write_manifest(out, "ou-limit", {**doc, "experiment": exp}, seed, args.threads,
+                   ["ou_limit.csv"])
     print(f"wrote {os.path.join(out, 'ou_limit.csv')} ({len(rows)} probes)")
     return EXIT_OK
 
 
-def cmd_hjmm(args) -> int:
-    doc = load_document(args.scenario)
-    space, vol = build_forward_curve(doc)
-    exp = _experiment(args, doc, ["x", "T", "dt", "traj", "seed"], "hjmm")
-    dt = _number(exp.get("dt", space.dx), "experiment.dt", 1e-12)
-    T = _number(exp.get("T", 6.0), "experiment.T", dt)
-    _steps(T, dt, "experiment.T")
-    n_traj = _integer(exp.get("traj", 2000), "experiment.traj", 1)
-    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
-    x = _vector(exp["x"], "experiment.x", space.dim) if "x" in exp \
-        else 0.05 + 0.04 * np.exp(-2.0 * space.grid)
-    if not np.abs(x).max() < engine.BLOWUP_NORM:
-        raise SchemaError(f"experiment.x: the initial curve reaches {np.abs(x).max():.3g}, "
-                          f"past the blow-up bound {engine.BLOWUP_NORM:g}")
-    hjmm.audit_volatility(vol, space, [x])
-    rep = hjmm.hjmm_ergodicity_experiment(space, vol, x, horizon=T, n_traj=n_traj, seed=seed,
-                                          dt=dt, threads=args.threads)
-    out = _out_dir(args, doc["id"])
-    rows = [(t, m, s, b) for t, m, s, b in
-            zip(rep.times, rep.decay_mean, rep.decay_se, rep.bound)]
-    write_csv(os.path.join(out, "hjmm_decay.csv"),
-              ["time", "mean_sq_dist_to_long_rate", "std_err", "bound"], rows)
-    write_csv(os.path.join(out, "hjmm_summary.csv"),
-              ["l_f", "contraction_margin", "fitted_rate", "theoretical_rate",
-               "long_rate_max_dev", "mode"],
-              [(rep.l_f, rep.margin, rep.fitted_rate, rep.theoretical_rate,
-                rep.long_rate_max_dev, rep.mode)])
-    write_csv(os.path.join(out, "hjmm_verdicts.csv"),
-              ["name", "status", "detail"],
-              [(n, st, d) for n, st, d in rep.verdicts])
-    write_manifest(out, "hjmm", doc, seed, args.threads,
-                   ["hjmm_decay.csv", "hjmm_summary.csv", "hjmm_verdicts.csv"])
-    for name, status, detail in rep.verdicts:
-        print(f"[{status}] {name}: {detail}")
-    ok = all(s == "pass" for _, s, _ in rep.verdicts)
-    return EXIT_OK if ok else EXIT_VERDICT
-
-
 def cmd_lab(args) -> int:
     doc = load_document(args.scenario)
-    sc = build_scenario(doc)
     exp = _experiment(args, doc, ["kind", "x", "y", "tau_list", "T", "dt", "traj", "seed",
                                   "spacing"], "lab")
     kind = exp.get("kind")
@@ -310,17 +283,21 @@ def cmd_lab(args) -> int:
     n_traj = _integer(exp.get("traj", 2000), "experiment.traj", 1)
     seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     spacing = _number(exp.get("spacing", 0.25), "experiment.spacing", dt)
-    x = _vector(exp.get("x", [0.0] * sc.dim), "experiment.x", sc.dim)
+    # the section is checked before the scenario's certificate, so a
+    # malformed value is exit 1 whatever the hypotheses
+    dim = build_space(doc["space"]).dim
+    x = _state(exp, "x", dim)
+    taus = _vector(exp.get("tau_list", [0.5, 1.0]), "experiment.tau_list").tolist()
+    y = _state(exp, "y", dim)
+    sc = build_scenario(doc)
     sc.lipschitz_audit()
     if kind == "vanishing":
         rep = lab.vanishing_coeff_experiment(sc, x, dt, T, n_traj, seed,
                                              snapshot_spacing=spacing, threads=args.threads)
     elif kind == "limit-existence":
-        taus = list(_vector(exp.get("tau_list", [0.5, 1.0]), "experiment.tau_list"))
         rep = lab.limit_existence_experiment(sc, x, taus, T, dt, n_traj, seed,
                                              snapshot_spacing=spacing, threads=args.threads)
     elif kind == "affine-uniqueness":
-        y = _vector(exp.get("y", [0.0] * sc.dim), "experiment.y", sc.dim)
         rep = lab.affine_uniqueness_experiment(sc, x, y, T, dt, n_traj, seed,
                                                snapshot_spacing=spacing, threads=args.threads)
     else:
@@ -343,7 +320,7 @@ def cmd_lab(args) -> int:
     write_csv(os.path.join(out, "lab_verdicts.csv"),
               ["name", "status", "invariant", "detail"],
               [(v.name, v.status, v.invariant, v.detail) for v in rep.verdicts])
-    write_manifest(out, "lab", doc, seed, args.threads,
+    write_manifest(out, "lab", {**doc, "experiment": exp}, seed, args.threads,
                    ["lab_series.csv", "lab_rates.csv", "lab_verdicts.csv"])
     for v in rep.verdicts:
         print(f"[{v.status}] {rep.experiment}/{v.name}: {v.detail}")
@@ -443,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, text in (
             ("ou-limit", cmd_ou_limit, "limiting characteristic function vs simulation"),
-            ("hjmm", cmd_hjmm, "forward-curve decay experiment"),
             ("lab", cmd_lab, "convergence and divergence experiments")):
         p = sub.add_parser(name, help=text)
         common(p)

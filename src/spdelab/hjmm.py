@@ -39,10 +39,9 @@ from . import lab
 from .engine import (Scenario, mean_stderr, obs_coordinate, obs_norm2, simulate_ensemble,
                      snapshot_grid)
 from .errors import ContractViolation, HypothesisViolated
-from .gdc import FIT_BURN, RATE_BUDGET, fit_exponential, make_certificate
+from .gdc import make_certificate
 from .hilbert import HilbertSpace, hbeta_grid_space, long_rate_projection, shift_operator
 from .noise import QWienerSpec
-from .wasserstein import w2_1d
 
 GRID_POINTS = 2048
 NORM_SLACK = 1.01           # relative slack of the audited factor-norm bound
@@ -92,11 +91,10 @@ def cumtrapz_rows(F: np.ndarray, dx: float, out: np.ndarray | None = None) -> np
     return _into(out, buf)
 
 
-def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
-             beta_prime: float) -> float:
+def lf_bound(L_sigma: float, M: float, beta: float, beta_prime: float) -> float:
     """Explicit drift Lipschitz constant implied by the volatility bounds:
 
-    L_F = (max(L_sigma, L_gamma) sqrt(M) / beta) *
+    L_F = (L_sigma sqrt(M) / beta) *
           ( sqrt(6 M sqrt(2)) + sqrt(8/beta^3 + 16/beta)
             + sqrt((16 (1 + 1/sqrt(beta))^2 + 48) / (beta' - beta)) ).
 
@@ -106,9 +104,9 @@ def lf_bound(L_sigma: float, L_gamma: float, M: float, beta: float,
     """
     if not (beta > 0 and beta_prime > beta):        # nan fails too
         raise ContractViolation("need beta' > beta > 0")
-    if not (L_sigma >= 0 and L_gamma >= 0 and M >= 0):
+    if not (L_sigma >= 0 and M >= 0):
         raise ContractViolation("constants must be nonnegative")
-    pre = max(L_sigma, L_gamma) * math.sqrt(M) / beta
+    pre = L_sigma * math.sqrt(M) / beta
     term1 = math.sqrt(6.0 * M * math.sqrt(2.0))
     term2 = math.sqrt((8.0 / beta**3 if beta < 1e100 else 0.0) + 16.0 / beta)
     term3 = 0.0 if math.isinf(beta_prime) else \
@@ -298,7 +296,7 @@ def hjmm_scenario(space: HilbertSpace, vol: HjmmVolatility,
                   scenario_id: str = "hjmm") -> Scenario:
     """Wire the forward-curve dynamics into the engine, certified with the
     drift Lipschitz constant the volatility bounds imply (no jump part)."""
-    L_F = lf_bound(vol.L_sigma, 0.0, vol.M, space.beta, vol.beta_prime)
+    L_F = lf_bound(vol.L_sigma, vol.M, space.beta, vol.beta_prime)
     model = HjmmModel(space, vol)
     p1 = long_rate_projection(space)
     cert = make_certificate(None, p1, lambda1=0.0, L_F=L_F, L_sigma=vol.L_sigma,
@@ -317,71 +315,44 @@ class HjmmReport:
     decay_se: np.ndarray
     bound: np.ndarray
     fitted_rate: float
-    theoretical_rate: float
     l_f: float
     margin: float
     long_rate_max_dev: float
-    mode: str
     verdicts: list
 
 
 def hjmm_ergodicity_experiment(space: HilbertSpace, vol: HjmmVolatility, h0,
                                horizon: float, n_traj: int, seed: int,
-                               dt: float | None = None,
                                threads: int = 1) -> HjmmReport:
-    """Simulate the curve dynamics and check the decay of
-    E ||X_t - h0(inf)||^2 against the margin, ``hjmm_scenario``'s epsilon.
+    """Simulate the curve dynamics in steps of one grid cell and check the
+    decay of E ||X_t - h0(inf)||^2 under lab's ``vanishing_decay`` against the
+    margin, ``hjmm_scenario``'s epsilon, and that the long rate stays put.
 
-    The mode is measured: ``vanishing`` when every coefficient vanishes at
-    the constant curve at h0's long rate, and then lab's ``vanishing_decay``
-    checks the decay series; otherwise ``w2``, and snapshot-to-snapshot
-    Wasserstein distances of the short rate are fitted against half the margin.
+    Every coefficient must vanish at the constant curve at h0's long rate;
+    a factor that does not raises ``coefficients-vanish-at-anchor`` before
+    anything is simulated.
     """
     sc = hjmm_scenario(space, vol)
     margin = sc.contractive_certificate().epsilon
     h0 = np.asarray(h0, dtype=float)
-    if dt is None:
-        dt = space.dx
-    n_steps = int(round(horizon / dt))
+    dt = space.dx
     snap_times = snapshot_grid(horizon, dt, SNAPSHOT_SPACING)
     target = np.full(space.dim, h0[-1])
-    vanishing = lab.nonvanishing_coefficient(sc, target) is None
-    if vanishing:
-        lab.require_decay_fit(space.norm2(h0 - target), snap_times, horizon, SNAPSHOT_SPACING)
-    obs = {"dist2": obs_norm2(space, center=target), "long_rate": obs_coordinate(space.dim - 1),
-           "short_rate": obs_coordinate(0)}
-    ens = simulate_ensemble(sc, h0, dt, n_steps, n_traj, seed, snap_times,
+    bad = lab.nonvanishing_coefficient(sc, target)
+    if bad is not None:
+        raise HypothesisViolated("coefficients-vanish-at-anchor", bad)
+    lab.require_decay_fit(space.norm2(h0 - target), snap_times, horizon, SNAPSHOT_SPACING)
+    obs = {"dist2": obs_norm2(space, center=target), "long_rate": obs_coordinate(space.dim - 1)}
+    ens = simulate_ensemble(sc, h0, dt, int(round(horizon / dt)), n_traj, seed, snap_times,
                             observables=obs, threads=threads)
     mean, se = mean_stderr(ens.observables["dist2"])
     lr_dev = float(np.abs(ens.observables["long_rate"] - h0[-1]).max())
-    if vanishing:
-        mode, theoretical = "vanishing", margin
-        bound, fit, checks = lab.vanishing_decay(snap_times, mean, se, margin)
-        fitted = math.nan if fit is None else fit.rate
-        verdicts = [(v.invariant, v.status, v.detail) for v in checks]
-    else:
-        mode, theoretical = "w2", margin / 2.0
-        bound = mean[0] * np.exp(-margin * snap_times)    # hjmm_decay.csv has it in both modes
-        sr = ens.observables["short_rate"]
-        w2_snap = np.array([w2_1d(sr[i], sr[i + 1]) for i in range(len(snap_times) - 1)])
-        # two disjoint halves of one marginal estimate the sampling floor of
-        # the snapshot-to-snapshot distance
-        half = n_traj // 2
-        floor = w2_1d(sr[-1][:half], sr[-1][half:2 * half]) if half >= 8 else 0.0
-        keep = (snap_times[:-1] >= FIT_BURN) & (w2_snap > max(2.0 * floor, 1e-14))
-        if keep.sum() < 4:
-            fitted = math.nan
-            ok_rate = bool(w2_snap[-1] <= 2.0 * floor + 1e-12)
-            rate_detail = (f"snapshot W2 reached the sampling floor {floor:.3g} "
-                           f"before a rate could be fitted")
-        else:
-            fitted = fit_exponential(snap_times[:-1][keep], w2_snap[keep]).rate
-            ok_rate = fitted >= RATE_BUDGET * theoretical
-            rate_detail = f"fitted {fitted:.4g} vs budgeted {RATE_BUDGET:.2f} x {theoretical:.4g}"
-        verdicts = [("decay-rate", "pass" if ok_rate else "fail", rate_detail)]
+    bound, fit, checks = lab.vanishing_decay(snap_times, mean, se, margin, horizon,
+                                            SNAPSHOT_SPACING)
+    verdicts = [(v.invariant, v.status, v.detail) for v in checks]
     verdicts.append(("long-rate-conserved", "pass" if lr_dev == 0.0 else "fail",
                      f"max |P1 X_t - h0(inf)| = {lr_dev:.3g}"))
     return HjmmReport(times=snap_times, decay_mean=mean, decay_se=se, bound=bound,
-                      fitted_rate=fitted, theoretical_rate=theoretical,
+                      fitted_rate=math.nan if fit is None else fit.rate,
                       l_f=sc.certificate.lipschitz.L_F, margin=margin,
-                      long_rate_max_dev=lr_dev, mode=mode, verdicts=verdicts)
+                      long_rate_max_dev=lr_dev, verdicts=verdicts)

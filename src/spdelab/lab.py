@@ -118,12 +118,14 @@ def audit_vanishing_hypotheses(sc: Scenario, x) -> None:
         raise HypothesisViolated("coefficients-vanish-at-anchor", bad)
 
 
-def vanishing_decay(times, mean, se, epsilon: float):
+def vanishing_decay(times, mean, se, epsilon: float, T: float, spacing: float):
     """The vanishing-coefficient decay rule for E ||X_t - P1 x||^2 (``mean``,
-    ``se``): the envelope mean[0] e^{-eps t} within 3 se + 1e-12 mean[0], and
-    a fit from ``FIT_BURN`` on, or at the anchor (mean[0] = 0) no fit and a
-    series within 3 se + 1e-20 of zero. Returns the envelope, the fit (or
-    None) and the decay-bound and decay-rate verdicts."""
+    ``se``) on the snapshots of ``T`` and ``spacing``: the envelope
+    mean[0] e^{-eps t} within 3 se + 1e-12 mean[0], and a fit from
+    ``FIT_BURN`` on, or at the anchor (mean[0] = 0) no fit and a series within
+    3 se + 1e-20 of zero. A series that falls below the fit's floor before 4
+    snapshots from ``FIT_BURN`` on names T and the spacing. Returns the
+    envelope, the fit (or None) and the decay-bound and decay-rate verdicts."""
     bound = mean[0] * np.exp(-epsilon * times)
     ok_bound = bool(np.all(mean <= bound + 3.0 * se + 1e-12 * mean[0]))
     verdicts = [Verdict("bound", "pass" if ok_bound else "fail", "decay-bound",
@@ -134,6 +136,10 @@ def vanishing_decay(times, mean, se, epsilon: float):
                                 "started at the invariant point; no decay to fit"))
         return bound, None, verdicts
     keep = (times >= FIT_BURN) & (mean > max(mean[0], DECAY_FIT_FLOOR) * 1e-12)
+    if keep.sum() < 4:
+        raise ContractViolation(f"T = {T!r} with spacing {spacing!r}: the decay series is above "
+                                f"1e-12 of its start at {keep.sum()} snapshots from {FIT_BURN:g} "
+                                "on, and the decay fit needs 4; take a finer spacing")
     fit = fit_exponential(times[keep], mean[keep])
     ok_rate = fit.rate >= RATE_BUDGET * epsilon
     verdicts.append(Verdict("rate", "pass" if ok_rate else "fail", "decay-rate",
@@ -156,7 +162,8 @@ def vanishing_coeff_experiment(sc: Scenario, x, dt: float, horizon: float,
     ens = simulate_ensemble(sc, x, dt, int(round(horizon / dt)), n_traj, seed,
                             times, observables=obs, threads=threads)
     mean, se = mean_stderr(ens.observables["dist2"])
-    bound, fit, verdicts = vanishing_decay(times, mean, se, cert.epsilon)
+    bound, fit, verdicts = vanishing_decay(times, mean, se, cert.epsilon, horizon,
+                                           snapshot_spacing)
     return ConvergenceReport(scenario_id=sc.scenario_id, experiment="vanishing-coefficients",
                              times=times, stats={"dist2_mean": mean, "bound": bound},
                              stderr={"dist2_mean": se},

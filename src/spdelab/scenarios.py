@@ -289,49 +289,41 @@ def build_hjmm_volatility(doc, space):
     raise SchemaError(f"hjmm.volatility: unknown volatility {kind!r}")
 
 
-def build_forward_curve(doc):
-    """The grid space and the volatility of a forward-curve document: an
-    ``hjmm`` section on an ``hbeta-grid`` space, run by the grid shift and the
-    long-rate projection, with every coefficient and constant from the
-    ``hjmm`` section."""
-    space = build_space(doc["space"])
-    _require("hjmm" in doc and space.kind == "hbeta-grid", "$.hjmm", _FORWARD_CURVE)
-    for key, section in (("operator", {"mode": "grid-shift"}),
-                         ("projection", {"builder": "long-rate"})):
-        _require(doc[key] == section, f"$.{key}",
-                 f"a forward-curve document runs {json.dumps(section)}")
-    for key in ("coefficients", "lipschitz", "gdc"):
-        _require(key not in doc, f"$.{key}",
-                 "the hjmm section supplies all coefficients and constants")
-    return space, build_hjmm_volatility(doc["hjmm"], space)
-
-
-def load_document(path_or_text) -> dict:
-    text = path_or_text
+def load_document(path) -> dict:
+    """The scenario document in the JSON file ``path``; every error names the file."""
     try:
-        if not str(path_or_text).lstrip().startswith("{"):
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except UnicodeDecodeError as e:
-        raise SchemaError(f"{path_or_text}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+        raise SchemaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
-        raise SchemaError(f"not valid JSON: {e}") from None
+        raise SchemaError(f"{path}: not valid JSON: {e}") from None
+    _require(isinstance(doc, dict), f"{path}: $", "expected an object")
     _check_keys(doc, "$", *SCENARIO_KEYS)
     _require(isinstance(doc["id"], str) and doc["id"], "$.id", "expected a nonempty string")
     return doc
 
 
 def build_scenario(doc) -> engine.Scenario:
-    """Assemble an engine scenario and its one certificate from a document: a
-    forward curve from ``build_forward_curve`` (grid shift, long rate), or
-    else from the ``lipschitz`` and ``gdc`` sections with ``lambda0``
-    bisected on the matrix generator."""
-    if "hjmm" in doc:
-        space, vol = build_forward_curve(doc)
-        return hjmm.hjmm_scenario(space, vol, scenario_id=doc["id"])
+    """Assemble an engine scenario and its one certificate from a document.
+
+    A forward curve is an ``hjmm`` section on an ``hbeta-grid`` space, run by
+    the grid shift and the long-rate projection (``hjmm.hjmm_scenario``), with
+    every coefficient and constant from the ``hjmm`` section. Any other
+    document takes its constants from the ``lipschitz`` and ``gdc`` sections,
+    with ``lambda0`` bisected on the matrix generator."""
     space = build_space(doc["space"])
-    _require(space.kind != "hbeta-grid", "$.hjmm", _FORWARD_CURVE)
+    _require(("hjmm" in doc) == (space.kind == "hbeta-grid"), "$.hjmm", _FORWARD_CURVE)
+    if "hjmm" in doc:
+        for key, section in (("operator", {"mode": "grid-shift"}),
+                             ("projection", {"builder": "long-rate"})):
+            _require(doc[key] == section, f"$.{key}",
+                     f"a forward-curve document runs {json.dumps(section)}")
+        for key in ("coefficients", "lipschitz", "gdc"):
+            _require(key not in doc, f"$.{key}",
+                     "the hjmm section supplies all coefficients and constants")
+        return hjmm.hjmm_scenario(space, build_hjmm_volatility(doc["hjmm"], space),
+                                  scenario_id=doc["id"])
     op = build_operator(doc["operator"], space)
     p1 = build_projection(doc["projection"], space)
     coeff = doc.get("coefficients", {})
@@ -359,7 +351,7 @@ def build_ou_scenario(doc) -> OuScenario:
     return make_ou_scenario(build_scenario(doc))
 
 
-SUBCOMMAND_SECTIONS = ("simulate", "ou-limit", "hjmm", "lab")
+SUBCOMMAND_SECTIONS = ("simulate", "ou-limit", "lab")
 
 
 def experiment_section(doc, allowed, subcommand: str | None = None) -> dict:

@@ -223,8 +223,8 @@ def c08_counterexamples(out, seed, threads):
 
 
 def c09_lf_formula(out, seed, threads):
-    v1 = hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0)
-    v2 = hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0)
+    v1 = hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, 1000.0)
+    v2 = hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, 1000.0)
     # independent evaluation of the same closed form, spelled out term by term
     pre = 1.0 * math.sqrt(1.0 / 3.0) / 3.0
     direct = pre * (math.sqrt(6.0 * (1.0 / 3.0) * math.sqrt(2.0))

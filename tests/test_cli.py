@@ -152,7 +152,7 @@ def test_simulate_with_jump_rate_zero_is_simulate_without_jumps(tmp_path, capsys
         (tmp_path / "zero" / "simulate.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["simulate", "hjmm"])
+@pytest.mark.parametrize("command", ["simulate", "lab"])
 def test_a_negative_seed_is_one_error_line(tmp_path, capsys, command):
     name = "ou-decoupled-2d.json" if command == "simulate" else "forward-curve.json"
     assert run_cli([command, os.path.join(SCEN, name), "--seed", "-3", "--traj", "4",
@@ -222,15 +222,21 @@ def test_ou_limit_cli(tmp_path, capsys):
 
 
 def test_hjmm_cli_small(tmp_path, capsys):
+    # a forward curve on 256 points decays under lab's vanishing kind
+    doc = _mutated_document("space.n", 256)
+    space = hjmm.forward_space(3.0, n=256)
+    doc["experiment"]["lab"].update(x=(0.05 + 0.04 * np.exp(-2.0 * space.grid)).tolist(),
+                                    dt=space.dx, spacing=0.25)
     f = tmp_path / "fc.json"
-    f.write_text(json.dumps(_mutated_document("space.n", 256)))
-    rc = run_cli(["hjmm", str(f), "--traj", "64", "--horizon", "4.0", "--seed", "6",
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--traj", "64", "--horizon", "4.0", "--seed", "6",
                   "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "[pass] decay-rate" in out
-    summary = (tmp_path / "hjmm_summary.csv").read_text().splitlines()
-    assert summary[0].startswith("l_f,contraction_margin")
+    assert "[pass] vanishing-coefficients/rate" in out
+    rates = (tmp_path / "lab_rates.csv").read_text().splitlines()
+    assert rates[0] == "name,rate,prefactor,residual"
+    assert rates[2].startswith("theoretical:epsilon,0.16981")
 
 
 def test_report_requires_manifest(tmp_path, capsys):
@@ -239,18 +245,18 @@ def test_report_requires_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["{bad", "[1]"], ids=["not-json", "not-an-object"])
-@pytest.mark.parametrize("command", ["report", "hjmm"])
+@pytest.mark.parametrize("command", ["report", "lab"])
 def test_a_malformed_json_file_is_one_error_line(tmp_path, capsys, command, text):
     f = tmp_path / "manifest.json"
     f.write_text(text)
     argv = ["report", str(tmp_path)] if command == "report" else \
-        ["hjmm", str(f), "--out", str(tmp_path / "o")]
+        ["lab", str(f), "--out", str(tmp_path / "o")]
     rc = run_cli(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
     assert "manifest.json" in err if command == "report" else \
-        err.startswith(("error: not valid JSON", "error: $: expected an object"))
+        err.startswith((f"error: {f}: not valid JSON", f"error: {f}: $: expected an object")), err
 
 
 def test_report_never_prints_a_traceback(tmp_path, capsys):
@@ -300,17 +306,17 @@ def _one_error_line(err):
     ["lab", "ou-decoupled-2d.json", "--horizon", "inf"],
     ["ou-limit", "ou-decoupled-2d.json", "--dt", "0"],
     ["ou-limit", "ou-decoupled-2d.json", "--horizon", "inf"],
-    ["hjmm", "forward-curve.json", "--traj", "0"],
-    ["hjmm", "forward-curve.json", "--dt", "nan"],
-    ["hjmm", "forward-curve.json", "--dt", "0"],
-    ["hjmm", "forward-curve.json", "--horizon", "inf"],
-    ["hjmm"],
+    ["lab", "forward-curve.json", "--traj", "0"],
+    ["lab", "forward-curve.json", "--dt", "nan"],
+    ["lab", "forward-curve.json", "--dt", "0"],
+    ["lab", "forward-curve.json", "--horizon", "inf"],
+    ["lab"],
     ["simulate", "ou-decoupled-2d.json", "--horizon", "1e30"],
     ["simulate", "ou-decoupled-2d.json", "--steps", "10000000000"],
     ["simulate", "ou-decoupled-2d.json", "--traj", "2", "--snapshots", "1e30"],
     ["lab", "ou-decoupled-2d.json", "--horizon", "1e300"],
     ["ou-limit", "ou-decoupled-2d.json", "--horizon", "1e308"],
-    ["hjmm", "forward-curve.json", "--horizon", "1e30"],
+    ["lab", "forward-curve.json", "--horizon", "1e30"],
 ])
 def test_simulate_zero_trajectories_is_one_error_line(tmp_path, capsys, argv):
     argv = [os.path.join(SCEN, a) if a.endswith(".json") else a for a in argv]
@@ -327,7 +333,7 @@ def test_threads_outside_the_bound_are_one_error_line(tmp_path, capsys, monkeypa
         raise AssertionError("a thread pool started")
 
     monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
-    rc = run_cli(["hjmm", os.path.join(SCEN, "forward-curve.json"), "--traj", "100000",
+    rc = run_cli(["lab", os.path.join(SCEN, "forward-curve.json"), "--traj", "100000",
                   "--threads", value, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
@@ -444,30 +450,31 @@ def test_a_zero_step_run_rejects_an_initial_state_past_the_blowup_bound(tmp_path
     assert not (tmp_path / "o" / "simulate.csv").exists()
 
 
-def _hjmm_document_file(tmp_path, **hjmm_section):
+def _hjmm_document_file(tmp_path, **lab_section):
     """The small forward-curve document of ``_mutated_document`` (beta 3, 64
-    points, T 4, 4 curves) with keys of its ``experiment.hjmm`` section set."""
-    doc = _mutated_document("experiment.hjmm.traj", 4)
-    doc["experiment"]["hjmm"].update(hjmm_section)
+    points, T 4, 4 curves) with keys of its ``experiment.lab`` section set."""
+    doc = _mutated_document("hjmm.volatility", "example")
+    doc["experiment"]["lab"].update(lab_section)
     f = tmp_path / "fc.json"
     f.write_text(json.dumps(doc))
     return str(f)
 
 
 _GRID64 = np.linspace(0.0, 20.0, 64)
+_DX64 = hjmm.forward_space(3.0, n=64).dx
 
 
 @pytest.mark.parametrize("horizon", ["0.3", "1.25"])
 def test_hjmm_horizon_too_short_for_the_decay_fit_names_T(tmp_path, capsys, horizon):
-    # --horizon lays over T; 0.3 is below one grid cell (the default dt), and
-    # 1.25 leaves 3 snapshots from FIT_BURN on
-    rc = run_cli(["hjmm", _hjmm_document_file(tmp_path), "--horizon", horizon,
+    # --horizon lays over T; 0.3 is below one grid cell (the document's dt),
+    # and 1.25 leaves 3 snapshots from FIT_BURN on
+    rc = run_cli(["lab", _hjmm_document_file(tmp_path), "--horizon", horizon,
                   "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err)
     assert err.startswith(("error: experiment.T:", f"error: T = {float(horizon)!r}")), err
-    assert not (tmp_path / "hjmm_decay.csv").exists()
+    assert not (tmp_path / "lab_series.csv").exists()
 
 
 @pytest.mark.parametrize("amplitude", ["1e-170", "1e-160", "1e-155", "1e-152", "1e-151",
@@ -476,14 +483,14 @@ def test_hjmm_tiny_amplitudes_never_end_in_a_fit_error(tmp_path, capsys, amplitu
     # the squared distance underflows to 0 below about 1e-162 (no fit), and
     # a positive one at or below 1e-300 is rejected before simulating
     x = float(amplitude) * np.exp(-2.0 * _GRID64)
-    rc = run_cli(["hjmm", _hjmm_document_file(tmp_path, x=x.tolist()), "--out", str(tmp_path)])
+    rc = run_cli(["lab", _hjmm_document_file(tmp_path, x=x.tolist()), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert "not enough positive values" not in err
     if float(amplitude) in (1e-160, 1e-155):
         assert rc == 1
     if rc == 1:
         assert _one_error_line(err) and err.startswith("error: x:"), err
-        assert not (tmp_path / "hjmm_decay.csv").exists()
+        assert not (tmp_path / "lab_series.csv").exists()
     else:
         assert rc == 0
 
@@ -491,23 +498,27 @@ def test_hjmm_tiny_amplitudes_never_end_in_a_fit_error(tmp_path, capsys, amplitu
 def test_hjmm_start_at_the_long_rate_passes(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run_cli(["hjmm", _hjmm_document_file(tmp_path, x=[0.05] * 64), "--horizon", "2",
+        rc = run_cli(["lab", _hjmm_document_file(tmp_path, x=[0.05] * 64), "--horizon", "2",
                       "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "[pass] decay-rate: started at the invariant point; no decay to fit" in out
+    assert "[pass] vanishing-coefficients/rate: started at the invariant point; " \
+        "no decay to fit" in out
 
 
 def _mutated_document(path, value):
     """A scenario document with the value at the dotted ``path`` replaced;
-    ``space.*``, ``hjmm.*`` and ``experiment.hjmm.*`` paths start from a small
-    forward-curve document."""
-    if path.startswith(("space.", "hjmm.", "experiment.hjmm.")):
+    ``space.*`` and ``hjmm.*`` paths start from a small forward-curve
+    document, whose lab section runs the vanishing kind in steps and
+    snapshots of one grid cell."""
+    if path.startswith(("space.", "hjmm.")):
+        lab_section = {"kind": "vanishing", "x": (0.05 + 0.04 * np.exp(-2.0 * _GRID64)).tolist(),
+                       "dt": _DX64, "spacing": _DX64, "T": 4.0, "traj": 4, "seed": 1}
         doc = {"id": "hjmm-small", "space": {"kind": "hbeta-grid", "beta": 3.0, "n": 64},
                "operator": {"mode": "grid-shift"}, "projection": {"builder": "long-rate"},
                "hjmm": {"volatility": "example"},
                "experiment": {"simulate": {"dt": 0.01, "horizon": 0.1, "traj": 2},
-                              "hjmm": {"T": 4.0, "traj": 4, "seed": 1}}}
+                              "lab": lab_section}}
     else:
         with open(os.path.join(SCEN, "ou-decoupled-2d.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -542,8 +553,8 @@ _MALFORMED_VALUES = [
     ("lab", "experiment.lab.y", [5.0, -math.inf], "experiment.y"),
     *[(command, "id", value, "$.id") for command in ("certify", "simulate", "lab")
       for value in (5, "", None, ["ou"])],
-    ("hjmm", "space.n", 1, "space.n"),
-    ("hjmm", "space.beta", 0, "space.beta"),
+    ("lab", "space.n", 1, "space.n"),
+    ("lab", "space.beta", 0, "space.beta"),
     ("simulate", "coefficients.sigma.builder", "tabulated", "coefficients.sigma.builder"),
 ]
 
@@ -766,18 +777,19 @@ def test_w2_sample_files_keep_the_exit_contract(tmp_path, capsys, text_a, text_b
     assert "Traceback" not in err
 
 
-# Property test of the hjmm document contract: one or two keys of the small
-# forward-curve document (the grid, hjmm.beta_prime and the experiment.hjmm
-# section) set to non-finite, huge, negative, zero or non-numeric values end
-# in exit 0-3, and there is never a traceback or a numpy warning. Exit 1 comes
-# with exactly one error line, and it names a mutated key: by its path, or
-# through a check that reads it. The decay fit's checks name `T = ...` and
-# `x: ...`, and T's checks read dt and the grid cell (dt's default); the
-# engine's trajectory budget names the trajectories. A non-finite or
-# non-numeric value is malformed for every key and ends in exit 1. The base
-# run has a 64-point grid, 13 steps and 4 curves, and the curated values make
-# no long run (no tiny dt, and no n or traj that is large but within its
-# budget), so an example takes milliseconds.
+# Property test of the forward-curve document contract under `lab`: one or
+# two keys of the small forward-curve document (the grid, hjmm.beta_prime and
+# the experiment.lab section) set to non-finite, huge, negative, zero or
+# non-numeric values end in exit 0-3, and there is never a traceback or a
+# numpy warning. Exit 1 comes with exactly one error line, and it names a
+# mutated key: by its path, or through a check that reads it. The decay fit's
+# checks name `T = ...` and `x: ...`, T's checks read dt, x's length is the
+# grid's n, and the snapshot spacing must not be below dt; the engine's
+# trajectory budget names the trajectories. A non-finite or non-numeric value
+# is malformed for every key and ends in exit 1. The base run has a 64-point
+# grid, 13 steps and 4 curves, and the curated values make no long run (no
+# tiny dt, and no n or traj that is large but within its budget), so an
+# example takes milliseconds.
 
 def _curve(long_rate, amplitude, decay):
     """``long_rate + amplitude e^(-decay x)`` on the 64-point grid."""
@@ -795,14 +807,14 @@ _HJMM_CURVE = st.one_of(st.builds(_curve, _HJMM_NUMBER, _HJMM_NUMBER, _HJMM_NUMB
 _HJMM_T = ("experiment.T", "error: T = ")
 _HJMM_MUTATIONS = {      # key: (values, what an error line names it by)
     "space.beta": (_HJMM_FLOAT, ("space.beta",)),
-    "space.n": (_HJMM_COUNT, ("space.n", *_HJMM_T)),
+    "space.n": (_HJMM_COUNT, ("space.n", "experiment.x", *_HJMM_T)),
     "space.x_max": (_HJMM_FLOAT, ("space.x_max", *_HJMM_T)),
     "hjmm.beta_prime": (_HJMM_FLOAT, ("hjmm.beta_prime",)),
-    "experiment.hjmm.x": (_HJMM_CURVE, ("experiment.x", "error: x:")),
-    "experiment.hjmm.T": (_HJMM_FLOAT, _HJMM_T),
-    "experiment.hjmm.dt": (_HJMM_FLOAT, ("experiment.dt", *_HJMM_T)),
-    "experiment.hjmm.traj": (_HJMM_COUNT, ("experiment.traj", "trajectories exceed")),
-    "experiment.hjmm.seed": (_HJMM_COUNT, ("experiment.seed",)),
+    "experiment.lab.x": (_HJMM_CURVE, ("experiment.x", "error: x:")),
+    "experiment.lab.T": (_HJMM_FLOAT, _HJMM_T),
+    "experiment.lab.dt": (_HJMM_FLOAT, ("experiment.dt", "experiment.spacing", *_HJMM_T)),
+    "experiment.lab.traj": (_HJMM_COUNT, ("experiment.traj", "trajectories exceed")),
+    "experiment.lab.seed": (_HJMM_COUNT, ("experiment.seed",)),
 }
 _HJMM_MUTATION = st.lists(st.sampled_from(sorted(_HJMM_MUTATIONS)), min_size=1, max_size=2,
                           unique=True).flatmap(
@@ -823,19 +835,20 @@ def _malformed(v):
 @example(mutation={"hjmm.beta_prime": 2.5})
 @example(mutation={"space.x_max": math.inf})
 @example(mutation={"space.n": 3})
-@example(mutation={"experiment.hjmm.x": _curve(0.05, 0.04, -1000.0)})
+@example(mutation={"space.x_max": 2.5})      # at the long rate within 3 fit snapshots
+@example(mutation={"experiment.lab.x": _curve(0.05, 0.04, -1000.0)})
 @example(mutation={"space.beta": 1e308, "hjmm.beta_prime": math.inf})      # e^(beta x) overflows
-@example(mutation={"experiment.hjmm.dt": 1e308, "experiment.hjmm.T": 1e308})
-@example(mutation={"experiment.hjmm.seed": 2**63})
+@example(mutation={"experiment.lab.dt": 1e308, "experiment.lab.T": 1e308})
+@example(mutation={"experiment.lab.seed": 2**63})
 def test_mutated_hjmm_documents_keep_the_exit_contract(tmp_path, capsys, mutation):
-    doc = _mutated_document("experiment.hjmm.traj", 4)
+    doc = _mutated_document("hjmm.volatility", "example")
     for path, value in mutation.items():
         _apply(doc, "set", tuple(path.split(".")), value)
     f = tmp_path / "mutated.json"
     f.write_text(json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run_cli(["hjmm", str(f), "--out", str(tmp_path / "o")])
+        rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err
@@ -1110,13 +1123,6 @@ def test_only_forward_curves_live_on_a_grid(tmp_path, capsys, space):
     assert _one_error_line(err) and "$.hjmm" in err, err
 
 
-def test_hjmm_runs_only_forward_curve_documents(tmp_path, capsys):
-    rc = run_cli(["hjmm", os.path.join(SCEN, "ou-decoupled-2d.json"), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert _one_error_line(err) and err.startswith("error: $.hjmm:"), err
-
-
 def test_hjmm_builds_its_scenario_once(tmp_path, capsys, monkeypatch):
     calls = []
     build = hjmm.hjmm_scenario
@@ -1126,9 +1132,83 @@ def test_hjmm_builds_its_scenario_once(tmp_path, capsys, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(hjmm, "hjmm_scenario", counted)
-    assert run_cli(["hjmm", _hjmm_document_file(tmp_path), "--out", str(tmp_path)]) == 0
+    assert run_cli(["lab", _hjmm_document_file(tmp_path), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_the_hjmm_subcommand_is_gone(tmp_path, capsys):
+    # forward curves run under lab
+    rc = run_cli(["hjmm", os.path.join(SCEN, "forward-curve.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_error_line(err) and "invalid choice: 'hjmm'" in err, err
+
+
+def test_the_shipped_forward_curve_document_runs_the_default_decay():
+    # the curve 0.05 + 0.04 e^(-2x) on the document's own grid, in steps of one
+    # grid cell, to T 6 with 2,000 curves and seed 0
+    doc = scenarios.load_document(os.path.join(SCEN, "forward-curve.json"))
+    space = scenarios.build_scenario(doc).space
+    run = doc["experiment"]["lab"]
+    assert run["x"] == (0.05 + 0.04 * np.exp(-2.0 * space.grid)).tolist()
+    assert {k: v for k, v in run.items() if k != "x"} == {
+        "kind": "vanishing", "dt": space.dx, "T": 6.0, "traj": 2000, "seed": 0}
+
+
+def test_lab_audits_the_lipschitz_constants_of_a_forward_curve(tmp_path, capsys, monkeypatch):
+    # on x_max 2 the example volatility measures L_sigma 44 against its
+    # declared 1: lab ends in exit 2 before simulating, as certify does
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the Lipschitz audit")
+
+    monkeypatch.setattr(lab, "simulate_ensemble", no_simulation)
+    doc = scenarios.load_document(os.path.join(SCEN, "forward-curve.json"))
+    doc["space"]["x_max"] = 2.0
+    del doc["experiment"]["lab"]["x"]
+    f = tmp_path / "short-grid.json"
+    f.write_text(json.dumps(doc))
+    for command in ("certify", "lab"):
+        rc = run_cli([command, str(f), "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("hypothesis violated: lipschitz-sigma"), err
+
+
+def test_a_tau_that_is_not_a_multiple_of_dt_prints_a_plain_number(tmp_path, capsys):
+    # tau 0.5 on steps of one grid cell (0.317)
+    doc = _mutated_document("hjmm.volatility", "example")
+    doc["experiment"]["lab"].update(kind="limit-existence", tau_list=[0.5])
+    f = tmp_path / "fc.json"
+    f.write_text(json.dumps(doc))
+    rc = run_cli(["lab", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: tau_list: every tau must be a multiple of dt, got 0.5\n", err
+
+
+@pytest.mark.parametrize("argv,resolved", [
+    (["simulate", "ou-decoupled-2d.json", "--traj", "10", "--dt", "0.01"],
+     {"traj": 10, "dt": 0.01}),
+    (["ou-limit", "ou-decoupled-2d.json", "--traj", "10", "--horizon", "0.5", "--dt", "0.01"],
+     {"traj": 10, "horizon": 0.5, "dt": 0.01}),
+    (["lab", "counterexample-antidissipative.json", "--traj", "8", "--horizon", "2"],
+     {"traj": 8, "T": 2.0}),
+], ids=["simulate", "ou-limit", "lab"])
+def test_the_manifest_records_the_resolved_experiment(tmp_path, capsys, argv, resolved):
+    # the document's section for the command with the flags laid over it
+    path = os.path.join(SCEN, argv[1])
+    rc = run_cli([argv[0], path, *argv[2:], "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc in (0, 3)
+    doc = scenarios.load_document(path)
+    section = doc["experiment"]
+    if argv[0] in section:
+        section = section[argv[0]]
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["experiment"] == {**section, **resolved}
+    assert {k: v for k, v in config.items() if k != "experiment"} == \
+        {k: v for k, v in doc.items() if k != "experiment"}
 
 
 @pytest.mark.parametrize("beta_prime", [2.0, 3.0])
@@ -1183,33 +1263,26 @@ def test_constants_the_code_works_out_are_unknown_keys(tmp_path, capsys, section
 
 
 def test_the_hjmm_mode_is_measured_from_the_factors(tmp_path, capsys):
-    # an all-zero tabulated factor vanishes at every constant curve, a
-    # non-zero one at none
-    modes = []
-    for name, factor in (("zero", np.zeros(64)), ("bump", 0.01 * np.exp(-3.0 * _GRID64))):
+    # an all-zero tabulated factor vanishes at every constant curve, so the
+    # vanishing kind runs; a non-zero one vanishes at none, so the vanishing
+    # kind ends in exit 2 before simulating, and limit-existence runs instead
+    def run(name, factor, **lab_section):
         doc = _mutated_document("hjmm.volatility", "tabulated")
         doc["hjmm"]["factors"] = [factor.tolist()]
+        doc["experiment"]["lab"].update(traj=16, T=3.0, **lab_section)
         f = tmp_path / f"{name}.json"
         f.write_text(json.dumps(doc))
-        rc = run_cli(["hjmm", str(f), "--traj", "16", "--horizon", "3",
-                      "--out", str(tmp_path / name)])
-        assert rc in (0, 3)
-        summary = (tmp_path / name / "hjmm_summary.csv").read_text().splitlines()
-        modes.append(summary[1].split(",")[-1])
+        return run_cli(["lab", str(f), "--out", str(tmp_path / name)])
+
+    bump = 0.01 * np.exp(-3.0 * _GRID64)
+    assert run("zero", np.zeros(64)) == 0
+    assert run("bump", bump) == 2
+    assert capsys.readouterr().err.startswith(
+        "hypothesis violated: coefficients-vanish-at-anchor")
+    assert run("bump-limit", bump, kind="limit-existence", tau_list=[_DX64, 2 * _DX64]) in (0, 3)
     capsys.readouterr()
-    assert modes == ["vanishing", "w2"]
-
-
-def test_a_w2_run_needs_a_T_of_one_step(tmp_path, capsys):
-    # a T below one dt leaves one snapshot and no snapshot-to-snapshot W2
-    doc = _mutated_document("hjmm.volatility", "tabulated")
-    doc["hjmm"]["factors"] = [(0.01 * np.exp(-3.0 * _GRID64)).tolist()]
-    f = tmp_path / "bump.json"
-    f.write_text(json.dumps(doc))
-    rc = run_cli(["hjmm", str(f), "--horizon", "0.1", "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert _one_error_line(err) and err.startswith("error: experiment.T: must be >="), err
+    rates = (tmp_path / "bump-limit" / "lab_rates.csv").read_text()
+    assert rates.count("diag_tau=") == 2 and "theoretical:rate" in rates
 
 
 def test_a_vanishing_run_on_constant_noise_ends_in_exit_two(tmp_path, capsys):
@@ -1269,11 +1342,11 @@ def test_hjmm_rejects_a_tabulated_volatility_that_declares_M(tmp_path, capsys):
     doc["hjmm"].update(M=1e-6, factors=[(0.05 * np.exp(-3.0 * _GRID64)).tolist()])
     f = tmp_path / "fc.json"
     f.write_text(json.dumps(doc))
-    rc = run_cli(["hjmm", str(f), "--horizon", "3", "--out", str(tmp_path / "o")])
+    rc = run_cli(["lab", str(f), "--horizon", "3", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
     assert _one_error_line(err) and "hjmm.M" in err
-    assert not (tmp_path / "o" / "hjmm_decay.csv").exists()
+    assert not (tmp_path / "o" / "lab_series.csv").exists()
 
 
 def test_a_moving_p1_part_too_short_to_fit_names_T(tmp_path, capsys, monkeypatch):

@@ -10,36 +10,36 @@ from spdelab.errors import CertificationFailed, ContractViolation, HypothesisVio
 
 
 def test_lf_bound_example_values():
-    assert hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, math.inf) == pytest.approx(0.780, abs=1e-3)
-    v = hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0)
+    assert hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, math.inf) == pytest.approx(0.780, abs=1e-3)
+    v = hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, 1000.0)
     assert v < 1.0
-    assert hjmm.lf_bound(0.0, 0.0, 1.0 / 3.0, 3.0, 10.0) == 0.0
+    assert hjmm.lf_bound(0.0, 1.0 / 3.0, 3.0, 10.0) == 0.0
 
 
 def test_lf_bound_reproducible_to_last_bit():
-    a = hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0)
-    b = hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0)
+    a = hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, 1000.0)
+    b = hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, 1000.0)
     assert a == b
 
 
 def test_lf_bound_monotone_in_beta_prime():
-    vals = [hjmm.lf_bound(1.0, 0.0, 1.0 / 3.0, 3.0, bp) for bp in (5.0, 50.0, 500.0)]
+    vals = [hjmm.lf_bound(1.0, 1.0 / 3.0, 3.0, bp) for bp in (5.0, 50.0, 500.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_lf_bound_contracts():
     with pytest.raises(ContractViolation):
-        hjmm.lf_bound(1.0, 0.0, 0.5, 3.0, 2.0)
-    for args in [(1.0, 0.0, 0.5, math.nan, 5.0), (1.0, 0.0, 0.5, 3.0, math.nan),
-                 (1.0, 0.0, math.nan, 3.0, 5.0)]:
+        hjmm.lf_bound(1.0, 0.5, 3.0, 2.0)
+    for args in [(1.0, 0.5, math.nan, 5.0), (1.0, 0.5, 3.0, math.nan),
+                 (1.0, math.nan, 3.0, 5.0)]:
         with pytest.raises(ContractViolation):
             hjmm.lf_bound(*args)
 
 
-def _full_lf_bound(L_sigma, L_gamma, M, beta, beta_prime):
+def _full_lf_bound(L_sigma, M, beta, beta_prime):
     """The closed form with every term kept; overflows in ``beta**3`` past
     beta ~ 5.6e102."""
-    pre = max(L_sigma, L_gamma) * math.sqrt(M) / beta
+    pre = L_sigma * math.sqrt(M) / beta
     term3 = 0.0 if math.isinf(beta_prime) else \
         math.sqrt((16.0 * (1.0 + 1.0 / math.sqrt(beta))**2 + 48.0) / (beta_prime - beta))
     return pre * (math.sqrt(6.0 * M * math.sqrt(2.0)) + math.sqrt(8.0 / beta**3 + 16.0 / beta)
@@ -48,19 +48,19 @@ def _full_lf_bound(L_sigma, L_gamma, M, beta, beta_prime):
 
 @pytest.mark.parametrize("beta", [1e200, 1e308])
 def test_lf_bound_finite_at_huge_beta(beta):
-    assert math.isfinite(hjmm.lf_bound(1.0, 0.0, 1.0, beta, math.inf))
-    assert math.isfinite(hjmm.lf_bound(1.0, 0.0, 1.0, beta, math.nextafter(beta, math.inf)))
+    assert math.isfinite(hjmm.lf_bound(1.0, 1.0, beta, math.inf))
+    assert math.isfinite(hjmm.lf_bound(1.0, 1.0, beta, math.nextafter(beta, math.inf)))
 
 
 def test_lf_bound_bit_identical_to_the_full_closed_form():
     vol = hjmm.hjmm_example_volatility(hjmm.forward_space(3.0, n=64), beta_prime=1000.0)
-    cases = [(1.0, 0.0, 1.0 / 3.0, 3.0, 1000.0),                          # c09
-             (vol.L_sigma, 0.0, vol.M, 3.0, vol.beta_prime)]              # c10
+    cases = [(1.0, 1.0 / 3.0, 3.0, 1000.0),                               # c09
+             (vol.L_sigma, vol.M, 3.0, vol.beta_prime)]                   # c10
     edge = [1e100, math.nextafter(1e100, 0.0), math.nextafter(1e100, math.inf), 5e102]
     for beta in [*np.geomspace(1e-6, 5e102, 1500).tolist(), *edge]:
         for beta_prime in (math.inf, 2.0 * beta, beta + 1.0):
             if beta_prime > beta:
-                cases.append((1.0, 0.5, 1.0 / 3.0, beta, beta_prime))
+                cases.append((1.0, 1.0 / 3.0, beta, beta_prime))
     for args in cases:
         assert hjmm.lf_bound(*args) == _full_lf_bound(*args), args
 
@@ -121,7 +121,7 @@ def test_drift_vanishes_on_constant_curves_with_example_volatility():
 def test_drift_lipschitz_audit_against_bound():
     sp = hjmm.forward_space(3.0)
     vol = hjmm.hjmm_example_volatility(sp, beta_prime=1000.0)
-    l_f = hjmm.lf_bound(vol.L_sigma, 0.0, vol.M, sp.beta, vol.beta_prime)
+    l_f = hjmm.lf_bound(vol.L_sigma, vol.M, sp.beta, vol.beta_prime)
     gen = np.random.Generator(np.random.Philox(77))
     worst = 0.0
     for _ in range(200):
@@ -202,7 +202,7 @@ def test_ergodicity_experiment_small_scale():
 
 
 def _no_simulation(*args, **kwargs):
-    raise AssertionError("the experiment simulated before checking its horizon")
+    raise AssertionError("the experiment simulated before checking its hypotheses")
 
 
 @pytest.mark.parametrize("horizon", [0.3, 1.25])
@@ -226,39 +226,19 @@ def test_a_start_at_the_long_rate_passes_without_a_fit():
         ("decay-bound", "pass"), ("decay-rate", "pass"), ("long-rate-conserved", "pass")]
 
 
-def test_a_start_at_the_long_rate_that_moves_fails_the_rate():
-    # a factor that does not vanish at constants runs the measured w2 mode,
-    # never the no-fit pass of a start at the long rate: the curves spread
-    # out from it, and their snapshot-to-snapshot W2 grows
+def test_a_factor_that_does_not_vanish_at_constants_stops_before_simulating(monkeypatch):
+    # the decay to the long rate needs every coefficient to vanish at the
+    # constant curve at h0's long rate; a constant bump does not
     sp = hjmm.forward_space(3.0, n=64)
     bump = 0.01 * np.exp(-3.0 * sp.grid)
     bump[-1] = 0.0
     vol = hjmm.HjmmVolatility(sigma_factors=(lambda Y: np.broadcast_to(bump, Y.shape),),
                               M=1e-4, L_sigma=0.1, beta_prime=1000.0)
-    rep = hjmm.hjmm_ergodicity_experiment(sp, vol, np.full(sp.dim, 0.05), horizon=2.0,
-                                          n_traj=4, seed=1)
-    assert rep.mode == "w2"
-    assert rep.decay_mean[0] == 0.0 and rep.decay_mean[-1] > 0.0
-    assert ("decay-rate", "fail") in [(n, s) for n, s, _ in rep.verdicts]
-
-
-def test_w2_mode_reports_rate():
-    # volatility NOT vanishing at constants: constant shift of the example factor
-    sp = hjmm.forward_space(3.0, n=512)
-    base = np.exp(-3.0 * sp.grid)
-    base[-1] = 0.0
-
-    def factor(X):
-        return hjmm.example_volatility_rows(sp, X) + 0.02 * base
-
-    vol = hjmm.HjmmVolatility(sigma_factors=(factor,), M=1.2 / sp.beta, L_sigma=1.0,
-                              beta_prime=1000.0)
-    h0 = 0.05 + 0.02 * np.exp(-2.0 * sp.grid)
-    rep = hjmm.hjmm_ergodicity_experiment(sp, vol, h0, horizon=6.0, n_traj=512,
-                                          seed=10)
-    assert rep.mode == "w2"
-    assert rep.theoretical_rate == rep.margin / 2.0
-    assert rep.long_rate_max_dev == 0.0
+    monkeypatch.setattr(hjmm, "simulate_ensemble", _no_simulation)
+    with pytest.raises(HypothesisViolated) as exc:
+        hjmm.hjmm_ergodicity_experiment(sp, vol, np.full(sp.dim, 0.05), horizon=2.0,
+                                        n_traj=4, seed=1)
+    assert exc.value.hypothesis == "coefficients-vanish-at-anchor"
 
 
 # The kernels as first written (fresh arrays throughout); the buffered kernels

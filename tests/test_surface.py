@@ -42,6 +42,10 @@ FIELDS_TEST_ONLY = {
     "gdc.ConvergenceFit.n_points",
     # the truncation time of the characteristic-function quadrature
     "oulevy.CfValue.t_cut",
+    # read by acceptance criterion c10 (its ``times`` shares a name with
+    # ConvergenceReport.times, which src/ reads)
+    "hjmm.HjmmReport.bound",
+    "hjmm.HjmmReport.l_f",
 }
 
 
